@@ -35,6 +35,8 @@ from .exactmath import (
     vec,
     vertex_enum,
     volume_centroid,
+    _guard_vertex_enum,
+    _hull_facets,
 )
 
 Scalar = Union[Fraction, QuadVal]
@@ -417,10 +419,7 @@ def ellipsoid(q_rows: Sequence[Sequence]) -> Body:
         raise ValueError("Q must be square")
     if q != q.transpose():
         raise ValueError("Q must be symmetric")
-    for k in range(1, q.rows + 1):
-        minor = QMat.from_rows([[q[i, j] for j in range(k)] for i in range(k)])
-        if minor.det() <= 0:
-            raise ValueError("Q must be positive definite")
+    q.ldl()  # raises unless Q is positive definite
     return Body(ELLIPSOID, q)
 
 
@@ -487,15 +486,9 @@ def generalized_hexagon(alphas: Sequence) -> Body:
 
 def _facets_of_hull(data: tuple) -> tuple:
     verts = data[0]
-    n = len(verts[0])
-    c = vec([sum(v[i] for v in verts) / len(verts) for i in range(n)])
-    shifted = [tuple(x - ci for x, ci in zip(v, c)) for v in verts]
-    # facet normals of conv(shifted) are the vertices of its polar
-    normals = vertex_enum([list(v) for v in shifted],
-                          [Fraction(1)] * len(shifted), check_bounded=False)
-    rows = [list(u) for u in normals]
-    rhs = [Fraction(1) + dot(vec(u), c) for u in normals]
-    return (QMat.from_rows(rows), tuple(rhs))
+    _guard_vertex_enum(len(verts[0]))
+    facets = _hull_facets(verts)
+    return (QMat.from_rows([u for u, _, _ in facets]), tuple(r for _, r, _ in facets))
 
 
 def polar_body(k: Body) -> Body:
@@ -534,14 +527,18 @@ def symmetrize(k: Body) -> Body:
     return vpoly(list(diffs))
 
 
-def alpha_ratio(k: Body, guard_dim: int = 4) -> Fraction:
+# K cap -K has up to twice K's facets, each a constraint of its vertex enumeration
+_ALPHA_MAX_DIM = 4
+
+
+def alpha_ratio(k: Body) -> Fraction:
     """vol(K cap -K)/vol(K) for a centered polytope; 1 when K is symmetric."""
     if not k.is_polytope:
         raise ValueError("alpha ratio is implemented for polytopes only")
     if not k.is_centered():
         raise ValueError("alpha ratio requires a centered body")
-    if k.dim > guard_dim:
-        raise DimensionGuardError(f"alpha ratio guarded at dimension {guard_dim}")
+    if k.dim > _ALPHA_MAX_DIM:
+        raise DimensionGuardError(f"alpha ratio guarded at dimension {_ALPHA_MAX_DIM}")
     if k.is_symmetric():
         return Fraction(1)
     a, b = k.hrep()

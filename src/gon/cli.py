@@ -7,6 +7,7 @@ conjecture counterexample candidate was emitted.
 """
 
 import argparse
+import functools
 import json
 import multiprocessing
 import os
@@ -464,6 +465,7 @@ def _pretty(command: str, doc: dict) -> str:
 # parser / entry point
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gon", description="exact geometry-of-numbers toolkit")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -560,6 +562,8 @@ def _emit(doc: dict) -> None:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # --precision and GON_PRECISION hold for this call only
+    width = exactmath.DEFAULT_WIDTH
     try:
         args = parser.parse_args(argv)
         _apply_precision(args)
@@ -578,6 +582,8 @@ def main(argv=None) -> int:
         validate_output("error", err)
         _emit(err)
         return 1
+    finally:
+        exactmath.DEFAULT_WIDTH = width
     validate_output(args.command, doc)
     _emit(doc)
     if args.pretty:

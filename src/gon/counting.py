@@ -18,23 +18,29 @@ from .lattice import Lattice
 from .minima import _Chart, polytope_integer_points, quadratic_integer_points
 
 
+def _lattice_points(k: Body, lat: Lattice) -> tuple:
+    """(chart, coefficients of every point of K cap L in the chart's basis)."""
+    chart = _Chart(k, lat)
+    if chart.span_empty:
+        return chart, []
+    if chart.kind == "quad":
+        return chart, quadratic_integer_points(chart.q, Fraction(1))
+    return chart, polytope_integer_points(chart.rows, chart.rhs)
+
+
+def _interior_points(chart, pts: list) -> list:
+    """The points of a :func:`_lattice_points` walk that lie in the interior of K."""
+    if chart.span_boundary:
+        return []
+    if chart.kind == "quad":
+        return [c for c in pts if dot(c, chart.q.mul_vec(c)) < 1]
+    return [c for c in pts if all(dot(row, c) < bj for row, bj in zip(chart.rows, chart.rhs))]
+
+
 def count_points(k: Body, lat: Lattice, interior: bool = False) -> int:
     """#(K cap L), boundary included; interior=True counts int(K) cap L instead."""
-    chart = _Chart(k, lat)
-    if chart.span_empty or (interior and chart.span_boundary):
-        return 0
-    if chart.kind == "quad":
-        pts = quadratic_integer_points(chart.q, Fraction(1))
-        if interior:
-            pts = [c for c in pts if dot(c, chart.q.mul_vec(c)) < 1]
-        return len(pts)
-    pts = polytope_integer_points(chart.rows, chart.rhs)
-    if interior:
-        pts = [
-            c for c in pts
-            if all(dot(row, c) < bj for row, bj in zip(chart.rows, chart.rhs))
-        ]
-    return len(pts)
+    chart, pts = _lattice_points(k, lat)
+    return len(_interior_points(chart, pts) if interior else pts)
 
 
 @dataclass(frozen=True)

@@ -498,40 +498,17 @@ class QMat:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         a = self.to_rows()
-        n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            p = next((i for i in range(c, n) if a[i][c] != 0), -1)
-            if p < 0:
-                return Fraction(0)
-            if p != c:
-                a[c], a[p] = a[p], a[c]
-                det = -det
-            det *= a[c][c]
-            inv = 1 / a[c][c]
-            for i in range(c + 1, n):
-                if a[i][c]:
-                    f = a[i][c] * inv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+        pivots, swaps = _eliminate(a, self.cols)
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        det = Fraction(-1 if swaps % 2 else 1)
+        for i in range(self.rows):
+            det *= a[i][i]
         return det
 
     def rank(self) -> int:
-        a = self.to_rows()
-        r = 0
-        for c in range(self.cols):
-            p = next((i for i in range(r, self.rows) if a[i][c] != 0), -1)
-            if p < 0:
-                continue
-            a[r], a[p] = a[p], a[r]
-            inv = 1 / a[r][c]
-            for i in range(r + 1, self.rows):
-                if a[i][c]:
-                    f = a[i][c] * inv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            r += 1
-            if r == self.rows:
-                break
-        return r
+        pivots, _ = _eliminate(self.to_rows(), self.cols)
+        return len(pivots)
 
     def solve(self, rhs: Sequence) -> tuple[Fraction, ...] | None:
         """One exact solution of self @ x = rhs, or None if inconsistent.
@@ -542,66 +519,99 @@ class QMat:
         if len(rhs) != self.rows:
             raise ValueError("rhs length mismatch")
         a = [list(self.row(i)) + [rhs[i]] for i in range(self.rows)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            p = next((i for i in range(r, self.rows) if a[i][c] != 0), -1)
-            if p < 0:
-                continue
-            a[r], a[p] = a[p], a[r]
-            inv = 1 / a[r][c]
-            a[r] = [x * inv for x in a[r]]
-            for i in range(self.rows):
-                if i != r and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        for i in range(r, self.rows):
-            if a[i][self.cols] != 0:
-                return None
-        x = [Fraction(0)] * self.cols
-        for i, c in enumerate(pivots):
-            x[c] = a[i][self.cols]
-        return tuple(x)
+        pivots, _ = _eliminate(a, self.cols)
+        if any(a[i][-1] for i in range(len(pivots), self.rows)):
+            return None
+        return tuple(x[0] for x in _back_substitute(a, pivots, self.cols))
 
     def inverse(self) -> "QMat":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         a = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for c in range(n):
-            p = next((i for i in range(c, n) if a[i][c] != 0), -1)
-            if p < 0:
-                raise RankDeficientError("matrix is singular")
-            a[c], a[p] = a[p], a[c]
-            inv = 1 / a[c][c]
-            a[c] = [x * inv for x in a[c]]
-            for i in range(n):
-                if i != c and a[i][c]:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-        return QMat(n, n, [a[i][n + j] for i in range(n) for j in range(n)])
+        pivots, _ = _eliminate(a, n)
+        if len(pivots) < n:
+            raise RankDeficientError("matrix is singular")
+        return QMat(n, n, [x for row in _back_substitute(a, pivots, n) for x in row])
+
+    def ldl(self) -> tuple["QMat", tuple[Fraction, ...]]:
+        """(L, d) with self = L diag(d) L^T and L unit lower triangular.
+
+        For a symmetric matrix.  The elimination must use every diagonal entry
+        as its pivot and find it positive, which by Sylvester's criterion holds
+        exactly when the matrix is positive definite; ValueError otherwise.
+        """
+        if self.rows != self.cols:
+            raise ValueError("LDL decomposition of a non-square matrix")
+        n = self.rows
+        a = self.to_rows()
+        pivots, swaps = _eliminate(a, n)
+        if swaps or len(pivots) < n or any(a[i][i] <= 0 for i in range(n)):
+            raise ValueError("matrix is not positive definite")
+        d = tuple(a[i][i] for i in range(n))
+        return QMat(n, n, [a[j][i] / d[j] for i in range(n) for j in range(n)]), d
+
+
+def _eliminate(a: list[list[Fraction]], ncols: int) -> tuple[list[int], int]:
+    """Forward Gaussian elimination of the rows ``a`` in place, to echelon form.
+
+    Pivots are sought in the first ncols columns only; any further columns
+    (right-hand sides) are carried along.  Each pivot is the first nonzero
+    entry at or below the current row.  Returns the pivot column of each
+    leading row and the number of row exchanges made.
+    """
+    m = len(a)
+    pivots = []
+    swaps = 0
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if a[i][c]), -1)
+        if p < 0:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            swaps += 1
+        prow = a[r][c:]
+        inv = 1 / prow[0]
+        for i in range(r + 1, m):
+            row = a[i]
+            if row[c]:
+                f = row[c] * inv
+                row[c:] = [x - f * y for x, y in zip(row[c:], prow)]
+        pivots.append(c)
+    return pivots, swaps
+
+
+def _back_substitute(a: list[list[Fraction]], pivots: list[int], ncols: int) -> list[list[Fraction]]:
+    """Solve the echelon rows left by :func:`_eliminate` for every column past ncols.
+
+    Returns one row per unknown holding its value for each right-hand side;
+    free variables are zero.
+    """
+    nrhs = len(a[0]) - ncols
+    x = [[Fraction(0)] * nrhs for _ in range(ncols)]
+    for i in reversed(range(len(pivots))):
+        row, c = a[i], pivots[i]
+        inv = 1 / row[c]
+        later = pivots[i + 1 :]
+        for t in range(nrhs):
+            s = row[ncols + t]
+            for j in later:
+                s -= row[j] * x[j][t]
+            x[c][t] = s * inv
+    return x
 
 
 def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> tuple[Fraction, ...] | None:
     """Unique solution of a square system, or None when singular."""
     n = len(rows)
     a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if a[i][c] != 0), -1)
-        if p < 0:
-            return None
-        a[c], a[p] = a[p], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(a[i][n] for i in range(n))
+    pivots, _ = _eliminate(a, n)
+    if len(pivots) < n:
+        return None
+    return tuple(x[0] for x in _back_substitute(a, pivots, n))
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +767,22 @@ class LPResult:
     point: tuple[Fraction, ...] | None
 
 
+def _pivot(T, rhs, r, col):
+    # scale row r so that column col holds 1 there, then clear col in every other row
+    piv = T[r][col]
+    if piv != 1:
+        inv = 1 / piv
+        T[r] = [x * inv for x in T[r]]
+        rhs[r] = rhs[r] * inv
+    tr = T[r]
+    for i in range(len(T)):
+        if i != r:
+            f = T[i][col]
+            if f:
+                T[i] = [x - f * y for x, y in zip(T[i], tr)]
+                rhs[i] = rhs[i] - f * rhs[r]
+
+
 def _simplex_loop(T, rhs, red, zval, basis):
     m = len(T)
     ncols = len(red)
@@ -775,21 +801,10 @@ def _simplex_loop(T, rhs, red, zval, basis):
         if best_row < 0:
             return "unbounded", zval
         r = best_row
-        piv = T[r][col]
-        if piv != 1:
-            inv = 1 / piv
-            T[r] = [x * inv for x in T[r]]
-            rhs[r] = rhs[r] * inv
-        tr = T[r]
-        for i in range(m):
-            if i != r:
-                f = T[i][col]
-                if f:
-                    T[i] = [x - f * y for x, y in zip(T[i], tr)]
-                    rhs[i] = rhs[i] - f * rhs[r]
+        _pivot(T, rhs, r, col)
         f = red[col]
         zval = zval + f * rhs[r]
-        red[:] = [x - f * y for x, y in zip(red, tr)]
+        red[:] = [x - f * y for x, y in zip(red, T[r])]
         basis[r] = col
 
 
@@ -866,16 +881,7 @@ def lp_exact(A, b, c, sense: str = "max") -> LPResult:
                 if col < 0:
                     drop.append(i)
                     continue
-                piv = T[i][col]
-                inv = 1 / piv
-                T[i] = [x * inv for x in T[i]]
-                rhs[i] = rhs[i] * inv
-                tr = T[i]
-                for k2 in range(m):
-                    if k2 != i and T[k2][col]:
-                        f = T[k2][col]
-                        T[k2] = [x - f * y for x, y in zip(T[k2], tr)]
-                        rhs[k2] = rhs[k2] - f * rhs[i]
+                _pivot(T, rhs, i, col)
                 basis[i] = col
         if drop:
             T = [row for i, row in enumerate(T) if i not in drop]
@@ -916,7 +922,17 @@ def _vertex_enum_raw(A, b):
     return sorted(seen)
 
 
-def vertex_enum(A, b, guard_dim: int = 6, check_bounded: bool = True):
+# vertex enumeration solves every n-subset of the constraints, so its cost
+# grows as binomial(m, n); it is refused above this dimension
+_VERTEX_ENUM_MAX_DIM = 6
+
+
+def _guard_vertex_enum(n: int) -> None:
+    if n > _VERTEX_ENUM_MAX_DIM:
+        raise DimensionGuardError(f"vertex enumeration guarded to dimension {_VERTEX_ENUM_MAX_DIM}")
+
+
+def vertex_enum(A, b, check_bounded: bool = True):
     """All vertices of {x : A x <= b}, sorted lexicographically.
 
     Brute force over n-subsets of the constraints; guarded to dimension 6.
@@ -926,8 +942,7 @@ def vertex_enum(A, b, guard_dim: int = 6, check_bounded: bool = True):
     if not A:
         raise ValueError("no constraints")
     n = len(A[0])
-    if n > guard_dim:
-        raise DimensionGuardError(f"vertex enumeration guarded to dimension {guard_dim}")
+    _guard_vertex_enum(n)
     if check_bounded:
         for j in range(n):
             c = [Fraction(int(k == j)) for k in range(n)]
@@ -1012,6 +1027,40 @@ def _angular_fan(pts):
     return [(c, ordered[i], ordered[(i + 1) % k]) for i in range(k)]
 
 
+def _hull_facets(pts):
+    """Facets of conv(pts) as (normal, rhs, tight points), normal . x <= rhs on the hull.
+
+    pts must be the extreme points of a full-dimensional polytope.  Shifted by
+    their centroid, the points span a hull whose polar has the facet normals
+    as vertices; facets come in the sorted order of those normals.
+    """
+    c = vavg(pts)
+    shifted = [vsub(p, c) for p in pts]
+    facets = []
+    for u in _vertex_enum_raw(shifted, [Fraction(1)] * len(shifted)):
+        tight = [p for p, s in zip(pts, shifted) if dot(u, s) == 1]
+        facets.append((u, Fraction(1) + dot(u, c), tight))
+    return facets
+
+
+def _facet_simplices(normal, rhs, tight):
+    """Simplices covering conv(tight), a facet in the plane normal . x = rhs.
+
+    The facet is triangulated in the chart that drops the coordinate where the
+    normal is largest, and each chart point is lifted back onto the plane.
+    """
+    dim = len(normal)
+    k = max(range(dim), key=lambda j: abs(normal[j]))
+    rest = [j for j in range(dim) if j != k]
+
+    def lift(y):
+        xk = (rhs - sum(normal[j] * yj for j, yj in zip(rest, y))) / normal[k]
+        return y[:k] + (xk,) + y[k:]
+
+    chart = [p[:k] + p[k + 1 :] for p in tight]
+    return [tuple(lift(y) for y in sub) for sub in _triangulate_coords(chart, dim - 1)]
+
+
 def _triangulate_coords(pts, dim):
     """Simplices (tuples of dim+1 points) covering conv(pts).
 
@@ -1025,26 +1074,8 @@ def _triangulate_coords(pts, dim):
     if dim == 2:
         return _angular_fan(pts)
     c = vavg(pts)
-    shifted = [vsub(p, c) for p in pts]
-    ones = [Fraction(1)] * len(shifted)
-    polar_verts = _vertex_enum_raw(shifted, ones)
-    tris = []
-    for u in polar_verts:
-        tight = [p for p, s in zip(pts, shifted) if dot(u, s) == 1]
-        k = max(range(dim), key=lambda j: abs(u[j]))
-        chart = [tuple(x for j, x in enumerate(p) if j != k) for p in tight]
-        plane_rhs = Fraction(1) + dot(u, c)
-
-        def lift(y):
-            rest = sum(u[j] * y[jj] for jj, j in enumerate(jidx))
-            xk = (plane_rhs - rest) / u[k]
-            out = list(y[:k]) + [xk] + list(y[k:])
-            return tuple(out)
-
-        jidx = [j for j in range(dim) if j != k]
-        for sub in _triangulate_coords(chart, dim - 1):
-            tris.append((c,) + tuple(lift(y) for y in sub))
-    return tris
+    return [(c,) + sub for normal, rhs, tight in _hull_facets(pts)
+            for sub in _facet_simplices(normal, rhs, tight)]
 
 
 def _simplex_volume(simplex):
@@ -1109,24 +1140,7 @@ def facet_contents(A, b, vertices, max_width: Fraction | None = None) -> Interva
         if affine_rank(tight) != n - 1:
             continue
         seen.add(key)
-        if n == 2:
-            ts = sorted(tight)
-            simplices.append((ts[0], ts[-1]))
-            continue
-        k = max(range(n), key=lambda j: abs(A[i][j]))
-        chart = [tuple(x for j, x in enumerate(p) if j != k) for p in tight]
-        lifted = {c: p for c, p in zip(chart, tight)}
-        jidx = [j for j in range(n) if j != k]
-
-        def lift(y):
-            if y in lifted:
-                return lifted[y]
-            rest = sum(A[i][j] * y[jj] for jj, j in enumerate(jidx))
-            xk = (b[i] - rest) / A[i][k]
-            return tuple(list(y[:k]) + [xk] + list(y[k:]))
-
-        for sub in _triangulate_coords(chart, n - 1):
-            simplices.append(tuple(lift(y) for y in sub))
+        simplices.extend(_facet_simplices(A[i], b[i], tight))
     if not simplices:
         raise RankDeficientError("no facets found")
     per_term = max_width / len(simplices)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import ceil, floor, isqrt
 from typing import Optional, Sequence, Union
 
-from .body import Body, ELLIPSOID, polar_body, vpoly
+from .body import Body, ELLIPSOID, polar_body, symmetrize
 from .exactmath import (
     Interval,
     QMat,
@@ -94,6 +94,7 @@ def polytope_integer_points(rows: Sequence[Sequence], rhs: Sequence) -> list:
             rec(prefix + [z], [rj - r[i] * zf for r, rj in zip(rows, rem)])
 
     rec([], rhs)
+    del rec  # rec holds itself through its closure; the cycle would keep `out` alive
     return sorted(out)
 
 
@@ -115,33 +116,15 @@ def _le_center_plus_sqrt(z: int, c: Fraction, q: Fraction) -> bool:
     return d <= 0 or d * d <= q
 
 
-def _quad_decompose(q: QMat):
-    # Q = U^T D U with unit upper-triangular U; valid for positive definite Q
-    m = q.rows
-    a = [list(q.row(i)) for i in range(m)]
-    d = []
-    u = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        d.append(a[i][i])
-        if d[i] <= 0:
-            raise ValueError("form is not positive definite")
-        u[i][i] = Fraction(1)
-        for j in range(i + 1, m):
-            u[i][j] = a[i][j] / d[i]
-        for r in range(i + 1, m):
-            f = a[r][i] / d[i]
-            for cidx in range(i, m):
-                a[r][cidx] -= f * a[i][cidx]
-    return d, u
-
-
 def quadratic_integer_points(q: QMat, bound: Fraction) -> list:
     """All integer c with c^T Q c <= bound, sorted lexicographically."""
     bound = rat(bound)
     if bound < 0:
         return []
     m = q.rows
-    d, u = _quad_decompose(q)
+    # Q = L D L^T, so c^T Q c = sum_i d_i (c_i + sum_{j>i} L_ji c_j)^2
+    low, d = q.ldl()
+    u = [low.col(i) for i in range(m)]
     out = []
 
     def rec(suffix, rem):
@@ -160,6 +143,7 @@ def quadratic_integer_points(q: QMat, bound: Fraction) -> list:
                 rec([z] + suffix, rem - t)
 
     rec([], bound)
+    del rec  # as in polytope_integer_points
     return sorted(out)
 
 
@@ -334,12 +318,7 @@ def first_minimum(k: Body, lat: Lattice, allow_asymmetric: bool = False):
 
 def difference_body(k: Body) -> Body:
     """K - K, twice the central symmetral."""
-    if k.is_symmetric():
-        return k.dilate(2)
-    if not k.is_polytope:
-        raise ValueError("difference body needs a polytope or symmetric input")
-    vs = k.vertices()
-    return vpoly([tuple(x - y for x, y in zip(v, w)) for v in vs for w in vs])
+    return symmetrize(k).dilate(2)
 
 
 def lattice_width(k: Body, lat: Lattice):

@@ -72,6 +72,25 @@ def _int_rows(data) -> tuple:
     return tuple(rows)
 
 
+def _section_content_sq(lat: Lattice) -> Fraction:
+    """Squared d-content of the unit cube C_n cut by the span of the lattice."""
+    b = lat.basis
+    d, n = b.rows, b.cols
+    rows, rhs = [], []
+    for i in range(n):
+        col = [b.row(j)[i] for j in range(d)]
+        if all(x == 0 for x in col):
+            continue
+        rows.append(col)
+        rhs.append(Fraction(1))
+        rows.append([-x for x in col])
+        rhs.append(Fraction(1))
+    verts = vertex_enum(rows, rhs, check_bounded=False)
+    vol, _ = volume_centroid(verts, assume_extreme=True)
+    # the basis chart scales d-content by sqrt(det of its gram matrix)
+    return vol * vol * lat.det_squared()
+
+
 @dataclass(frozen=True)
 class CubeSection:
     """C_n cut by the rational kernel of an integer matrix, with its lattice."""
@@ -89,21 +108,7 @@ class CubeSection:
 
     def content(self) -> Union[Fraction, QuadVal]:
         """Exact d-dimensional content of the section."""
-        b = self.lattice.basis
-        d, n = b.rows, b.cols
-        rows, rhs = [], []
-        for i in range(n):
-            col = [b.row(j)[i] for j in range(d)]
-            if all(x == 0 for x in col):
-                continue
-            rows.append(col)
-            rhs.append(Fraction(1))
-            rows.append([-x for x in col])
-            rhs.append(Fraction(1))
-        verts = vertex_enum(rows, rhs, check_bounded=False)
-        vol, _ = volume_centroid(verts, assume_extreme=True)
-        # the basis chart scales d-content by sqrt(det of its gram matrix)
-        return quad_or_rat(vol * vol * self.lattice.det_squared())
+        return quad_or_rat(_section_content_sq(self.lattice))
 
     def vaaler_satisfied(self) -> bool:
         """content >= 2^dim, compared through exact squares."""

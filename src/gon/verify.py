@@ -40,7 +40,7 @@ from .body import (
     polar_body,
     symmetrize,
 )
-from .counting import count_points, ehrhart
+from .counting import _interior_points, _lattice_points, ehrhart
 from .exactmath import (
     Interval,
     QuadVal,
@@ -52,11 +52,10 @@ from .exactmath import (
     root_interval,
     sqrt_interval,
     unit_ball_volume_interval,
-    vertex_enum,
-    volume_centroid,
 )
 from .lattice import Lattice, make_lattice, standard_lattice
 from .minima import successive_minima
+from .siegel import _section_content_sq
 
 Side = Union[Fraction, QuadVal, Interval]
 
@@ -322,12 +321,16 @@ class _Instance:
         return successive_minima(self.k_polar, self.dual_lat, allow_asymmetric=True)
 
     @cached_property
+    def _walk(self):
+        return _lattice_points(self.k, self.lat)
+
+    @cached_property
     def count(self) -> int:
-        return count_points(self.k, self.lat)
+        return len(self._walk[1])
 
     @cached_property
     def count_interior(self) -> int:
-        return count_points(self.k, self.lat, interior=True)
+        return len(_interior_points(*self._walk))
 
     @cached_property
     def surface(self) -> Interval:
@@ -910,24 +913,6 @@ def _uniform_box_scale(k: Body):
     return k.data[0] if len(sides) == 1 else None
 
 
-def _cube_section_content_sq(lat: Lattice, s: Fraction) -> Fraction:
-    """Squared d-content of {|x_i| <= s} cut by the span of the lattice."""
-    b = lat.basis
-    d = b.rows
-    rows, rhs = [], []
-    for j in range(b.cols):
-        col = [b[i, j] for i in range(d)]
-        if all(x == 0 for x in col):
-            continue
-        rows.append(col)
-        rhs.append(s)
-        rows.append([-x for x in col])
-        rhs.append(s)
-    verts = vertex_enum(rows, rhs, check_bounded=False)
-    vol, _ = volume_centroid(verts, assume_extreme=True)
-    return vol * vol * lat.det_squared()
-
-
 @_check("vaaler_section", "theorem", "uniform box cut by an embedded lattice's span")
 def _c_vaaler_section(inst: _Instance) -> CheckReport:
     cid, kind = "vaaler_section", "theorem"
@@ -937,7 +922,8 @@ def _c_vaaler_section(inst: _Instance) -> CheckReport:
     if s is None:
         return _skipped(cid, kind, "requires a cube")
     d = inst.lat.rank
-    content_sq = _cube_section_content_sq(inst.lat, s)
+    # the section of the cube scaled by s has s^d times the unit cube's content
+    content_sq = _section_content_sq(inst.lat) * s ** (2 * d)
     lhs = (2 * s) ** d
     rhs = quad_or_rat(content_sq)
     wit = {"section_dim": d, "content_squared": content_sq}

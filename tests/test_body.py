@@ -223,6 +223,11 @@ def test_alpha_rejects_uncentered_and_big():
         alpha_ratio(cross_polytope(5))
 
 
+def test_vpoly_hrep_guarded_above_dimension_six():
+    with pytest.raises(DimensionGuardError):
+        dual_centered_simplex(7).hrep()
+
+
 # -- intrinsic volumes of boxes ----------------------------------------------
 
 

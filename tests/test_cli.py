@@ -30,6 +30,7 @@ def files(tmp_path):
         "z3": w("z3.json", {"basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
         "skew": w("skew.json", {"basis": [[2, 1], [0, 1]]}),
         "mat": w("mat.json", {"rows": 1, "cols": 3, "data": [[1, 2, 3]]}),
+        "mat3711": w("mat3711.json", {"rows": 1, "cols": 3, "data": [[3, 7, 11]]}),
         "badbody": w("badbody.json", {"type": "box", "sides": [1, 1]}),
         "badmat": w("badmat.json", {"rows": 2, "cols": 3, "data": [[1, 2, 3]]}),
     }
@@ -260,18 +261,30 @@ def test_bad_precision_flag(files, capsys):
     expect_error(capsys, "usage", "sigma", "--n", "3", "--precision", "1000")
 
 
+def _classical_width(capsys, files, *extra):
+    # the classical bound of (3, 7, 11) is irrational, so its enclosure has the working width
+    rc, doc, _ = run(capsys, "siegel", "--matrix", files["mat3711"], *extra)
+    assert rc == 0
+    bound = doc["classical_bound"]
+    return F(bound["hi"]) - F(bound["lo"])
+
+
 def test_precision_env(files, capsys, monkeypatch):
     monkeypatch.setenv("GON_PRECISION", "100")
-    rc, doc, _ = run(capsys, "width", "--body", files["t2"], "--lattice", files["z2"])
-    assert rc == 0
-    assert exactmath.DEFAULT_WIDTH == F(1, 2 ** 100)
+    assert _classical_width(capsys, files) == F(1, 2 ** 100)
 
 
 def test_precision_flag_beats_env(files, capsys, monkeypatch):
     monkeypatch.setenv("GON_PRECISION", "100")
-    rc, _, _ = run(capsys, "sigma", "--n", "3", "--precision", "80")
-    assert rc == 0
-    assert exactmath.DEFAULT_WIDTH == F(1, 2 ** 80)
+    assert _classical_width(capsys, files, "--precision", "80") == F(1, 2 ** 80)
+
+
+def test_precision_holds_for_one_call(files, capsys):
+    widths = [_classical_width(capsys, files),
+              _classical_width(capsys, files, "--precision", "8"),
+              _classical_width(capsys, files)]
+    assert widths == [F(1, 2 ** 64), F(1, 2 ** 8), F(1, 2 ** 64)]
+    assert exactmath.DEFAULT_WIDTH == F(1, 2 ** 64)
 
 
 # -- schema units ------------------------------------------------------------

@@ -204,6 +204,34 @@ def test_solve_consistency(a, rhs):
         assert m.det() == 0
 
 
+@given(int_matrix(3, 3))
+def test_inverse_or_singular(a):
+    m = QMat.from_rows(a)
+    if m.det() == 0:
+        with pytest.raises(RankDeficientError):
+            m.inverse()
+    else:
+        assert m @ m.inverse() == QMat.identity(3)
+
+
+@given(int_matrix(3, 3))
+def test_ldl_follows_sylvester(a):
+    # a + a^T is mostly indefinite, a a^T + I always positive definite
+    sym = [[a[i][j] + a[j][i] for j in range(3)] for i in range(3)]
+    gram = [[dot(a[i], a[j]) + (i == j) for j in range(3)] for i in range(3)]
+    for rows in (sym, gram):
+        s = QMat.from_rows(rows)
+        minors = [QMat.from_rows([r[:k] for r in rows[:k]]).det() for k in (1, 2, 3)]
+        if min(minors) <= 0:
+            with pytest.raises(ValueError):
+                s.ldl()
+            continue
+        low, d = s.ldl()
+        diag = QMat(3, 3, [d[i] if i == j else 0 for i in range(3) for j in range(3)])
+        assert low @ diag @ low.transpose() == s
+        assert all(low[i, i] == 1 and low[i, j] == 0 for i in range(3) for j in range(i + 1, 3))
+
+
 # ---------------------------------------------------------------------------
 # normal forms
 

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction as F
 from itertools import product
 from math import factorial
@@ -107,6 +108,18 @@ def test_quadratic_integer_points_circle():
     assert len(pts) == 9
     pts = quadratic_integer_points(q, F(1))
     assert len(pts) == 5
+
+
+def test_walks_leave_no_reference_cycle():
+    # a cycle would hold a walk's whole point list until the next collection
+    gc.collect()
+    gc.disable()
+    try:
+        polytope_integer_points([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]], [0, 0, 0, 3])
+        quadratic_integer_points(QMat.identity(3), F(4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- successive minima -------------------------------------------------------------
