@@ -35,8 +35,10 @@ from .exactmath import (
     vec,
     vertex_enum,
     volume_centroid,
+    _facet_sets,
     _guard_vertex_enum,
     _hull_facets,
+    _volume_centroid,
 )
 
 Scalar = Union[Fraction, QuadVal]
@@ -176,8 +178,7 @@ class Body:
             n, s = self.data
             v = Fraction(2) ** n * s ** n / factorial(n)
         elif self.kind in (HPOLY, VPOLY):
-            v, c = volume_centroid(list(self.vertices()), assume_extreme=True)
-            self._cache["cen"] = c
+            return self._polytope_volume_centroid()[0]
         else:
             # vol = omega_n / sqrt(det Q)
             q = self.data.det()
@@ -188,13 +189,22 @@ class Body:
     def centroid(self) -> tuple:
         if "cen" in self._cache:
             return self._cache["cen"]
-        if self.kind in (BOX, CROSS, ELLIPSOID):
-            c = vec([0] * self.dim)
-        else:
-            v, c = volume_centroid(list(self.vertices()), assume_extreme=True)
-            self._cache["vol"] = v
+        if self.kind in (HPOLY, VPOLY):
+            return self._polytope_volume_centroid()[1]
+        c = vec([0] * self.dim)
         self._cache["cen"] = c
         return c
+
+    def _polytope_volume_centroid(self) -> tuple:
+        # both are read off one triangulation, so they are cached together
+        verts = self.vertices()
+        if self.kind == VPOLY:
+            v, c = volume_centroid(list(verts), assume_extreme=True)
+        else:
+            a, b = self.data
+            v, c = _volume_centroid(verts, _facet_sets(a.to_rows(), b, verts))
+        self._cache["vol"], self._cache["cen"] = v, c
+        return v, c
 
     def surface_area(self, max_width: Fraction = SURFACE_WIDTH) -> Interval:
         """Certified enclosure of the boundary content; polytopes only."""
@@ -546,7 +556,7 @@ def alpha_ratio(k: Body) -> Fraction:
     rows = a.to_rows() + neg
     rhs = list(b) + list(b)
     verts = vertex_enum(rows, rhs, check_bounded=False)
-    vol_cap, _ = volume_centroid(verts, assume_extreme=True)
+    vol_cap, _ = _volume_centroid(verts, _facet_sets(rows, rhs, verts))
     return vol_cap / k.volume()
 
 

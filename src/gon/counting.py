@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .body import Body
-from .exactmath import Interval, QMat, QuadVal, dot, rat
+from .exactmath import Interval, QMat, dot, rat
 from .lattice import Lattice
 from .minima import _Chart, polytope_integer_points, quadratic_integer_points
 
@@ -105,8 +105,7 @@ def count_ratio_bounds(k: Body, lat: Lattice, dilations: Sequence) -> list:
         vol = kk.volume()
         det = lat.det()
         if isinstance(vol, Interval):
-            det_i = det.to_interval() if isinstance(det, QuadVal) else Interval.point(det)
-            num = det_i * g
+            num = Interval.point(g) * det
             out.append((rho, Interval(num.lo / vol.hi, num.hi / vol.lo)))
         else:
             out.append((rho, g * det / vol))

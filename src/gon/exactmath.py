@@ -8,6 +8,12 @@ enclosed in a certified :class:`Interval` whose width the caller controls.
 The geometry kernels (``lp_exact``, ``vertex_enum``, ``volume_centroid``)
 are deliberately naive: dimensions stay small, so exactness and
 predictability beat asymptotics.
+
+Volumes, centroids and surface areas come from one triangulation that needs
+only the vertex-facet incidences: which vertices lie on which facet.  Each
+face is coned from its vertex centroid over its own facets, down to edges.
+The incidences are read off an H-representation by tightness, or found once
+from the polar of a bare point set.
 """
 
 from __future__ import annotations
@@ -292,9 +298,22 @@ class QuadVal:
     def to_interval(self, max_width: Fraction | None = None) -> Interval:
         return sqrt_interval(self.square, max_width)
 
+    def __add__(self, other):
+        return self.to_interval() + _as_interval(other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.to_interval() - _as_interval(other)
+
+    def __rsub__(self, other):
+        return _as_interval(other) - self.to_interval()
+
     def __mul__(self, other):
         if isinstance(other, QuadVal):
             return QuadVal(self.square * other.square)
+        if isinstance(other, Interval):
+            return NotImplemented
         other = rat(other)
         if other < 0:
             raise ValueError("QuadVal scaled by a negative rational")
@@ -1000,33 +1019,6 @@ def affine_rank(points) -> int:
     return QMat.from_rows([vsub(p, base) for p in pts[1:]]).rank()
 
 
-def _angular_fan(pts):
-    # pts: extreme points of a full-dimensional polygon; fan from centroid
-    c = vavg(pts)
-    dirs = [(vsub(p, c), p) for p in pts]
-
-    def half(d):
-        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
-
-    import functools
-
-    def cmp(a, b):
-        da, db = a[0], b[0]
-        ha, hb = half(da), half(db)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = da[0] * db[1] - da[1] * db[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    ordered = [p for _, p in sorted(dirs, key=functools.cmp_to_key(cmp))]
-    k = len(ordered)
-    return [(c, ordered[i], ordered[(i + 1) % k]) for i in range(k)]
-
-
 def _hull_facets(pts):
     """Facets of conv(pts) as (normal, rhs, tight points), normal . x <= rhs on the hull.
 
@@ -1043,39 +1035,35 @@ def _hull_facets(pts):
     return facets
 
 
-def _facet_simplices(normal, rhs, tight):
-    """Simplices covering conv(tight), a facet in the plane normal . x = rhs.
+def _maximal(sets):
+    # the inclusion-maximal members, in first-seen order
+    sets = list(dict.fromkeys(sets))
+    return [s for s in sets if not any(s < t for t in sets)]
 
-    The facet is triangulated in the chart that drops the coordinate where the
-    normal is largest, and each chart point is lifted back onto the plane.
+
+def _facet_sets(A, b, vertices):
+    """Vertex sets of the facets of the polytope {x : A x <= b} with the given vertices.
+
+    Each row is tight on the vertices of one face.  Every facet has a defining
+    row, and a redundant row is tight only on a smaller face, so the facets are
+    the inclusion-maximal tight sets.
     """
-    dim = len(normal)
-    k = max(range(dim), key=lambda j: abs(normal[j]))
-    rest = [j for j in range(dim) if j != k]
-
-    def lift(y):
-        xk = (rhs - sum(normal[j] * yj for j, yj in zip(rest, y))) / normal[k]
-        return y[:k] + (xk,) + y[k:]
-
-    chart = [p[:k] + p[k + 1 :] for p in tight]
-    return [tuple(lift(y) for y in sub) for sub in _triangulate_coords(chart, dim - 1)]
+    return _maximal(frozenset(v for v in vertices if dot(row, v) == bi) for row, bi in zip(A, b))
 
 
-def _triangulate_coords(pts, dim):
-    """Simplices (tuples of dim+1 points) covering conv(pts).
+def _pulling_simplices(face, facets, dim):
+    """Simplices (tuples of dim+1 points) covering a dim-dimensional face.
 
-    pts must be the extreme points of a full-dimensional polytope in R^dim.
-    Fans from the vertex-set centroid at every level, which makes the
-    decomposition deterministic.
+    face is the face's vertex set and facets the polytope's facet vertex sets.
+    The face is coned from its vertex centroid over its own facets, which are
+    the inclusion-maximal proper intersections of face with the facets; a
+    1-dimensional face is its two endpoints.
     """
     if dim == 1:
-        xs = sorted(pts)
-        return [(xs[0], xs[-1])]
-    if dim == 2:
-        return _angular_fan(pts)
-    c = vavg(pts)
-    return [(c,) + sub for normal, rhs, tight in _hull_facets(pts)
-            for sub in _facet_simplices(normal, rhs, tight)]
+        return [tuple(face)]
+    c = vavg(list(face))
+    subs = _maximal(g for g in (face & f for f in facets) if g != face)
+    return [(c,) + s for g in subs for s in _pulling_simplices(g, facets, dim - 1)]
 
 
 def _simplex_volume(simplex):
@@ -1085,9 +1073,25 @@ def _simplex_volume(simplex):
     return abs(m.det()) / math.factorial(n)
 
 
+def _volume_centroid(vertices, facets):
+    # volume and centroid of a full-dimensional polytope from its vertex-facet incidences
+    n = len(vertices[0])
+    vol = Fraction(0)
+    cent = [Fraction(0)] * n
+    for s in _pulling_simplices(frozenset(vertices), facets, n):
+        v = _simplex_volume(s)
+        vol += v
+        sc = vavg(s)
+        for i in range(n):
+            cent[i] += v * sc[i]
+    return vol, tuple(x / vol for x in cent)
+
+
 def volume_centroid(points, assume_extreme: bool = False):
     """Exact volume and centroid of the convex hull of the given points.
 
+    The facets are found once, from the polar of the centroid-shifted hull;
+    the hull is then triangulated from its vertex-facet incidences alone.
     Raises RankDeficientError when the hull is not full-dimensional.
     """
     pts = [vec(p) for p in points]
@@ -1100,47 +1104,23 @@ def volume_centroid(points, assume_extreme: bool = False):
         raise RankDeficientError("hull is not full-dimensional")
     if not assume_extreme:
         pts = extreme_points(pts)
-    if n == 1:
-        xs = sorted(p[0] for p in pts)
-        lo, hi = xs[0], xs[-1]
-        return hi - lo, ((lo + hi) / 2,)
-    vol = Fraction(0)
-    cent = [Fraction(0)] * n
-    for s in _triangulate_coords(pts, n):
-        v = _simplex_volume(s)
-        if v == 0:
-            continue
-        vol += v
-        sc = vavg(s)
-        for i in range(n):
-            cent[i] += v * sc[i]
-    if vol == 0:
-        raise RankDeficientError("hull has zero volume")
-    return vol, tuple(x / vol for x in cent)
+    return _volume_centroid(pts, [frozenset(tight) for _, _, tight in _hull_facets(pts)])
 
 
 def facet_contents(A, b, vertices, max_width: Fraction | None = None) -> Interval:
     """Certified total (n-1)-content of the boundary of {x : A x <= b}.
 
-    vertices must be the polytope's vertex set.  Facets are recovered from
-    tightness patterns; duplicate constraint rows collapse onto one facet.
+    vertices must be the polytope's vertex set.  Each facet, read off the
+    vertex-facet incidences, is triangulated like a volume one dimension down,
+    and the interval width is split evenly over the simplices.
     """
     if max_width is None:
         max_width = SURFACE_WIDTH
     n = len(vertices[0])
     if n == 1:
         return Interval.point(2)  # two endpoint facets, each a point of content 1
-    seen = set()
-    simplices = []
-    for i in range(len(A)):
-        tight = [v for v in vertices if dot(A[i], v) == b[i]]
-        key = frozenset(tight)
-        if key in seen or len(tight) < n:
-            continue
-        if affine_rank(tight) != n - 1:
-            continue
-        seen.add(key)
-        simplices.extend(_facet_simplices(A[i], b[i], tight))
+    facets = _facet_sets(A, b, vertices)
+    simplices = [s for f in facets for s in _pulling_simplices(f, facets, n - 1)]
     if not simplices:
         raise RankDeficientError("no facets found")
     per_term = max_width / len(simplices)
@@ -1150,7 +1130,5 @@ def facet_contents(A, b, vertices, max_width: Fraction | None = None) -> Interva
         edges = [vsub(p, base) for p in s[1:]]
         gram = QMat.from_rows([[dot(e1, e2) for e2 in edges] for e1 in edges])
         g = gram.det()
-        if g < 0:
-            g = Fraction(0)  # numerically impossible over exact field; guard anyway
         total = total + sqrt_interval(g, per_term) * Fraction(1, math.factorial(n - 1))
     return total

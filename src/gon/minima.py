@@ -16,7 +16,6 @@ from typing import Optional, Sequence, Union
 
 from .body import Body, ELLIPSOID, polar_body, symmetrize
 from .exactmath import (
-    Interval,
     QMat,
     QuadVal,
     UnboundedError,
@@ -335,11 +334,4 @@ def jarnik_bracket(k: Body, lat: Lattice):
     d = difference_body(k)
     res = successive_minima(d, lat)
     vals = res.values
-    if all(isinstance(v, Fraction) for v in vals):
-        upper = sum(vals)
-    else:
-        acc = Interval.point(0)
-        for v in vals:
-            acc = acc + (v.to_interval() if isinstance(v, QuadVal) else v)
-        upper = acc
-    return vals[-1], upper
+    return vals[-1], sum(vals)

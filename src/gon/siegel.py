@@ -32,7 +32,8 @@ from .exactmath import (
     rat,
     root_interval,
     vertex_enum,
-    volume_centroid,
+    _facet_sets,
+    _volume_centroid,
 )
 from .lattice import Lattice, kernel_lattice, make_lattice, minors_gcd
 from .body import Body, cube, generalized_hexagon
@@ -86,7 +87,7 @@ def _section_content_sq(lat: Lattice) -> Fraction:
         rows.append([-x for x in col])
         rhs.append(Fraction(1))
     verts = vertex_enum(rows, rhs, check_bounded=False)
-    vol, _ = volume_centroid(verts, assume_extreme=True)
+    vol, _ = _volume_centroid(verts, _facet_sets(rows, rhs, verts))
     # the basis chart scales d-content by sqrt(det of its gram matrix)
     return vol * vol * lat.det_squared()
 

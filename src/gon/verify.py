@@ -82,32 +82,22 @@ def _square(v) -> Fraction:
     return v.square if isinstance(v, QuadVal) else rat(v) ** 2
 
 
-def _mul(a, b):
-    if isinstance(a, Interval) or isinstance(b, Interval):
-        return _iv(a) * _iv(b)
-    return a * b
-
-
 def _add(a, b):
-    if isinstance(a, QuadVal) or isinstance(b, QuadVal):
-        return _iv(a) + _iv(b)
-    if isinstance(a, Interval) or isinstance(b, Interval):
-        return _iv(a) + _iv(b)
+    if isinstance(a, (QuadVal, Interval)) or isinstance(b, (QuadVal, Interval)):
+        return a + b
     return rat(a) + rat(b)
 
 
 def _sub(a, b):
-    if isinstance(a, QuadVal) or isinstance(b, QuadVal):
-        return _iv(a) - _iv(b)
-    if isinstance(a, Interval) or isinstance(b, Interval):
-        return _iv(a) - _iv(b)
+    if isinstance(a, (QuadVal, Interval)) or isinstance(b, (QuadVal, Interval)):
+        return a - b
     return rat(a) - rat(b)
 
 
 def _prod(values):
     out: Side = Fraction(1)
     for v in values:
-        out = _mul(out, v)
+        out = out * v
     if isinstance(out, QuadVal):
         r = out.as_rational()
         if r is not None:
@@ -373,7 +363,7 @@ def _c_minkowski_first(inst: _Instance) -> CheckReport:
     if not inst.symmetric:
         return _skipped(cid, kind, "requires symmetric K")
     lam1 = inst.lam_s.values[0]
-    lhs = _mul(_pow(lam1, inst.n), inst.vol)
+    lhs = _pow(lam1, inst.n) * inst.vol
     rhs = Fraction(2) ** inst.n * inst.det
     wit = {"lambda_1": lam1, "witness": inst.lam_s.witnesses[0]}
     return _le_report(cid, kind, lhs, rhs, wit)
@@ -382,7 +372,7 @@ def _c_minkowski_first(inst: _Instance) -> CheckReport:
 @_check("minkowski_upper", "theorem", "any full-dimensional K, full-rank L")
 def _c_minkowski_upper(inst: _Instance) -> CheckReport:
     cid, kind = "minkowski_upper", "theorem"
-    lhs = _mul(_prod(inst.lam_s.values), inst.vol)
+    lhs = _prod(inst.lam_s.values) * inst.vol
     rhs = Fraction(2) ** inst.n * inst.det
     wit = {"minima": list(inst.lam_s.values), "witnesses": list(inst.lam_s.witnesses)}
     return _le_report(cid, kind, lhs, rhs, wit)
@@ -392,7 +382,7 @@ def _c_minkowski_upper(inst: _Instance) -> CheckReport:
 def _c_minkowski_lower(inst: _Instance) -> CheckReport:
     cid, kind = "minkowski_lower", "theorem"
     lhs = Fraction(2 ** inst.n, factorial(inst.n)) * inst.det
-    rhs = _mul(_prod(inst.lam_s.values), inst.vol)
+    rhs = _prod(inst.lam_s.values) * inst.vol
     wit = {"minima": list(inst.lam_s.values)}
     return _le_report(cid, kind, lhs, rhs, wit)
 
@@ -404,7 +394,7 @@ def _c_centered_lower(inst: _Instance) -> CheckReport:
         return _skipped(cid, kind, "requires centered K")
     lam = inst.lam_body
     lhs = Fraction(inst.n + 1, factorial(inst.n)) * inst.det
-    rhs = _mul(_prod(lam.values), inst.vol)
+    rhs = _prod(lam.values) * inst.vol
     wit = {"minima": list(lam.values), "witnesses": list(lam.witnesses)}
     return _le_report(cid, kind, lhs, rhs, wit)
 
@@ -432,8 +422,8 @@ def _c_ehrhart_conj(inst: _Instance) -> CheckReport:
     if not hyp:
         return _skipped(cid, kind, "volume below the threshold",
                         volume=vol, threshold=threshold)
-    lam1 = successive_minima(inst.k, inst.lat, count=1, allow_asymmetric=True)
-    found = lam1.values[0] <= 1
+    lam = inst.lam_body
+    found = lam.values[0] <= 1
     if found:
         status = "equality" if (not isinstance(vol, Interval) and vol == threshold) else "holds"
     else:
@@ -441,8 +431,8 @@ def _c_ehrhart_conj(inst: _Instance) -> CheckReport:
     wit = {
         "threshold": threshold,
         "volume": vol,
-        "lambda_1": lam1.values[0],
-        "nonzero_point": lam1.witnesses[0] if found else None,
+        "lambda_1": lam.values[0],
+        "nonzero_point": lam.witnesses[0] if found else None,
     }
     return CheckReport(cid, kind, threshold, vol, status, _sub(vol, threshold), wit)
 
@@ -469,14 +459,14 @@ def _c_wills_lower(inst: _Instance) -> CheckReport:
     else:
         indices = [(n, inst.vol, None)]
         if n >= 2:
-            indices.append((n - 1, _mul(Fraction(1, 2), inst.surface),
-                            lambda: _mul(Fraction(1, 2), inst.surface_refined())))
+            indices.append((n - 1, Fraction(1, 2) * inst.surface,
+                            lambda: Fraction(1, 2) * inst.surface_refined()))
     for i, vi, refine in indices:
         lhs = Fraction(2 ** i, factorial(i))
-        rhs = _mul(_prod(lam[:i]), vi)
+        rhs = _prod(lam[:i]) * vi
         status = _certify_le(lhs, rhs)
         if status == "undecided" and refine is not None:
-            rhs = _mul(_prod(lam[:i]), refine())
+            rhs = _prod(lam[:i]) * refine()
             status = _certify_le(lhs, rhs)
         if i == n:
             top_lhs, top_rhs = lhs, rhs
@@ -516,7 +506,7 @@ def _c_henk_upper(inst: _Instance) -> CheckReport:
                 rep_lhs, rep_rhs = lhs, rhs
     else:
         # top index only, cleared by vol: lambda_n * vol < S
-        lhs = _mul(lam[-1], inst.vol)
+        lhs = lam[-1] * inst.vol
         rhs = inst.surface
         status = _certify_le(lhs, rhs, strict=True)
         if status == "undecided":
@@ -543,7 +533,7 @@ def _c_survol(inst: _Instance) -> CheckReport:
     if not inst.k.is_polytope:
         return _skipped(cid, kind, "requires a polytope")
     lam_n = inst.lam_s.values[-1]
-    lhs = _mul(lam_n, inst.vol)
+    lhs = lam_n * inst.vol
     wit = {"lambda_n": lam_n, "comparison": "lambda_n * vol < surface"}
     return _le_report(cid, kind, lhs, inst.surface, wit, strict=True,
                       refine=lambda: (lhs, inst.surface_refined()))
@@ -565,10 +555,10 @@ def _c_hhh_surface(inst: _Instance) -> CheckReport:
     total = sum(all_sq / s for s in sq)
     root = quad_or_rat(total)
     lhs = Fraction(2 ** inst.n, factorial(inst.n - 1))
-    rhs = _mul(root, inst.surface)
+    rhs = root * inst.surface
     wit = {"minima": list(inst.lam_s.values), "sum_of_square_products": total}
     return _le_report(cid, kind, lhs, rhs, wit,
-                      refine=lambda: (lhs, _mul(_iv(root, _REFINE_WIDTH), inst.surface_refined())))
+                      refine=lambda: (lhs, _iv(root, _REFINE_WIDTH) * inst.surface_refined()))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +571,7 @@ def _c_mahler_bounds(inst: _Instance) -> CheckReport:
     if not inst.symmetric:
         return _skipped(cid, kind, "requires symmetric K")
     n = inst.n
-    product = _mul(inst.vol, inst.ks_polar.volume())
+    product = inst.vol * inst.ks_polar.volume()
     lower = pi_interval().pow_int(n) * Fraction(1, factorial(n))
     upper = unit_ball_volume_interval(n).pow_int(2)
     s_lo = _certify_le(lower, product)
@@ -599,7 +589,7 @@ def _c_mahler_conj(inst: _Instance) -> CheckReport:
     if not inst.symmetric:
         return _skipped(cid, kind, "requires symmetric K")
     lhs = Fraction(4 ** inst.n, factorial(inst.n))
-    rhs = _mul(inst.vol, inst.ks_polar.volume())
+    rhs = inst.vol * inst.ks_polar.volume()
     return _le_report(cid, kind, lhs, rhs, {"volume_product": rhs})
 
 
@@ -610,7 +600,7 @@ def _c_mahler_nonsym(inst: _Instance) -> CheckReport:
         return _skipped(cid, kind, "requires the origin in the interior of K")
     n = inst.n
     lhs = Fraction((n + 1) ** (n + 1), factorial(n) ** 2)
-    rhs = _mul(inst.vol, inst.k_polar.volume())
+    rhs = inst.vol * inst.k_polar.volume()
     return _le_report(cid, kind, lhs, rhs, {"volume_product": rhs})
 
 
@@ -620,7 +610,7 @@ def _c_mahler_minima(inst: _Instance) -> CheckReport:
     if not inst.symmetric:
         return _skipped(cid, kind, "requires symmetric K")
     lam = inst.lam_ks_polar.values
-    lhs = _mul(Fraction(2 ** inst.n, factorial(inst.n)) * inst.det, _prod(lam))
+    lhs = Fraction(2 ** inst.n, factorial(inst.n)) * inst.det * _prod(lam)
     rhs = inst.vol
     return _le_report(cid, kind, lhs, rhs, {"dual_minima": list(lam)})
 
@@ -629,7 +619,7 @@ def _c_mahler_minima(inst: _Instance) -> CheckReport:
 def _c_makai_conj(inst: _Instance) -> CheckReport:
     cid, kind = "makai_conj", "conjecture"
     lam1 = inst.lam_ks_polar.values[0]
-    lhs = _mul(Fraction(inst.n + 1, factorial(inst.n)) * inst.det, _pow(lam1, inst.n))
+    lhs = Fraction(inst.n + 1, factorial(inst.n)) * inst.det * _pow(lam1, inst.n)
     rhs = inst.vol
     return _le_report(cid, kind, lhs, rhs, {"dual_lambda_1": lam1})
 
@@ -638,7 +628,7 @@ def _c_makai_conj(inst: _Instance) -> CheckReport:
 def _c_makai_strong(inst: _Instance) -> CheckReport:
     cid, kind = "makai_strong", "conjecture"
     lam = inst.lam_ks_polar.values
-    lhs = _mul(Fraction(inst.n + 1, factorial(inst.n)) * inst.det, _prod(lam))
+    lhs = Fraction(inst.n + 1, factorial(inst.n)) * inst.det * _prod(lam)
     rhs = inst.vol
     return _le_report(cid, kind, lhs, rhs, {"dual_minima": list(lam)})
 
@@ -649,7 +639,7 @@ def _c_eggleston(inst: _Instance) -> CheckReport:
     if inst.n != 2:
         return _skipped(cid, kind, "requires n = 2")
     lhs = Fraction(6)
-    rhs = _mul(inst.vol, inst.ks_polar.volume())
+    rhs = inst.vol * inst.ks_polar.volume()
     return _le_report(cid, kind, lhs, rhs, {"volume_product": rhs})
 
 
@@ -659,7 +649,7 @@ def _c_alvarez(inst: _Instance) -> CheckReport:
     if not inst.origin_interior:
         return _skipped(cid, kind, "requires the origin in the interior of K")
     lam1 = inst.lam_k_polar.values[0]
-    lhs = _mul(Fraction(inst.n + 1, factorial(inst.n)) * inst.det, _pow(lam1, inst.n))
+    lhs = Fraction(inst.n + 1, factorial(inst.n)) * inst.det * _pow(lam1, inst.n)
     rhs = inst.vol
     return _le_report(cid, kind, lhs, rhs, {"polar_lambda_1": lam1})
 
@@ -676,7 +666,7 @@ def _c_transference(inst: _Instance) -> CheckReport:
     parts = {}
     statuses, margins = [], []
     for i in range(1, n + 1):
-        p = _mul(lam[i - 1], dual[n - i])
+        p = lam[i - 1] * dual[n - i]
         s_lo = _certify_le(lhs, p)
         s_hi = _certify_le(p, rhs)
         parts[f"i={i}"] = {"product": p, "status": _combine([s_lo, s_hi])}
@@ -692,7 +682,7 @@ def _c_hx_upper(inst: _Instance) -> CheckReport:
     cid, kind = "hx_upper", "theorem"
     lam = inst.lam_ks_polar.values
     lhs = inst.vol
-    rhs = _mul(Fraction(2 ** inst.n) * inst.det, _prod(lam))
+    rhs = Fraction(2 ** inst.n) * inst.det * _prod(lam)
     return _le_report(cid, kind, lhs, rhs, {"dual_minima": list(lam)})
 
 
@@ -704,7 +694,7 @@ def _c_hx_centered_upper(inst: _Instance) -> CheckReport:
     lam = inst.lam_k_polar.values
     n = inst.n
     lhs = inst.vol
-    rhs = _mul(Fraction((n + 1) ** n, factorial(n)) * inst.det, _prod(lam))
+    rhs = Fraction((n + 1) ** n, factorial(n)) * inst.det * _prod(lam)
     return _le_report(cid, kind, lhs, rhs, {"polar_minima": list(lam)})
 
 
@@ -759,8 +749,7 @@ def _c_bhw_lower(inst: _Instance) -> CheckReport:
     lam = inst.lam_s.values
     if not lam[-1] <= 2:
         return _skipped(cid, kind, "requires lambda_n <= 2", minima=list(lam))
-    lhs = _mul(Fraction(1, factorial(inst.n)),
-               _prod([_sub(Fraction(2) / v, 1) for v in lam]))
+    lhs = Fraction(1, factorial(inst.n)) * _prod([_sub(Fraction(2) / v, 1) for v in lam])
     rhs = Fraction(inst.count)
     return _le_report(cid, kind, lhs, rhs, {"count": inst.count, "minima": list(lam)})
 
@@ -814,24 +803,24 @@ def _c_gv(inst: _Instance) -> CheckReport:
     cid, kind = "gv_conj", "conjecture"
     lam = inst.lam_s.values
     n = inst.n
-    upper = _prod([_add(1, _mul(lam[i - 1], Fraction(i, 2))) for i in range(1, n + 1)])
-    lower_applies = _mul(lam[-1], n) <= 2
+    upper = _prod([_add(1, lam[i - 1] * Fraction(i, 2)) for i in range(1, n + 1)])
+    lower_applies = lam[-1] * n <= 2
     lower = None
     if lower_applies:
-        lower = _prod([_sub(1, _mul(lam[i - 1], Fraction(i, 2))) for i in range(1, n + 1)])
+        lower = _prod([_sub(1, lam[i - 1] * Fraction(i, 2)) for i in range(1, n + 1)])
     statuses, margins = [], []
     variants = {}
     for name, g in (("closed", inst.count), ("interior", inst.count_interior)):
         mid = Fraction(g) * inst.det
-        s_hi = _certify_le(mid, _mul(upper, inst.vol))
+        s_hi = _certify_le(mid, upper * inst.vol)
         entry = {"count": g, "upper_status": s_hi}
         statuses.append(s_hi)
-        margins.append(_sub(_mul(upper, inst.vol), mid))
+        margins.append(_sub(upper * inst.vol, mid))
         if lower is not None:
-            s_lo = _certify_le(_mul(lower, inst.vol), mid)
+            s_lo = _certify_le(lower * inst.vol, mid)
             entry["lower_status"] = s_lo
             statuses.append(s_lo)
-            margins.append(_sub(mid, _mul(lower, inst.vol)))
+            margins.append(_sub(mid, lower * inst.vol))
         variants[name] = entry
     status = _combine(statuses)
     wit = {
@@ -852,18 +841,18 @@ def _c_freyer_lucas(inst: _Instance) -> CheckReport:
     n = inst.n
     lower_factors = []
     for v in lam:
-        t = _mul(v, Fraction(n, 2))
+        t = v * Fraction(n, 2)
         lower_factors.append(Fraction(0) if t >= 1 else _sub(1, t))
     lower = _prod(lower_factors)
-    upper = _prod([_add(1, _mul(v, Fraction(n, 2))) for v in lam])
+    upper = _prod([_add(1, v * Fraction(n, 2)) for v in lam])
     mid = Fraction(inst.count) * inst.det
-    s_lo = _certify_le(_mul(lower, inst.vol), mid)
-    s_hi = _certify_le(mid, _mul(upper, inst.vol))
+    s_lo = _certify_le(lower * inst.vol, mid)
+    s_hi = _certify_le(mid, upper * inst.vol)
     # arithmetic consequence of the upper bound and the minima-volume bound
     count_bound = _prod([_add(Fraction(2) / v, n) for v in lam])
     s_cons = _certify_le(Fraction(inst.count), count_bound)
     status = _combine([s_lo, s_hi, s_cons])
-    margins = [_sub(mid, _mul(lower, inst.vol)), _sub(_mul(upper, inst.vol), mid),
+    margins = [_sub(mid, lower * inst.vol), _sub(upper * inst.vol, mid),
                _sub(count_bound, Fraction(inst.count))]
     wit = {
         "count": inst.count,
@@ -897,7 +886,7 @@ def _c_discrete_volsur(inst: _Instance) -> CheckReport:
     total: Side = Fraction(0)
     for v in lam:
         total = _add(total, v)
-    rhs = _mul(Fraction(1, 2), total)
+    rhs = Fraction(1, 2) * total
     wit = {"coefficients": list(poly.coefficients), "minima": list(lam)}
     return _le_report(cid, kind, lhs, rhs, wit)
 
@@ -916,8 +905,6 @@ def _uniform_box_scale(k: Body):
 @_check("vaaler_section", "theorem", "uniform box cut by an embedded lattice's span")
 def _c_vaaler_section(inst: _Instance) -> CheckReport:
     cid, kind = "vaaler_section", "theorem"
-    if not inst.embedded:
-        return _skipped(cid, kind, "requires an embedded lattice")
     s = _uniform_box_scale(inst.k)
     if s is None:
         return _skipped(cid, kind, "requires a cube")
@@ -933,15 +920,13 @@ def _c_vaaler_section(inst: _Instance) -> CheckReport:
 @_check("siegel_bv", "theorem", "uniform box with an embedded lattice")
 def _c_siegel_bv(inst: _Instance) -> CheckReport:
     cid, kind = "siegel_bv", "theorem"
-    if not inst.embedded:
-        return _skipped(cid, kind, "requires an embedded lattice")
     s = _uniform_box_scale(inst.k)
     if s is None:
         return _skipped(cid, kind, "requires a cube")
-    d = inst.lat.rank
-    res = successive_minima(inst.k, inst.lat)
-    lhs = _mul(_prod(res.values), s ** d)
-    rhs = inst.lat.det()
+    # a cube is symmetric, so the minima of its symmetral are its own
+    res = inst.lam_s
+    lhs = _prod(res.values) * s ** inst.lat.rank
+    rhs = inst.det
     wit = {"minima": list(res.values), "witnesses": list(res.witnesses)}
     return _le_report(cid, kind, lhs, rhs, wit)
 

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
+from itertools import product
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gon.body import (
     Body,
@@ -24,6 +25,7 @@ from gon.body import (
 )
 from gon.exactmath import (
     DimensionGuardError,
+    Interval,
     QuadVal,
     UnboundedError,
     pi_interval,
@@ -280,6 +282,46 @@ def test_surface_hexagon_encloses_4_plus_2root2():
     s = generalized_hexagon([1, 1]).surface_area()
     target = sqrt_interval(8) + 4
     assert s.lo <= target.hi and target.lo <= s.hi
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_redundant_row_leaves_cube_scalars(n):
+    # x + y <= 2 is tight only at the corner (1, 1) of the square and on an edge of the 3-cube
+    a, b = cube(n).hrep()
+    k = hpoly(a.to_rows() + [[1, 1] + [0] * (n - 2)], list(b) + [2])
+    assert k.volume() == 2 ** n
+    assert k.centroid() == (0,) * n
+    assert k.surface_area() == cube(n).surface_area() == Interval.point(2 * n * 2 ** (n - 1))
+
+
+def test_cross_polytope_4_as_hpoly():
+    signs = [list(s) for s in product((1, -1), repeat=4)]
+    k = hpoly(signs, [1] * 16)
+    assert k.volume() == F(2, 3)
+    # 16 regular tetrahedra of edge sqrt(2), each of volume 1/3
+    assert k.surface_area().contains(F(16, 3))
+
+
+@st.composite
+def _bounded_hpoly(draw):
+    # a simplex around the origin, cut by extra rows that keep the origin interior
+    n = draw(st.integers(2, 4))
+    rows = [[-int(j == i) for j in range(n)] for i in range(n)] + [[1] * n]
+    rhs = [draw(st.integers(1, 3)) for _ in range(n + 1)]
+    for _ in range(draw(st.integers(1, 3))):
+        rows.append(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        rhs.append(draw(st.fractions(min_value=F(1, 2), max_value=3, max_denominator=4)))
+    return rows, rhs
+
+
+@settings(max_examples=20)
+@given(_bounded_hpoly())
+def test_hpoly_and_vpoly_of_its_vertices_agree(data):
+    h = hpoly(*data)
+    v = vpoly(h.vertices())
+    assert h.volume() == v.volume()
+    assert h.centroid() == v.centroid()
+    assert h.surface_area() == v.surface_area()
 
 
 # -- volumes and scalars -----------------------------------------------------

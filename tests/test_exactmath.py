@@ -161,6 +161,14 @@ def test_quadval_interval():
         QuadVal(-1)
 
 
+def test_quadval_sums_escalate_to_interval():
+    iv = QuadVal(2).to_interval()
+    assert QuadVal(2) + 1 == 1 + QuadVal(2) == iv + 1
+    assert QuadVal(2) - 1 == iv - 1
+    assert 1 - QuadVal(2) == 1 - iv
+    assert QuadVal(2) * Interval(1, 2) == Interval(1, 2) * QuadVal(2) == Interval(1, 2) * iv
+
+
 # ---------------------------------------------------------------------------
 # QMat
 
