@@ -3,7 +3,8 @@
 One JSON document per invocation on standard output; with --pretty a human
 table goes to standard error. Exit codes: 0 success, 1 usage or input error
 (reported as a structured error object), 2 a theorem check failed or a
-conjecture counterexample candidate was emitted.
+conjecture counterexample candidate was emitted, 3 an internal invariant of
+the program failed (reported as an error object with code "internal").
 """
 
 import argparse
@@ -577,11 +578,14 @@ def main(argv=None) -> int:
             raise CliError("input", str(e))
         except (ValueError, ZeroDivisionError, OverflowError) as e:
             raise CliError("input", str(e))
+        except RuntimeError as e:
+            # a self-check of the program failed: a fault here, not in the input
+            raise CliError("internal", str(e))
     except CliError as e:
         err = {"schema": SCHEMA_TAG, "error": {"code": e.code, "message": e.message}}
         validate_output("error", err)
         _emit(err)
-        return 1
+        return 3 if e.code == "internal" else 1
     finally:
         exactmath.DEFAULT_WIDTH = width
     validate_output(args.command, doc)

@@ -3,15 +3,22 @@
 All enumeration happens in the coefficient space of an LLL-reduced basis, so
 embedded lattices (kernel lattices of integer matrices, say) need no special
 coordinates: a body is pulled back to {c : gauge(c B) <= r} and integer vectors
-c are walked with exact per-level bounds. Gauges stay rational for polytopes
-and are square-root values for ellipsoids; nothing is rounded anywhere.
+c are walked one coordinate at a time. A polytope's constraints are scaled to
+primitive integer rows, and Fourier-Motzkin elimination projects them once per
+walk onto every prefix of the coordinates, so each node of the walk reads its
+interval by integer floor and ceiling division. Only when a projection would
+grow past a fixed row budget are the leading coordinates it leaves out bounded
+by exact LPs instead. Gauges stay rational for polytopes and are square-root
+values for ellipsoids; both are compared in integer arithmetic and nothing is
+rounded anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import ceil, floor, gcd, isqrt, lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .body import Body, ELLIPSOID, polar_body, symmetrize
@@ -19,7 +26,6 @@ from .exactmath import (
     QMat,
     QuadVal,
     UnboundedError,
-    dot,
     lp_exact,
     quad_or_rat,
     rat,
@@ -41,60 +47,174 @@ class MinimaResult:
 # -- integer point walks -------------------------------------------------------
 
 
-def polytope_integer_points(rows: Sequence[Sequence], rhs: Sequence) -> list:
-    """All integer vectors c with (rows) c <= rhs, sorted lexicographically.
+def _integer_matrix(rows: Sequence[Sequence]) -> tuple:
+    """(M, den): the rational matrix `rows` equals M / den with M an integer matrix."""
+    den = lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
 
-    Branch and bound over coordinates; inner levels bound the current
-    coordinate by exact rational LPs, the last level reads its interval
-    straight off the constraints.
+
+def _integer_row(row: Sequence, rhs) -> tuple:
+    """(a, w): the constraint row . c <= rhs scaled by a positive factor to coprime integers."""
+    [ints], _ = _integer_matrix([[*row, rhs]])
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return tuple(ints[:-1]), ints[-1]
+
+
+# An elimination step that would leave more rows than this stops the projection.
+# The leading coordinates it has not reached are bounded by two exact LPs per
+# node instead: few nodes sit at those levels, and theirs are the projections
+# that Fourier-Motzkin blows up.
+_PROJECTION_MAX_ROWS = 1024
+
+
+def _keep(table: dict, a: tuple, w: int, hist: int) -> None:
+    # histories are bit sets of original rows; of two copies of one row, the one
+    # combined from a subset of the other's rows is the one worth keeping
+    hists = table.setdefault((a, w), [])
+    if any(h & hist == h for h in hists):
+        return
+    hists[:] = [h for h in hists if h & hist != hist]
+    hists.append(hist)
+
+
+def _prefix_projections(rows: list, m: int) -> Optional[list]:
+    """Rows bounding each coordinate c_i of {a . c <= w} given c_0..c_{i-1}.
+
+    `rows` are distinct primitive integer rows (a, w), none with a = 0. Entry
+    i of the result is (upper, lower): the rows of the projection onto
+    c_0..c_i with a_i > 0, as (a_0..a_{i-1}, a_i, w), and those with a_i < 0,
+    as (a_0..a_{i-1}, -a_i, w). Rows with a_i = 0 are left out: they are rows
+    of the projection one coordinate shorter, which the walk has already met.
+    Returns None when elimination meets a violated constant row, which shows
+    the region empty; an empty region may also come back as levels whose
+    bounds on c_0 cross. When a projection would exceed _PROJECTION_MAX_ROWS
+    rows, elimination stops and the entries below it are None.
+
+    The projections come from Fourier-Motzkin elimination of c_{m-1}, ..., c_1
+    (Schrijver, Theory of Linear and Integer Programming, 1986, section 12.2)
+    under Chernikov's rule: after k eliminations a row combined from more than
+    k + 1 original rows is implied by the others and is dropped.
+    """
+    table = {row: [1 << j] for j, row in enumerate(rows)}
+    levels = [None] * m
+    for i in range(m - 1, -1, -1):
+        levels[i] = ([(a[:i], a[i], w) for a, w in table if a[i] > 0],
+                     [(a[:i], -a[i], w) for a, w in table if a[i] < 0])
+        if i == 0:
+            break
+        limit = m - i + 1
+        nxt = {}
+        pos, neg = [], []
+        for (a, w), hists in table.items():
+            if a[i] > 0:
+                pos.append((a, w, hists))
+            elif a[i] < 0:
+                neg.append((a, w, hists))
+            else:  # a[:i] is nonzero: no row in the table is all zeros
+                for h in hists:
+                    _keep(nxt, a[:i], w, h)
+        for ap, wp, hp in pos:
+            cp = ap[i]
+            for an, wn, hn in neg:
+                hists = [h | k for h in hp for k in hn if (h | k).bit_count() <= limit]
+                if not hists:
+                    continue
+                cn = -an[i]
+                a = [cn * x + cp * y for x, y in zip(ap[:i], an[:i])]
+                w = cn * wp + cp * wn
+                g = gcd(w, *a)
+                if g > 1:
+                    a = [x // g for x in a]
+                    w //= g
+                if not any(a):
+                    if w < 0:
+                        return None
+                    continue
+                a = tuple(a)
+                for h in hists:
+                    _keep(nxt, a, w, h)
+            if len(nxt) > _PROJECTION_MAX_ROWS:
+                return levels
+        table = nxt
+    return levels
+
+
+def _lp_interval(rows: list, prefix: list) -> Optional[tuple]:
+    """Integer [lo, hi] of the next coordinate over {a . c <= w} given `prefix`, by two exact LPs.
+
+    None if no real point extends `prefix`.
+    """
+    i = len(prefix)
+    tails = [a[i:] for a, _ in rows]
+    rem = [w - sum(map(mul, a, prefix)) for a, w in rows]
+    obj = [1] + [0] * (len(tails[0]) - 1)
+    top = lp_exact(tails, rem, obj, sense="max")
+    if top.status == "infeasible":
+        return None
+    bot = lp_exact(tails, rem, obj, sense="min")
+    if top.status != "optimal" or bot.status != "optimal":
+        raise UnboundedError("unbounded enumeration region")
+    return ceil(bot.optimum), floor(top.optimum)
+
+
+def _walk(levels: list, rows: list, prefix: list, out: list) -> None:
+    """Append to `out`, in lexicographic order, every integer point of the region extending `prefix`."""
+    level = levels[len(prefix)]
+    if level is None:
+        bounds = _lp_interval(rows, prefix)
+        if bounds is None:
+            return
+        lo, hi = bounds
+    else:
+        upper, lower = level
+        hi = min([(w - sum(map(mul, a, prefix))) // ai for a, ai, w in upper], default=None)
+        lo = max([-((w - sum(map(mul, a, prefix))) // ai) for a, ai, w in lower], default=None)
+        if lo is None or hi is None:
+            raise UnboundedError("unbounded enumeration region")
+    if len(prefix) + 1 == len(levels):
+        out.extend((*prefix, z) for z in range(lo, hi + 1))
+        return
+    for z in range(lo, hi + 1):
+        prefix.append(z)
+        _walk(levels, rows, prefix, out)
+        prefix.pop()
+
+
+def polytope_integer_points(rows: Sequence[Sequence], rhs: Sequence) -> list:
+    """All integer vectors c with (rows) c <= rhs, in lexicographic order.
+
+    The constraints are scaled to primitive integer rows and projected onto
+    every prefix c_0..c_i of the coordinates by Fourier-Motzkin elimination,
+    once per call. The walk then fixes c_0, c_1, ... in turn, reading each
+    coordinate's interval off its projection with integer floor and ceiling
+    division. If a projection would exceed _PROJECTION_MAX_ROWS rows, the
+    coordinates before it are bounded by two exact LPs per node instead. An
+    empty region yields no points; a node whose interval is unbounded on
+    either side raises UnboundedError.
     """
     rows = [vec(r) for r in rows]
     rhs = [rat(x) for x in rhs]
     if not rows:
         raise ValueError("need at least one constraint")
     m = len(rows[0])
-    tails = [[list(r[i:]) for r in rows] for i in range(m)]
+    ints = {}
+    for r, b in zip(rows, rhs):
+        a, w = _integer_row(r, b)
+        if any(a):
+            ints[a, w] = None
+        elif w < 0:
+            return []
+    if m == 0:
+        return [()]
+    ints = list(ints)
+    levels = _prefix_projections(ints, m)
+    if levels is None:
+        return []
     out = []
-
-    def rec(prefix, rem):
-        i = len(prefix)
-        if i == m:
-            out.append(tuple(prefix))
-            return
-        if i == m - 1:
-            lo = None
-            hi = None
-            for r, rj in zip(rows, rem):
-                a = r[i]
-                if a == 0:
-                    if rj < 0:
-                        return
-                elif a > 0:
-                    q = rj / a
-                    hi = q if hi is None or q < hi else hi
-                else:
-                    q = rj / a
-                    lo = q if lo is None or q > lo else lo
-            if lo is None or hi is None:
-                raise UnboundedError("unbounded enumeration region")
-            for z in range(ceil(lo), floor(hi) + 1):
-                out.append(tuple(prefix) + (z,))
-            return
-        obj = [Fraction(0)] * (m - i)
-        obj[0] = Fraction(1)
-        top = lp_exact(tails[i], rem, obj, sense="max")
-        if top.status == "infeasible":
-            return
-        bot = lp_exact(tails[i], rem, obj, sense="min")
-        if top.status != "optimal" or bot.status != "optimal":
-            raise UnboundedError("unbounded enumeration region")
-        for z in range(ceil(bot.optimum), floor(top.optimum) + 1):
-            zf = Fraction(z)
-            rec(prefix + [z], [rj - r[i] * zf for r, rj in zip(rows, rem)])
-
-    rec([], rhs)
-    del rec  # rec holds itself through its closure; the cycle would keep `out` alive
-    return sorted(out)
+    _walk(levels, ints, [], out)
+    return out
 
 
 def _floor_center_plus_sqrt(c: Fraction, q: Fraction) -> int:
@@ -142,7 +262,7 @@ def quadratic_integer_points(q: QMat, bound: Fraction) -> list:
                 rec([z] + suffix, rem - t)
 
     rec([], bound)
-    del rec  # as in polytope_integer_points
+    del rec  # rec refers to itself; the cycle would keep `out` alive until a gc pass
     return sorted(out)
 
 
@@ -150,7 +270,12 @@ def quadratic_integer_points(q: QMat, bound: Fraction) -> list:
 
 
 class _Chart:
-    """A body pulled back to the integer coefficient space of a lattice basis."""
+    """A body pulled back to the integer coefficient space of a lattice basis.
+
+    A polytope chart holds its constraints as primitive integer rows
+    (rows[j] . c <= rhs[j]); an ellipsoid chart holds its form q and, for
+    gauges, q scaled to integers as qint / qden.
+    """
 
     def __init__(self, body: Body, lat: Lattice):
         self.basis = lat.basis
@@ -162,24 +287,29 @@ class _Chart:
             self.span_empty = False
             self.span_boundary = False
             self.q = (self.basis @ body.data) @ self.basis.transpose()
+            self.qint, self.qden = _integer_matrix(self.q.to_rows())
             return
         self.kind = "hpoly"
         self.span_empty = False
         self.span_boundary = False
         a, b = body.hrep()
+        # the row through basis vector i is a . basis_i, taken in integers
+        basis, den = _integer_matrix(self.basis.to_rows())
         rows = []
         rhs = []
         for j in range(a.rows):
-            row = [dot(a.row(j), self.basis.row(i)) for i in range(self.m)]
-            if all(x == 0 for x in row):
+            aj, bj = _integer_row(a.row(j), b[j])
+            row = [sum(map(mul, aj, e)) for e in basis]
+            if not any(row):
                 # constraint constant on the span: void, tight, or violated there
-                if b[j] < 0:
+                if bj < 0:
                     self.span_empty = True
-                elif b[j] == 0:
+                elif bj == 0:
                     self.span_boundary = True
                 continue
+            row, w = _integer_row(row, bj * den)
             rows.append(row)
-            rhs.append(b[j])
+            rhs.append(w)
         if not rows:
             raise ValueError("body has no constraints on the lattice span")
         self.rows = rows
@@ -190,19 +320,24 @@ class _Chart:
             return True
         return all(x > 0 for x in self.rhs)
 
-    def gauge(self, c: Sequence) -> Scalar:
+    def gauge(self, c: Sequence[int]) -> Scalar:
+        """Gauge of the integer coefficient vector c; the origin must be interior."""
         if self.kind == "quad":
-            return quad_or_rat(dot(c, self.q.mul_vec(c)))
-        g = Fraction(0)
-        for row, bj in zip(self.rows, self.rhs):
-            g = max(g, dot(row, c) / bj)
-        return g
+            s = sum(ci * sum(map(mul, r, c)) for ci, r in zip(c, self.qint))
+            return quad_or_rat(Fraction(s, self.qden))
+        # max over rows of (a . c) / w, floored at 0, compared by cross-multiplication
+        num, den = 0, 1
+        for a, w in zip(self.rows, self.rhs):
+            t = sum(map(mul, a, c))
+            if t * den > num * w:
+                num, den = t, w
+        return Fraction(num, den)
 
     def basis_gauges(self) -> list:
         out = []
         for i in range(self.m):
-            e = [Fraction(0)] * self.m
-            e[i] = Fraction(1)
+            e = [0] * self.m
+            e[i] = 1
             out.append(self.gauge(e))
         return out
 
@@ -213,7 +348,7 @@ class _Chart:
             pts = quadratic_integer_points(self.q, bound)
         else:
             r = rat(radius)
-            pts = polytope_integer_points(self.rows, [r * bj for bj in self.rhs])
+            pts = polytope_integer_points(self.rows, [r * w for w in self.rhs])
         return [(c, self.gauge(c)) for c in pts]
 
     def ambient(self, c: Sequence) -> tuple:

@@ -82,18 +82,6 @@ def _square(v) -> Fraction:
     return v.square if isinstance(v, QuadVal) else rat(v) ** 2
 
 
-def _add(a, b):
-    if isinstance(a, (QuadVal, Interval)) or isinstance(b, (QuadVal, Interval)):
-        return a + b
-    return rat(a) + rat(b)
-
-
-def _sub(a, b):
-    if isinstance(a, (QuadVal, Interval)) or isinstance(b, (QuadVal, Interval)):
-        return a - b
-    return rat(a) - rat(b)
-
-
 def _prod(values):
     out: Side = Fraction(1)
     for v in values:
@@ -228,7 +216,7 @@ def _le_report(cid, kind, lhs, rhs, witnesses=None, strict=False, refine=None) -
     reason = None
     if status == "undecided":
         reason = "interval overlap; refine the working precision"
-    return CheckReport(cid, kind, lhs, rhs, status, _sub(rhs, lhs), witnesses or {}, reason)
+    return CheckReport(cid, kind, lhs, rhs, status, rhs - lhs, witnesses or {}, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +422,7 @@ def _c_ehrhart_conj(inst: _Instance) -> CheckReport:
         "lambda_1": lam.values[0],
         "nonzero_point": lam.witnesses[0] if found else None,
     }
-    return CheckReport(cid, kind, threshold, vol, status, _sub(vol, threshold), wit)
+    return CheckReport(cid, kind, threshold, vol, status, vol - threshold, wit)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +460,7 @@ def _c_wills_lower(inst: _Instance) -> CheckReport:
             top_lhs, top_rhs = lhs, rhs
         parts[f"i={i}"] = {"lhs": lhs, "rhs": rhs, "status": status}
         statuses.append(status)
-        margins.append(_sub(rhs, lhs))
+        margins.append(rhs - lhs)
     status = _combine(statuses)
     reason = "interval overlap; refine the working precision" if status == "undecided" else None
     return CheckReport(cid, kind, top_lhs, top_rhs, status, _min_margin(margins),
@@ -501,7 +489,7 @@ def _c_henk_upper(inst: _Instance) -> CheckReport:
             status = _certify_le(lhs, rhs, strict=True)
             parts[f"i={i}"] = {"lhs": lhs, "rhs": rhs, "status": status}
             statuses.append(status)
-            margins.append(_sub(rhs, lhs))
+            margins.append(rhs - lhs)
             if i == n - 1:
                 rep_lhs, rep_rhs = lhs, rhs
     else:
@@ -515,7 +503,7 @@ def _c_henk_upper(inst: _Instance) -> CheckReport:
         parts[f"i={n - 1}"] = {"lhs": lhs, "rhs": rhs, "status": status,
                                "comparison": "lambda_n * vol < surface"}
         statuses.append(status)
-        margins.append(_sub(rhs, lhs))
+        margins.append(rhs - lhs)
         rep_lhs, rep_rhs = lhs, rhs
     status = _combine(statuses)
     reason = "interval overlap; refine the working precision" if status == "undecided" else None
@@ -579,7 +567,7 @@ def _c_mahler_bounds(inst: _Instance) -> CheckReport:
     status = _combine([s_lo, s_hi])
     reason = "interval overlap; refine the working precision" if status == "undecided" else None
     wit = {"volume_product": product, "lower_status": s_lo, "upper_status": s_hi}
-    margin = _min_margin([_sub(product, lower), _sub(upper, product)])
+    margin = _min_margin([product - lower, upper - product])
     return CheckReport(cid, kind, lower, upper, status, margin, wit, reason)
 
 
@@ -671,7 +659,7 @@ def _c_transference(inst: _Instance) -> CheckReport:
         s_hi = _certify_le(p, rhs)
         parts[f"i={i}"] = {"product": p, "status": _combine([s_lo, s_hi])}
         statuses.extend([s_lo, s_hi])
-        margins.extend([_sub(p, lhs), _sub(rhs, p)])
+        margins.extend([p - lhs, rhs - p])
     status = _combine(statuses)
     return CheckReport(cid, kind, lhs, rhs, status, _min_margin(margins),
                        {"minima": list(lam), "dual_minima": list(dual), "parts": parts})
@@ -749,7 +737,7 @@ def _c_bhw_lower(inst: _Instance) -> CheckReport:
     lam = inst.lam_s.values
     if not lam[-1] <= 2:
         return _skipped(cid, kind, "requires lambda_n <= 2", minima=list(lam))
-    lhs = Fraction(1, factorial(inst.n)) * _prod([_sub(Fraction(2) / v, 1) for v in lam])
+    lhs = Fraction(1, factorial(inst.n)) * _prod([Fraction(2) / v - 1 for v in lam])
     rhs = Fraction(inst.count)
     return _le_report(cid, kind, lhs, rhs, {"count": inst.count, "minima": list(lam)})
 
@@ -792,7 +780,7 @@ def _c_tointon(inst: _Instance) -> CheckReport:
     if k == 0:
         return _skipped(cid, kind, "no successive minimum meets the threshold",
                         minima=list(lam), threshold=threshold)
-    rhs = _prod([_add(Fraction(2) / v, 1) for v in lam[:k]])
+    rhs = _prod([Fraction(2) / v + 1 for v in lam[:k]])
     lhs = Fraction(inst.count)
     wit = {"count": inst.count, "k": k, "threshold": threshold, "minima": list(lam)}
     return _le_report(cid, kind, lhs, rhs, wit)
@@ -803,11 +791,11 @@ def _c_gv(inst: _Instance) -> CheckReport:
     cid, kind = "gv_conj", "conjecture"
     lam = inst.lam_s.values
     n = inst.n
-    upper = _prod([_add(1, lam[i - 1] * Fraction(i, 2)) for i in range(1, n + 1)])
+    upper = _prod([1 + lam[i - 1] * Fraction(i, 2) for i in range(1, n + 1)])
     lower_applies = lam[-1] * n <= 2
     lower = None
     if lower_applies:
-        lower = _prod([_sub(1, lam[i - 1] * Fraction(i, 2)) for i in range(1, n + 1)])
+        lower = _prod([1 - lam[i - 1] * Fraction(i, 2) for i in range(1, n + 1)])
     statuses, margins = [], []
     variants = {}
     for name, g in (("closed", inst.count), ("interior", inst.count_interior)):
@@ -815,12 +803,12 @@ def _c_gv(inst: _Instance) -> CheckReport:
         s_hi = _certify_le(mid, upper * inst.vol)
         entry = {"count": g, "upper_status": s_hi}
         statuses.append(s_hi)
-        margins.append(_sub(upper * inst.vol, mid))
+        margins.append(upper * inst.vol - mid)
         if lower is not None:
             s_lo = _certify_le(lower * inst.vol, mid)
             entry["lower_status"] = s_lo
             statuses.append(s_lo)
-            margins.append(_sub(mid, lower * inst.vol))
+            margins.append(mid - lower * inst.vol)
         variants[name] = entry
     status = _combine(statuses)
     wit = {
@@ -842,18 +830,18 @@ def _c_freyer_lucas(inst: _Instance) -> CheckReport:
     lower_factors = []
     for v in lam:
         t = v * Fraction(n, 2)
-        lower_factors.append(Fraction(0) if t >= 1 else _sub(1, t))
+        lower_factors.append(Fraction(0) if t >= 1 else 1 - t)
     lower = _prod(lower_factors)
-    upper = _prod([_add(1, v * Fraction(n, 2)) for v in lam])
+    upper = _prod([1 + v * Fraction(n, 2) for v in lam])
     mid = Fraction(inst.count) * inst.det
     s_lo = _certify_le(lower * inst.vol, mid)
     s_hi = _certify_le(mid, upper * inst.vol)
     # arithmetic consequence of the upper bound and the minima-volume bound
-    count_bound = _prod([_add(Fraction(2) / v, n) for v in lam])
+    count_bound = _prod([Fraction(2) / v + n for v in lam])
     s_cons = _certify_le(Fraction(inst.count), count_bound)
     status = _combine([s_lo, s_hi, s_cons])
-    margins = [_sub(mid, lower * inst.vol), _sub(upper * inst.vol, mid),
-               _sub(count_bound, Fraction(inst.count))]
+    margins = [mid - lower * inst.vol, upper * inst.vol - mid,
+               count_bound - Fraction(inst.count)]
     wit = {
         "count": inst.count,
         "minima": list(lam),
@@ -885,7 +873,7 @@ def _c_discrete_volsur(inst: _Instance) -> CheckReport:
     lam = inst.lam_s.values
     total: Side = Fraction(0)
     for v in lam:
-        total = _add(total, v)
+        total += v
     rhs = Fraction(1, 2) * total
     wit = {"coefficients": list(poly.coefficients), "minima": list(lam)}
     return _le_report(cid, kind, lhs, rhs, wit)

@@ -215,6 +215,17 @@ def expect_error(capsys, code, *argv):
     return doc
 
 
+def test_internal_fault_is_not_an_input_error(capsys, monkeypatch):
+    def fail(args):
+        raise RuntimeError("Ehrhart holdout failed at dilate 4")
+
+    monkeypatch.setitem(cli._HANDLERS, "sigma", fail)
+    rc, doc, _ = run(capsys, "sigma", "--n", "3")
+    assert rc == 3
+    assert doc["error"] == {"code": "internal", "message": "Ehrhart holdout failed at dilate 4"}
+    validate_output("error", doc)
+
+
 def test_unknown_command(capsys):
     expect_error(capsys, "usage", "nonsense")
 

@@ -1,7 +1,10 @@
 import gc
+import random
+import sys
 from fractions import Fraction as F
 from itertools import product
-from math import factorial
+from math import ceil, factorial, floor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +17,14 @@ from gon.body import (
     dual_centered_simplex,
     ellipsoid,
     generalized_hexagon,
+    hpoly,
     polar_body,
     unit_ball,
     vpoly,
 )
-from gon.exactmath import Interval, QMat, QuadVal, sqrt_interval
+from gon.counting import count_points
+from gon.exactmath import Interval, QMat, QuadVal, UnboundedError, lp_exact, sqrt_interval
+from gon import minima
 from gon.lattice import kernel_lattice, make_lattice, polar_lattice, standard_lattice
 from gon.minima import (
     MinimaResult,
@@ -100,6 +106,193 @@ def test_enumerate_rejects_asymmetric():
 def test_polytope_integer_points_triangle():
     pts = polytope_integer_points([[-1, 0], [0, -1], [1, 1]], [0, 0, 2])
     assert pts == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+
+
+def lp_walk(rows, rhs):
+    """Reference walk: bound every inner coordinate by two exact LPs, sort at the end."""
+    rows = [[F(x) for x in r] for r in rows]
+    rhs = [F(x) for x in rhs]
+    m = len(rows[0])
+    out = []
+
+    def rec(prefix, rem):
+        i = len(prefix)
+        if i == m:
+            out.append(tuple(prefix))
+            return
+        if i == m - 1:
+            lo = hi = None
+            for r, rj in zip(rows, rem):
+                a = r[i]
+                if a == 0:
+                    if rj < 0:
+                        return
+                elif a > 0:
+                    hi = rj / a if hi is None else min(hi, rj / a)
+                else:
+                    lo = rj / a if lo is None else max(lo, rj / a)
+            if lo is None or hi is None:
+                raise UnboundedError("unbounded")
+            out.extend(tuple(prefix) + (z,) for z in range(ceil(lo), floor(hi) + 1))
+            return
+        tails = [r[i:] for r in rows]
+        obj = [F(1)] + [F(0)] * (m - i - 1)
+        top = lp_exact(tails, rem, obj, sense="max")
+        if top.status == "infeasible":
+            return
+        bot = lp_exact(tails, rem, obj, sense="min")
+        if top.status != "optimal" or bot.status != "optimal":
+            raise UnboundedError("unbounded")
+        for z in range(ceil(bot.optimum), floor(top.optimum) + 1):
+            rec(prefix + [z], [rj - r[i] * z for r, rj in zip(rows, rem)])
+
+    rec([], rhs)
+    return sorted(out)
+
+
+def walk_or_unbounded(walk, rows, rhs):
+    try:
+        return walk(rows, rhs)
+    except UnboundedError:
+        return "unbounded"
+
+
+@st.composite
+def walk_regions(draw):
+    """(rows, rhs, box): random rows over optional coordinate bounds.
+
+    box lists the integers between each coordinate's bounds when every
+    coordinate has both, else it is None. A region may be empty, flat (a
+    zero-width bound or an equality) or unbounded.
+    """
+    m = draw(st.integers(1, 4))
+    rows, rhs = [], []
+    spans = []
+    closed = True
+    for i in range(m):
+        e = [0] * m
+        e[i] = 1
+        lo = draw(st.fractions(min_value=-3, max_value=1, max_denominator=3))
+        hi = lo + draw(st.sampled_from([0, F(1, 2), 1, 2, F(7, 3), 3]))
+        has_lo, has_hi = draw(st.sampled_from([(True, True)] * 4 + [(True, False), (False, True)]))
+        if has_hi:
+            rows.append(e)
+            rhs.append(hi)
+        if has_lo:
+            rows.append([-x for x in e])
+            rhs.append(-lo)
+        closed = closed and has_lo and has_hi
+        spans.append(range(ceil(lo), floor(hi) + 1))
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        b = draw(st.fractions(min_value=-2, max_value=6, max_denominator=3))
+        rows.append(a)
+        rhs.append(b)
+        if draw(st.booleans()):  # the opposite side too: an equality a . c = b, or a strip
+            rows.append([-x for x in a])
+            rhs.append(-b + draw(st.sampled_from([0, F(1, 2), 1, 3])))
+    return rows, rhs, spans if closed else None
+
+
+@given(walk_regions())
+@settings(max_examples=300)
+def test_walk_matches_lp_walk_and_brute_force(region):
+    rows, rhs, box = region
+    got = walk_or_unbounded(polytope_integer_points, rows, rhs)
+    assert got == walk_or_unbounded(lp_walk, rows, rhs)
+    if box is not None:
+        brute = [c for c in product(*box)
+                 if all(sum(F(a) * x for a, x in zip(r, c)) <= b for r, b in zip(rows, rhs))]
+        assert got == brute
+
+
+@given(walk_regions(), st.sampled_from([0, 2, 8]))
+@settings(max_examples=150)
+def test_walk_past_the_projection_budget_matches_lp_walk(region, budget):
+    # a projection larger than the budget hands its leading coordinates to LPs
+    rows, rhs, _ = region
+    with mock.patch.object(minima, "_PROJECTION_MAX_ROWS", budget):
+        got = walk_or_unbounded(polytope_integer_points, rows, rhs)
+    assert got == walk_or_unbounded(lp_walk, rows, rhs)
+
+
+def test_walk_of_a_large_projection_matches_lp_walk():
+    # a 5-d box cut by 20 random rows: eliminating three coordinates would
+    # leave more rows than the budget allows
+    rnd = random.Random(1)
+    rows, rhs = [], []
+    for i in range(5):
+        e = [0] * 5
+        e[i] = 1
+        rows += [e, [-x for x in e]]
+        rhs += [2, 2]
+    while len(rows) < 30:
+        a = [rnd.randint(-4, 4) for _ in range(5)]
+        if any(a):
+            rows.append(a)
+            rhs.append(rnd.randint(2, 10))
+    ints = [minima._integer_row(r, b) for r, b in zip(rows, rhs)]
+    levels = minima._prefix_projections(list(dict.fromkeys(ints)), 5)
+    assert levels[0] is None and levels[2] is not None
+    pts = polytope_integer_points(rows, rhs)
+    assert len(pts) == 96
+    assert pts == lp_walk(rows, rhs)
+
+
+@pytest.mark.parametrize("rows, rhs, expected", [
+    # empty over the reals, and empty of integers only
+    ([[1, 0], [-1, 0], [0, 1], [0, -1]], [-1, -1, 1, 1], []),
+    ([[1, 0], [-1, 0], [0, 1], [0, -1]], [F(3, 4), F(-1, 4), 1, 1], []),
+    # flat: the segment x + y = 1 in [-1, 2]^2, and a plane that misses Z^3
+    ([[1, 1], [-1, -1], [1, 0], [-1, 0]], [1, -1, 2, 1], [(-1, 2), (0, 1), (1, 0), (2, -1)]),
+    ([[2, 2, 2], [-2, -2, -2], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]],
+     [1, -1, 1, 1, 1, 1], []),
+    # empty, yet unbounded in every coordinate: only a combination of rows shows it
+    ([[1, 1], [-1, -1]], [-1, -1], []),
+    # a violated constant row on an otherwise unbounded region
+    ([[0, 0], [1, 0]], [-1, 0], []),
+])
+def test_walk_empty_and_flat_regions(rows, rhs, expected):
+    assert polytope_integer_points(rows, rhs) == expected
+    assert lp_walk(rows, rhs) == expected
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    ([[1, 0], [0, 1], [0, -1]], [2, 1, 1]),          # x unbounded below
+    ([[1, 1], [-1, -1]], [1, 0]),                     # a strip along (1, -1)
+    ([[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0]], [1, 1, 1, 1]),  # y free
+])
+def test_walk_unbounded_regions_raise(rows, rhs):
+    with pytest.raises(UnboundedError):
+        lp_walk(rows, rhs)
+    with pytest.raises(UnboundedError):
+        polytope_integer_points(rows, rhs)
+
+
+def test_walks_solve_no_lp(monkeypatch):
+    calls = []
+
+    def counted(real):
+        def lp(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return lp
+
+    # built before the patch: hpoly checks boundedness with LPs
+    k = hpoly([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
+               [1, 1, 1], [-1, -1, -1]], [2, 2, 2, 2, 2, 2, 3, 3])
+    lat = make_lattice([[1, 1, 0], [0, 2, 1], [1, 0, 3]])
+    patched = 0
+    for name, mod in list(sys.modules.items()):
+        if (name == "gon" or name.startswith("gon.")) and hasattr(mod, "lp_exact"):
+            monkeypatch.setattr(mod, "lp_exact", counted(mod.lp_exact))
+            patched += 1
+    assert patched >= 2
+    assert len(polytope_integer_points([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]],
+                                       [0, 0, 0, 3])) == 20
+    successive_minima(k, lat)
+    count_points(k, lat)
+    assert calls == []
 
 
 def test_quadratic_integer_points_circle():
@@ -224,6 +417,72 @@ def test_unimodular_invariance(u01, u10, d1, d2):
     assert lat1.same_lattice(lat2)
     k = cross_polytope(2)
     assert successive_minima(k, lat1).values == successive_minima(k, lat2).values
+
+
+@st.composite
+def symmetric_bodies(draw):
+    """A box, cross-polytope or symmetric H-polytope (a box cut by slabs) in dimension 2-4."""
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["box", "cross", "hpoly"]))
+    half = st.fractions(min_value=F(1, 3), max_value=3)
+    if kind == "box":
+        return box(sorted(draw(st.lists(half, min_size=n, max_size=n)), reverse=True))
+    if kind == "cross":
+        return cross_polytope(n, draw(half))
+    rows, rhs = [], []
+    for i, s in enumerate(draw(st.lists(half, min_size=n, max_size=n))):
+        e = [0] * n
+        e[i] = 1
+        rows += [e, [-x for x in e]]
+        rhs += [s, s]
+    for _ in range(draw(st.integers(1, 2))):
+        u = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+        b = draw(half)
+        rows += [u, [-x for x in u]]
+        rhs += [b, b]
+    return hpoly(rows, rhs)
+
+
+@st.composite
+def lattices_and_unimodular(draw, n):
+    """(B, U): an upper triangular basis, diagonal 1..4 and entries -4..4 above it,
+    and a unimodular U, a product of integer shears."""
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        b[i][i] = draw(st.integers(1, 4))
+        for j in range(i + 1, n):
+            b[i][j] = draw(st.integers(-4, 4))
+    u = QMat.identity(n)
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        shear = QMat.identity(n).to_rows()
+        shear[i][j] = F(draw(st.integers(-4, 4)))
+        u = QMat.from_rows(shear) @ u
+    return QMat.from_rows(b), u
+
+
+@given(st.data(), st.fractions(min_value=F(1, 3), max_value=3))
+@settings(max_examples=100)
+def test_homogeneity_in_dimensions_2_to_4(data, t):
+    # dilating K by t divides its minima by t
+    k = data.draw(symmetric_bodies())
+    b, _ = data.draw(lattices_and_unimodular(k.dim))
+    lat = make_lattice(b.to_rows())
+    base = successive_minima(k, lat).values
+    assert successive_minima(k.dilate(t), lat).values == tuple(v / t for v in base)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_unimodular_invariance_in_dimensions_2_to_4(data):
+    # a unimodular change of basis leaves minima and counts unchanged
+    k = data.draw(symmetric_bodies())
+    b, u = data.draw(lattices_and_unimodular(k.dim))
+    lat1 = make_lattice(b.to_rows())
+    lat2 = make_lattice((u @ b).to_rows())
+    assert lat1.same_lattice(lat2)
+    assert successive_minima(k, lat1).values == successive_minima(k, lat2).values
+    assert count_points(k, lat1) == count_points(k, lat2)
 
 
 def test_linear_image_matches_lattice_change():
