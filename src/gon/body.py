@@ -24,7 +24,7 @@ from .exactmath import (
     SURFACE_WIDTH,
     UnboundedError,
     dot,
-    facet_contents,
+    affine_rank,
     extreme_points,
     lp_exact,
     quad_or_rat,
@@ -33,11 +33,13 @@ from .exactmath import (
     sqrt_interval,
     unit_ball_volume_interval,
     vec,
-    vertex_enum,
-    volume_centroid,
+    _VERTEX_ENUM_MAX_DIM,
+    _facet_contents,
     _facet_sets,
     _guard_vertex_enum,
-    _hull_facets,
+    _tight_facets,
+    _vertex_hull,
+    _vertex_rays,
     _volume_centroid,
 )
 
@@ -106,9 +108,12 @@ class Body:
     def hrep(self) -> tuple:
         """Facet description (A, b) with the body equal to {x : Ax <= b}.
 
-        Boxes and cross-polytopes expand to explicit inequalities; V-polytopes
-        compute facets through the polar of the centroid-shifted vertex hull.
+        Boxes and cross-polytopes expand to explicit inequalities; a
+        V-polytope reads its facets off its hull, guarded to dimension 6.
         """
+        if self.kind == VPOLY:
+            _guard_vertex_enum(self.dim)
+            self._facets()  # the hull fills in the H-representation
         if "hrep" in self._cache:
             return self._cache["hrep"]
         if self.kind == BOX:
@@ -129,12 +134,22 @@ class Body:
             out = (QMat.from_rows(rows), (s,) * len(rows))
         elif self.kind == HPOLY:
             out = (self.data[0], self.data[1])
-        elif self.kind == VPOLY:
-            out = _facets_of_hull(self.data)
         else:
             raise ValueError("ellipsoids have no facet description")
         self._cache["hrep"] = out
         return out
+
+    def _facets(self) -> list:
+        """Vertex sets of the facets; a hull finds them with the hrep or the vertices."""
+        if "facets" not in self._cache:
+            if self.kind == VPOLY:
+                _, self._cache["hrep"], self._cache["facets"] = _vertex_hull(self.data[0])
+            elif self.kind == HPOLY:
+                self.vertices()  # the double description fills in the facets
+            else:
+                a, b = self.hrep()
+                self._cache["facets"] = _facet_sets(a.to_rows(), b, self.vertices())
+        return self._cache["facets"]
 
     def vertices(self) -> tuple:
         """Extreme points, sorted lexicographically."""
@@ -156,7 +171,11 @@ class Body:
                     pts.append(tuple(v))
             vs = tuple(sorted(pts))
         elif self.kind == HPOLY:
-            vs = tuple(vertex_enum(self.data[0].to_rows(), list(self.data[1]), check_bounded=False))
+            a, b = self.data
+            _guard_vertex_enum(self.dim)
+            verts, _ = _vertex_rays(a.to_rows(), b)
+            vs = tuple(x for x, _ in verts)
+            self._cache["facets"] = _tight_facets(verts, a.rows)
         elif self.kind == VPOLY:
             vs = self.data[0]
         else:
@@ -197,12 +216,7 @@ class Body:
 
     def _polytope_volume_centroid(self) -> tuple:
         # both are read off one triangulation, so they are cached together
-        verts = self.vertices()
-        if self.kind == VPOLY:
-            v, c = volume_centroid(list(verts), assume_extreme=True)
-        else:
-            a, b = self.data
-            v, c = _volume_centroid(verts, _facet_sets(a.to_rows(), b, verts))
+        v, c = _volume_centroid(self.vertices(), self._facets())
         self._cache["vol"], self._cache["cen"] = v, c
         return v, c
 
@@ -210,8 +224,9 @@ class Body:
         """Certified enclosure of the boundary content; polytopes only."""
         if not self.is_polytope:
             raise ValueError("surface area is implemented for polytopes only")
-        a, b = self.hrep()
-        return facet_contents(a.to_rows(), list(b), list(self.vertices()), max_width=max_width)
+        if self.kind == VPOLY:
+            _guard_vertex_enum(self.dim)  # as for the hrep its facets come with
+        return _facet_contents(self.vertices(), self._facets(), max_width=max_width)
 
     def scalars(self) -> BodyScalars:
         surf = self.surface_area() if self.is_polytope else None
@@ -410,16 +425,24 @@ def hpoly(rows: Sequence[Sequence], b: Sequence) -> Body:
 
 
 def vpoly(points: Sequence[Sequence]) -> Body:
-    """Convex hull of the points; stores the extreme ones."""
+    """Convex hull of the points; stores the extreme ones.
+
+    Up to dimension 6 it stores the hull that found them, facets included.
+    Above, extreme_points decides each point by an LP, and volume() finds the
+    hull when it is asked for.
+    """
     pts = [vec(p) for p in points]
     if not pts:
         raise ValueError("empty point set")
-    ext = extreme_points(pts)
     n = len(pts[0])
-    rows = [list(v) + [Fraction(1)] for v in ext]
-    if QMat.from_rows(rows).rank() != n + 1:
+    if affine_rank(pts) < n:
         raise ValueError("hull is not full-dimensional")
-    return Body(VPOLY, (tuple(sorted(tuple(v) for v in ext)),))
+    if n > _VERTEX_ENUM_MAX_DIM:
+        return Body(VPOLY, (tuple(extreme_points(pts)),))
+    verts, h, facets = _vertex_hull(pts)
+    k = Body(VPOLY, (verts,))
+    k._cache["hrep"], k._cache["facets"] = h, facets
+    return k
 
 
 def ellipsoid(q_rows: Sequence[Sequence]) -> Body:
@@ -494,13 +517,6 @@ def generalized_hexagon(alphas: Sequence) -> Body:
 # -- derived bodies -----------------------------------------------------------------
 
 
-def _facets_of_hull(data: tuple) -> tuple:
-    verts = data[0]
-    _guard_vertex_enum(len(verts[0]))
-    facets = _hull_facets(verts)
-    return (QMat.from_rows([u for u, _, _ in facets]), tuple(r for _, r, _ in facets))
-
-
 def polar_body(k: Body) -> Body:
     """Polar {y : <x,y> <= 1 on K}; requires the origin strictly inside K."""
     if k.kind == ELLIPSOID:
@@ -519,7 +535,9 @@ def polar_body(k: Body) -> Body:
         n, s = k.data
         return cube(n, 1 / s)
     if k.kind == VPOLY:
-        return hpoly([list(v) for v in k.vertices()], [Fraction(1)] * len(k.vertices()))
+        # bounded and full-dimensional, since the origin is strictly inside K
+        vs = k.vertices()
+        return Body(HPOLY, (QMat.from_rows(vs), (Fraction(1),) * len(vs)))
     a, b = k.hrep()
     pts = [[x / b[i] for x in a.row(i)] for i in range(a.rows)]
     return vpoly(pts)
@@ -537,7 +555,8 @@ def symmetrize(k: Body) -> Body:
     return vpoly(list(diffs))
 
 
-# K cap -K has up to twice K's facets, each a constraint of its vertex enumeration
+# K cap -K has up to twice K's facets, each one more row for the double
+# description of its vertices to cut in
 _ALPHA_MAX_DIM = 4
 
 
@@ -553,11 +572,8 @@ def alpha_ratio(k: Body) -> Fraction:
         return Fraction(1)
     a, b = k.hrep()
     neg = [[-x for x in a.row(i)] for i in range(a.rows)]
-    rows = a.to_rows() + neg
-    rhs = list(b) + list(b)
-    verts = vertex_enum(rows, rhs, check_bounded=False)
-    vol_cap, _ = _volume_centroid(verts, _facet_sets(rows, rhs, verts))
-    return vol_cap / k.volume()
+    cap = Body(HPOLY, (QMat.from_rows(a.to_rows() + neg), tuple(b) + tuple(b)))
+    return cap.volume() / k.volume()
 
 
 def intrinsic_volumes_box(a: Sequence) -> list:

@@ -5,15 +5,20 @@ never appear as floats: a square root of a rational is carried as a
 :class:`QuadVal` and compared through its square, and everything else is
 enclosed in a certified :class:`Interval` whose width the caller controls.
 
-The geometry kernels (``lp_exact``, ``vertex_enum``, ``volume_centroid``)
-are deliberately naive: dimensions stay small, so exactness and
-predictability beat asymptotics.
+One routine finds hulls both ways: double description over the integers,
+which returns a pointed cone's extreme rays with the rows tight on each.
+Points give the cone of the inequalities valid on them, whose rays are the
+facets; halfspaces give the cone over the polyhedron, whose rays at height
+one are the vertices.  ``vertex_enum``, ``extreme_points`` and
+``volume_centroid`` wrap it, except that ``extreme_points`` decides each point
+by one LP above dimension 6, where a hull can have exponentially many facets.
+``lp_exact`` is an exact two-phase simplex.
 
 Volumes, centroids and surface areas come from one triangulation that needs
 only the vertex-facet incidences: which vertices lie on which facet.  Each
 face is coned from its vertex centroid over its own facets, down to edges.
-The incidences are read off an H-representation by tightness, or found once
-from the polar of a bare point set.
+The incidences are the zero sets that the double description returns, or
+are read off an H-representation by tightness where no hull was run.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -921,28 +925,95 @@ def lp_exact(A, b, c, sense: str = "max") -> LPResult:
 
 
 # ---------------------------------------------------------------------------
-# vertex enumeration and extreme-point filtering
+# hulls by double description
 
 
-def _feasible(A, b, x) -> bool:
-    return all(dot(A[i], x) <= b[i] for i in range(len(A)))
+def _primitive(v) -> tuple[int, ...]:
+    """The positive multiple of a rational vector whose entries are coprime integers."""
+    den = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
-def _vertex_enum_raw(A, b):
-    n = len(A[0])
-    m = len(A)
-    seen = {}
-    for S in combinations(range(m), n):
-        x = solve_square([list(A[i]) for i in S], [b[i] for i in S])
-        if x is None:
-            continue
-        if x not in seen and _feasible(A, b, x):
-            seen[x] = True
-    return sorted(seen)
+def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of the pointed cone {y : g . y >= 0 for every row g}.
+
+    rows must span their space.  Each ray comes as (y, z): y a primitive
+    integer vector and z the bitmask of its zero set, the rows with g . y = 0.
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): the first
+    independent rows bound a simplicial cone, and the others are cut in one at
+    a time.  Two rays either side of the new row combine into one on it when
+    adjacent: when no third ray is zero on every row that both are.
+    """
+    g = [_primitive(row) for row in rows]
+    d = len(g[0])
+    # the pivot columns of the matrix with the rows as columns pick the first independent rows
+    basis, _ = _eliminate([[Fraction(r[j]) for r in g] for j in range(d)], len(g))
+    if len(basis) < d:
+        raise RankDeficientError("the rows do not span their space")
+    inv = QMat.from_rows([g[i] for i in basis]).inverse()
+    full = sum(1 << i for i in basis)
+    rays = [(_primitive(inv.col(j)), full & ~(1 << i)) for j, i in enumerate(basis)]
+    for i in sorted(set(range(len(g))) - set(basis)):
+        gi, bit = g[i], 1 << i
+        pos, neg, kept = [], [], []
+        for y, z in rays:
+            s = sum(a * b for a, b in zip(gi, y))
+            if s > 0:
+                pos.append((y, z, s))
+                kept.append((y, z))
+            elif s < 0:
+                neg.append((y, z, s))
+            else:
+                kept.append((y, z | bit))
+        zs = [z for _, z in rays]
+        for yp, zp, sp in pos:
+            for yn, zn, sn in neg:
+                z = zp & zn
+                if z.bit_count() < d - 2 or any(w & z == z and w != zp and w != zn for w in zs):
+                    continue
+                y = [sp * b - sn * a for a, b in zip(yp, yn)]
+                c = math.gcd(*y)
+                kept.append((tuple(x // c for x in y), z | bit))
+        rays = kept
+    return rays
 
 
-# vertex enumeration solves every n-subset of the constraints, so its cost
-# grows as binomial(m, n); it is refused above this dimension
+def _vertex_hull(points) -> tuple:
+    """Hull of points that affinely span their space: (vertices, (A, b), facets).
+
+    The inequalities u . x <= beta valid on every point are the cone of the
+    rows (1, -p), whose extreme rays are the facets; a point is extreme when
+    no other point lies on every facet through it.  Each row of A x <= b is
+    scaled so that A_i . (x - c) <= 1 for c the vertex average; the rows are
+    sorted, and facets[i] is the vertex set of row i.
+    """
+    pts = sorted(set(points))
+    rays = _cone_rays([(1, *(-x for x in p)) for p in pts])
+    extreme = 0
+    for i in range(len(pts)):
+        common = -1  # every bit: an interior point lies on no facet
+        for _, z in rays:
+            if z >> i & 1:
+                common &= z
+        if common == 1 << i:
+            extreme |= common
+    verts = tuple(p for i, p in enumerate(pts) if extreme >> i & 1)
+    c = vavg(verts)
+    rows = []
+    for (beta, *u), z in rays:
+        s = beta - dot(u, c)  # positive: the vertex average is interior
+        z &= extreme
+        rows.append((tuple(x / s for x in u), frozenset(p for i, p in enumerate(pts) if z >> i & 1)))
+    rows.sort()  # the normals are distinct
+    a = [u for u, _ in rows]
+    return verts, (QMat.from_rows(a), tuple(1 + dot(u, c) for u in a)), [f for _, f in rows]
+
+
+# above this dimension vertex enumeration is refused and extreme_points
+# leaves the hull for one LP per point: the number of vertices, facets and
+# intermediate rays can grow beyond any useful size
 _VERTEX_ENUM_MAX_DIM = 6
 
 
@@ -951,10 +1022,36 @@ def _guard_vertex_enum(n: int) -> None:
         raise DimensionGuardError(f"vertex enumeration guarded to dimension {_VERTEX_ENUM_MAX_DIM}")
 
 
-def vertex_enum(A, b, check_bounded: bool = True):
-    """All vertices of {x : A x <= b}, sorted lexicographically.
+def _vertex_rays(A, b) -> tuple:
+    """Vertices of {x : A x <= b}, A of full column rank, and whether it is bounded.
 
-    Brute force over n-subsets of the constraints; guarded to dimension 6.
+    The vertices are the rays with t > 0 of the cone of the rows (b_i, -a_i)
+    and t >= 0, found by double description; rays with t = 0 are directions
+    of unboundedness.  Each vertex comes sorted as (x, z), z the bitmask of
+    the rows tight on x.
+    """
+    n = len(A[0])
+    rows = [(1,) + (0,) * n] + [(bi, *(-x for x in row)) for row, bi in zip(A, b)]
+    rays = _cone_rays(rows)
+    verts = sorted((tuple(Fraction(x, y[0]) for x in y[1:]), z >> 1) for y, z in rays if y[0] > 0)
+    return verts, len(verts) == len(rays)
+
+
+def _tight_facets(verts, m: int) -> list:
+    """Vertex sets of the facets, from _vertex_rays' vertices of m rows.
+
+    Each row is tight on the vertices of one face.  Every facet has a defining
+    row, and a redundant row is tight only on a smaller face, so the facets are
+    the inclusion-maximal tight sets, in the order of their first rows.
+    """
+    return _maximal(frozenset(x for x, z in verts if z >> i & 1) for i in range(m))
+
+
+def vertex_enum(A, b, check_bounded: bool = True):
+    """All vertices of {x : A x <= b}, sorted lexicographically; guarded to dimension 6.
+
+    The vertices are found by double description.  With check_bounded, an
+    empty polyhedron gives [] and an unbounded one raises UnboundedError.
     """
     A = [vec(row) for row in A]
     b = [rat(x) for x in b]
@@ -962,49 +1059,56 @@ def vertex_enum(A, b, check_bounded: bool = True):
         raise ValueError("no constraints")
     n = len(A[0])
     _guard_vertex_enum(n)
-    if check_bounded:
-        for j in range(n):
-            c = [Fraction(int(k == j)) for k in range(n)]
-            for sense in ("max", "min"):
-                res = lp_exact(A, b, c, sense)
-                if res.status == "unbounded":
-                    raise UnboundedError("polyhedron is unbounded")
-                if res.status == "infeasible":
-                    return []
-    return _vertex_enum_raw(A, b)
+    if QMat.from_rows(A).rank() < n:
+        # the polyhedron holds a line unless it is empty: it has no vertex
+        if check_bounded and lp_exact(A, b, [0] * n).status != "infeasible":
+            raise UnboundedError("polyhedron is unbounded")
+        return []
+    verts, bounded = _vertex_rays(A, b)
+    if check_bounded and verts and not bounded:
+        raise UnboundedError("polyhedron is unbounded")
+    return [x for x, _ in verts]
 
 
-def extreme_points(points):
-    """The subset of points not expressible as convex combinations of the rest."""
-    pts = sorted(set(vec(p) for p in points))
-    if len(pts) <= 1:
-        return pts
-    d = len(pts[0])
+def _lp_extreme_points(pts):
+    # sorted distinct points, each decided by one exact LP: is it a convex
+    # combination of the others?
     out = []
     for i, p in enumerate(pts):
-        others = [q for j, q in enumerate(pts) if j != i]
+        others = pts[:i] + pts[i + 1 :]
         k = len(others)
-        # feasibility: lambda >= 0, sum lambda = 1, sum lambda q = p
-        A = []
-        b = []
-        for c in range(d):
-            row = [others[j][c] for j in range(k)]
-            A.append(row)
-            b.append(p[c])
-            A.append([-x for x in row])
-            b.append(-p[c])
-        A.append([Fraction(1)] * k)
-        b.append(Fraction(1))
-        A.append([Fraction(-1)] * k)
-        b.append(Fraction(-1))
-        for j in range(k):
-            row = [Fraction(0)] * k
-            row[j] = Fraction(-1)
-            A.append(row)
-            b.append(Fraction(0))
+        # lambda >= 0, sum lambda = 1, sum lambda q = p
+        A, b = [], []
+        for c in range(len(p)):
+            row = [q[c] for q in others]
+            A += [row, [-x for x in row]]
+            b += [p[c], -p[c]]
+        A += [[Fraction(1)] * k, [Fraction(-1)] * k]
+        b += [Fraction(1), Fraction(-1)]
+        A += [[Fraction(-int(j == t)) for j in range(k)] for t in range(k)]
+        b += [Fraction(0)] * k
         if lp_exact(A, b, [Fraction(0)] * k).status == "infeasible":
             out.append(p)
     return out
+
+
+def extreme_points(points):
+    """The subset of points not expressible as convex combinations of the rest, sorted.
+
+    A set that is not full-dimensional is first projected onto the pivot
+    coordinates of its affine hull, which the projection maps one to one.  Up
+    to dimension 6 the hull's double description finds the extreme points.
+    Above, where a hull can have exponentially many facets (the n-dimensional
+    cross-polytope has 2^n), one exact LP per point decides each.
+    """
+    pts = sorted(set(vec(p) for p in points))
+    if len(pts) <= 1:
+        return pts
+    pivots, _ = _eliminate([list(vsub(p, pts[0])) for p in pts[1:]], len(pts[0]))
+    if len(pivots) > _VERTEX_ENUM_MAX_DIM:
+        return _lp_extreme_points(pts)
+    proj = {tuple(p[j] for j in pivots): p for p in pts}
+    return sorted(proj[v] for v in _vertex_hull(proj)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1019,22 +1123,6 @@ def affine_rank(points) -> int:
     return QMat.from_rows([vsub(p, base) for p in pts[1:]]).rank()
 
 
-def _hull_facets(pts):
-    """Facets of conv(pts) as (normal, rhs, tight points), normal . x <= rhs on the hull.
-
-    pts must be the extreme points of a full-dimensional polytope.  Shifted by
-    their centroid, the points span a hull whose polar has the facet normals
-    as vertices; facets come in the sorted order of those normals.
-    """
-    c = vavg(pts)
-    shifted = [vsub(p, c) for p in pts]
-    facets = []
-    for u in _vertex_enum_raw(shifted, [Fraction(1)] * len(shifted)):
-        tight = [p for p, s in zip(pts, shifted) if dot(u, s) == 1]
-        facets.append((u, Fraction(1) + dot(u, c), tight))
-    return facets
-
-
 def _maximal(sets):
     # the inclusion-maximal members, in first-seen order
     sets = list(dict.fromkeys(sets))
@@ -1044,11 +1132,11 @@ def _maximal(sets):
 def _facet_sets(A, b, vertices):
     """Vertex sets of the facets of the polytope {x : A x <= b} with the given vertices.
 
-    Each row is tight on the vertices of one face.  Every facet has a defining
-    row, and a redundant row is tight only on a smaller face, so the facets are
-    the inclusion-maximal tight sets.
+    For vertices that come without their zero sets: the rows tight on each
+    are found by substitution.
     """
-    return _maximal(frozenset(v for v in vertices if dot(row, v) == bi) for row, bi in zip(A, b))
+    zs = [sum(1 << i for i, (row, bi) in enumerate(zip(A, b)) if dot(row, v) == bi) for v in vertices]
+    return _tight_facets(list(zip(vertices, zs)), len(A))
 
 
 def _pulling_simplices(face, facets, dim):
@@ -1090,8 +1178,9 @@ def _volume_centroid(vertices, facets):
 def volume_centroid(points, assume_extreme: bool = False):
     """Exact volume and centroid of the convex hull of the given points.
 
-    The facets are found once, from the polar of the centroid-shifted hull;
-    the hull is then triangulated from its vertex-facet incidences alone.
+    The facets come from one double description of the hull, which drops
+    points that are not extreme whether or not assume_extreme says there are
+    none; the hull is then triangulated from its vertex-facet incidences.
     Raises RankDeficientError when the hull is not full-dimensional.
     """
     pts = [vec(p) for p in points]
@@ -1102,9 +1191,8 @@ def volume_centroid(points, assume_extreme: bool = False):
         raise ValueError("zero-dimensional ambient space")
     if affine_rank(pts) < n:
         raise RankDeficientError("hull is not full-dimensional")
-    if not assume_extreme:
-        pts = extreme_points(pts)
-    return _volume_centroid(pts, [frozenset(tight) for _, _, tight in _hull_facets(pts)])
+    verts, _, facets = _vertex_hull(pts)
+    return _volume_centroid(verts, facets)
 
 
 def facet_contents(A, b, vertices, max_width: Fraction | None = None) -> Interval:
@@ -1114,12 +1202,16 @@ def facet_contents(A, b, vertices, max_width: Fraction | None = None) -> Interva
     vertex-facet incidences, is triangulated like a volume one dimension down,
     and the interval width is split evenly over the simplices.
     """
+    return _facet_contents(vertices, _facet_sets(A, b, vertices), max_width)
+
+
+def _facet_contents(vertices, facets, max_width: Fraction | None = None) -> Interval:
+    # facet_contents from the vertex-facet incidences
     if max_width is None:
         max_width = SURFACE_WIDTH
     n = len(vertices[0])
     if n == 1:
         return Interval.point(2)  # two endpoint facets, each a point of content 1
-    facets = _facet_sets(A, b, vertices)
     simplices = [s for f in facets for s in _pulling_simplices(f, facets, n - 1)]
     if not simplices:
         raise RankDeficientError("no facets found")

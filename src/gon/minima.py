@@ -30,6 +30,7 @@ from .exactmath import (
     quad_or_rat,
     rat,
     vec,
+    _primitive,
 )
 from .lattice import Lattice, lll_reduce, polar_lattice
 
@@ -55,11 +56,8 @@ def _integer_matrix(rows: Sequence[Sequence]) -> tuple:
 
 def _integer_row(row: Sequence, rhs) -> tuple:
     """(a, w): the constraint row . c <= rhs scaled by a positive factor to coprime integers."""
-    [ints], _ = _integer_matrix([[*row, rhs]])
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints[:-1]), ints[-1]
+    *a, w = _primitive((*row, rhs))
+    return tuple(a), w
 
 
 # An elimination step that would leave more rows than this stops the projection.
@@ -428,13 +426,17 @@ def successive_minima(
             continue
         cands.append((g, c))
     cands.sort(key=lambda t: (t[0], t[1]))
-    picked = []
+    picked = []  # (row, pivot): the witnesses' coefficients in echelon form
     values = []
     witnesses = []
     for g, c in cands:
-        trial = picked + [list(map(Fraction, c))]
-        if QMat.from_rows(trial).rank() == len(trial):
-            picked = trial
+        r = list(c)  # reduced to zero exactly when it depends on the picked rows
+        for e, p in picked:
+            if r[p]:
+                r = [e[p] * x - r[p] * y for x, y in zip(r, e)]
+        p = next((i for i, x in enumerate(r) if x), -1)
+        if p >= 0:
+            picked.append((r, p))
             values.append(g)
             witnesses.append(chart.ambient(c))
             if len(picked) == count:

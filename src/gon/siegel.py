@@ -31,12 +31,9 @@ from .exactmath import (
     quad_or_rat,
     rat,
     root_interval,
-    vertex_enum,
-    _facet_sets,
-    _volume_centroid,
 )
 from .lattice import Lattice, kernel_lattice, make_lattice, minors_gcd
-from .body import Body, cube, generalized_hexagon
+from .body import HPOLY, Body, cube, generalized_hexagon
 from .minima import MinimaResult, first_minimum, successive_minima
 
 __all__ = [
@@ -86,8 +83,7 @@ def _section_content_sq(lat: Lattice) -> Fraction:
         rhs.append(Fraction(1))
         rows.append([-x for x in col])
         rhs.append(Fraction(1))
-    verts = vertex_enum(rows, rhs, check_bounded=False)
-    vol, _ = _volume_centroid(verts, _facet_sets(rows, rhs, verts))
+    vol = Body(HPOLY, (QMat.from_rows(rows), tuple(rhs))).volume()
     # the basis chart scales d-content by sqrt(det of its gram matrix)
     return vol * vol * lat.det_squared()
 

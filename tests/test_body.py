@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction as F
 from itertools import product
 from math import comb, factorial
@@ -164,6 +166,23 @@ def test_simplex_polar_volume_product(n):
     assert product == F((n + 1) ** (n + 1), factorial(n) ** 2)
 
 
+@st.composite
+def _polytopes_around_origin(draw):
+    # integer points in dimension 2-4 with the cross-polytope of scale 1 among them
+    n = draw(st.integers(2, 4))
+    pts = [tuple(s * int(j == i) for j in range(n)) for i in range(n) for s in (1, -1)]
+    pts += draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=6))
+    return pts
+
+
+@settings(max_examples=40)
+@given(_polytopes_around_origin())
+def test_polar_of_vpoly_is_hpoly_of_its_vertices(pts):
+    k = vpoly(pts)
+    vs = k.vertices()
+    assert polar_body(k) == hpoly([list(v) for v in vs], [1] * len(vs))
+
+
 # -- symmetrization ----------------------------------------------------------
 
 
@@ -228,6 +247,71 @@ def test_alpha_rejects_uncentered_and_big():
 def test_vpoly_hrep_guarded_above_dimension_six():
     with pytest.raises(DimensionGuardError):
         dual_centered_simplex(7).hrep()
+    with pytest.raises(DimensionGuardError):
+        dual_centered_simplex(7).surface_area()
+
+
+def test_vpoly_above_dimension_six_stays_polynomial():
+    # the polar of the 16-cube is the cross-polytope, whose hull has 2^16
+    # facets: above dimension 6 vpoly keeps to one LP per point
+    n = 16
+    start = time.perf_counter()
+    k = polar_body(box([1] * n))
+    assert time.perf_counter() - start < 30
+    assert len(k.vertices()) == 2 * n
+    assert k.vertices() == cross_polytope(n).vertices()
+    with pytest.raises(DimensionGuardError):
+        k.hrep()
+
+
+def _count_calls(monkeypatch, name):
+    # patch `name` in every gon module that binds it, and list the calls made
+    calls = []
+
+    def counted(real):
+        def fn(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return fn
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name == "gon" or mod_name.startswith("gon.")) and hasattr(mod, name):
+            monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+    return calls
+
+
+def test_vpoly_computes_its_hull_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "_cone_rays")
+    k = vpoly([(-2, -1, 0), (3, 0, 1), (0, 2, -1), (0, -1, 3), (1, 1, 1), (0, 0, 0)])
+    k.hrep()
+    k.volume()
+    k.surface_area()
+    assert len(calls) == 1
+
+
+def test_hpoly_reads_its_facets_off_its_hull(monkeypatch):
+    # the zero sets of the vertices give the facets: no second pass over the rows
+    h = hpoly([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1],
+               [2, 2, 2]], [2, 2, 2, 2, 2, 2, 3, 7])
+    rays = _count_calls(monkeypatch, "_cone_rays")
+    tightness = _count_calls(monkeypatch, "_facet_sets")
+    h.vertices()
+    h.volume()
+    h.surface_area()
+    assert len(rays) == 1 and tightness == []
+
+
+def test_vpoly_symmetrize_and_polar_solve_no_lp(monkeypatch):
+    # built before the patch: hpoly checks boundedness with LPs
+    h = hpoly([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1]],
+              [2, 2, 2, 2, 2, 2, 3])
+    calls = _count_calls(monkeypatch, "lp_exact")
+    k = vpoly([(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3), (0, 0, 0), (1, 0, 0)])
+    s = symmetrize(k)
+    for body in (k, s, h, box([2, 1, 1]), cross_polytope(3)):
+        polar_body(body).volume()
+    s.volume()
+    assert calls == []
 
 
 # -- intrinsic volumes of boxes ----------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gon.body import vpoly
 from gon.exactmath import (
     DEFAULT_WIDTH,
     DimensionGuardError,
@@ -14,6 +15,7 @@ from gon.exactmath import (
     QuadVal,
     RankDeficientError,
     UnboundedError,
+    affine_rank,
     dot,
     e_interval,
     extreme_points,
@@ -28,10 +30,12 @@ from gon.exactmath import (
     rat_str,
     root_interval,
     snf,
+    solve_square,
     sqrt_interval,
     unit_ball_volume_interval,
     vertex_enum,
     volume_centroid,
+    _lp_extreme_points,
 )
 
 small_int = st.integers(-9, 9)
@@ -466,6 +470,142 @@ def test_extreme_points_filters_interior():
         (F(1), F(0)),
         (F(1), F(1)),
     ]
+
+
+# ---------------------------------------------------------------------------
+# references for the double description: the routines it replaced
+
+
+def brute_vertex_enum(A, b, check_bounded=True):
+    """Reference: bound each coordinate by two LPs, then solve every n-subset of rows."""
+    A = [[F(x) for x in r] for r in A]
+    b = [F(x) for x in b]
+    n = len(A[0])
+    if check_bounded:
+        for j in range(n):
+            c = [F(int(k == j)) for k in range(n)]
+            for sense in ("max", "min"):
+                res = lp_exact(A, b, c, sense)
+                if res.status == "unbounded":
+                    raise UnboundedError("polyhedron is unbounded")
+                if res.status == "infeasible":
+                    return []
+    seen = set()
+    for rows in combinations(range(len(A)), n):
+        x = solve_square([A[i] for i in rows], [b[i] for i in rows])
+        if x is not None and all(dot(a, x) <= bi for a, bi in zip(A, b)):
+            seen.add(x)
+    return sorted(seen)
+
+
+def lp_extreme_points(points):
+    """Reference: one exact LP per point decides whether it is a convex combination of the
+    others; extreme_points keeps this filter above dimension 6."""
+    pts = sorted(set(tuple(F(x) for x in p) for p in points))
+    return pts if len(pts) <= 1 else _lp_extreme_points(pts)
+
+
+def brute_hull_hrep(verts):
+    """Reference: the facets of a full-dimensional hull as the polar vertices of the centred
+    points, u . (x - c) <= 1 with c the vertex average, as sorted rows (u, 1 + u . c)."""
+    c = tuple(sum(x) / len(verts) for x in zip(*verts))
+    shifted = [tuple(x - y for x, y in zip(v, c)) for v in verts]
+    normals = brute_vertex_enum(shifted, [1] * len(shifted), check_bounded=False)
+    return [list(u) for u in normals], [1 + dot(u, c) for u in normals]
+
+
+@st.composite
+def point_sets(draw):
+    """Points in dimension 1-4 with duplicates and points on edges, facets and inside;
+    drawn in a lower dimension and mapped linearly, some sets are lower-dimensional."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.sampled_from([d] * 3 + list(range(1, d))))
+    coord = st.integers(-3, 3)
+    pts = [tuple(F(x) for x in p) for p in
+           draw(st.lists(st.tuples(*[coord] * k), min_size=1 if k < d else d + 1, max_size=d + 5))]
+    for _ in range(draw(st.integers(0, 4))):
+        # one index repeats a point; two or three give a point on an edge, a facet or inside
+        idx = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=3))
+        pts.append(tuple(sum(x) / len(idx) for x in zip(*(pts[i] for i in idx))))
+    if k < d:
+        m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                          min_size=k, max_size=k))
+        pts = [tuple(sum((p[i] * m[i][j] for i in range(k)), F(0)) for j in range(d)) for p in pts]
+    return draw(st.permutations(pts))
+
+
+@given(point_sets())
+@settings(max_examples=150)
+def test_extreme_points_match_lp_reference(pts):
+    assert extreme_points(pts) == lp_extreme_points(pts)
+
+
+@given(point_sets())
+@settings(max_examples=150)
+def test_point_hull_matches_brute_force(pts):
+    n = len(pts[0])
+    if affine_rank(pts) < n:
+        with pytest.raises(RankDeficientError):
+            volume_centroid(pts)
+        return
+    k = vpoly(pts)
+    verts = lp_extreme_points(pts)
+    assert list(k.vertices()) == verts
+    a, b = k.hrep()
+    assert (a.to_rows(), list(b)) == brute_hull_hrep(verts)
+    assert volume_centroid(pts) == (k.volume(), k.centroid())
+
+
+@st.composite
+def halfspace_systems(draw):
+    """A x <= b in dimension 1-4: a box with some sides left out, and rows that are random,
+    repeated, scaled copies, redundant, or through a vertex of the box (degenerate)."""
+    n = draw(st.integers(1, 4))
+    sides = [draw(st.integers(1, 3)) for _ in range(n)]
+    A, b = [], []
+    for i, s in enumerate(sides):
+        e = [int(j == i) for j in range(n)]
+        for row in (e, [-x for x in e]):
+            if draw(st.integers(0, 5)):  # a side now and then left out: maybe unbounded
+                A.append(row)
+                b.append(s)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["random", "copy", "redundant", "vertex"]))
+        if kind == "copy" and A:
+            i = draw(st.integers(0, len(A) - 1))
+            t = draw(st.integers(1, 3))
+            A.append([t * x for x in A[i]])
+            b.append(t * b[i])
+            continue
+        a = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        corner = [draw(st.sampled_from([-s, s])) for s in sides]
+        tight = sum(x * c for x, c in zip(a, corner))
+        if kind == "vertex":
+            b.append(F(tight))
+        elif kind == "redundant":
+            b.append(F(sum(abs(x) * s for x, s in zip(a, sides)) + 1))
+        else:  # may cut the box to nothing
+            b.append(draw(st.fractions(min_value=-6, max_value=6, max_denominator=3)))
+        A.append(a)
+    if not A:
+        A, b = [[1] * n], [1]
+    return A, b
+
+
+def _enum_or_unbounded(enum, A, b, check_bounded):
+    try:
+        return enum(A, b, check_bounded)
+    except UnboundedError:
+        return "unbounded"
+
+
+@given(halfspace_systems(), st.booleans())
+@settings(max_examples=200)
+def test_vertex_enum_matches_brute_force(system, check_bounded):
+    A, b = system
+    assert _enum_or_unbounded(vertex_enum, A, b, check_bounded) == _enum_or_unbounded(
+        brute_vertex_enum, A, b, check_bounded
+    )
 
 
 # ---------------------------------------------------------------------------
