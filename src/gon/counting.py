@@ -1,46 +1,34 @@
 """Exact lattice point counts and Ehrhart polynomials of lattice polytopes.
 
-Counts include boundary points; an interior-only variant applies strict
-comparisons. Ehrhart coefficients come from interpolation through the dilate
-counts k = 0..n, with the closed-form anchors (constant term 1, leading term
-vol/det) asserted afterward and two extra dilates held out as validation.
+Counts include boundary points, and an interior-only variant excludes them.
+No count materialises the points it counts: the integer walk adds up the
+lengths of its last coordinate's intervals. A chart's data are integers, so a
+strict bound is the closed one moved by one, and an interior count is the
+closed count of that shifted region. Ehrhart coefficients come from
+interpolation through the dilate counts k = 0..n, with the closed-form anchors
+(constant term 1, leading term vol/det) asserted afterward and two extra
+dilates held out as validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .body import Body
-from .exactmath import Interval, QMat, dot, rat
+from .exactmath import Interval, QMat, rat
 from .lattice import Lattice
-from .minima import _Chart, polytope_integer_points, quadratic_integer_points
-
-
-def _lattice_points(k: Body, lat: Lattice) -> tuple:
-    """(chart, coefficients of every point of K cap L in the chart's basis)."""
-    chart = _Chart(k, lat)
-    if chart.span_empty:
-        return chart, []
-    if chart.kind == "quad":
-        return chart, quadratic_integer_points(chart.q, Fraction(1))
-    return chart, polytope_integer_points(chart.rows, chart.rhs)
-
-
-def _interior_points(chart, pts: list) -> list:
-    """The points of a :func:`_lattice_points` walk that lie in the interior of K."""
-    if chart.span_boundary:
-        return []
-    if chart.kind == "quad":
-        return [c for c in pts if dot(c, chart.q.mul_vec(c)) < 1]
-    return [c for c in pts if all(dot(row, c) < bj for row, bj in zip(chart.rows, chart.rhs))]
+from .minima import _Chart
 
 
 def count_points(k: Body, lat: Lattice, interior: bool = False) -> int:
-    """#(K cap L), boundary included; interior=True counts int(K) cap L instead."""
-    chart, pts = _lattice_points(k, lat)
-    return len(_interior_points(chart, pts) if interior else pts)
+    """#(K cap L), boundary included; interior=True counts int(K) cap L instead.
+
+    The walk adds up interval lengths and never lists the points. An interior
+    count walks the closed integer region whose bounds are moved in by one.
+    """
+    return _Chart(k, lat).count(interior)
 
 
 @dataclass(frozen=True)

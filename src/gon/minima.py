@@ -8,9 +8,13 @@ primitive integer rows, and Fourier-Motzkin elimination projects them once per
 walk onto every prefix of the coordinates, so each node of the walk reads its
 interval by integer floor and ceiling division. Only when a projection would
 grow past a fixed row budget are the leading coordinates it leaves out bounded
-by exact LPs instead. Gauges stay rational for polytopes and are square-root
-values for ellipsoids; both are compared in integer arithmetic and nothing is
-rounded anywhere.
+by exact LPs instead. Ellipsoids are walked Fincke-Pohst style, bounding each
+coordinate by exact integer square roots. Both walks also run in a counting
+mode that adds up the lengths of the last coordinate's intervals and builds no
+point list; an interior count is the closed count of the integer region whose
+bounds are moved in by one. Gauges stay rational for polytopes and are
+square-root values for ellipsoids; both are compared in integer arithmetic and
+nothing is rounded anywhere.
 """
 
 from __future__ import annotations
@@ -157,27 +161,38 @@ def _lp_interval(rows: list, prefix: list) -> Optional[tuple]:
     return ceil(bot.optimum), floor(top.optimum)
 
 
-def _walk(levels: list, rows: list, prefix: list, out: list) -> None:
-    """Append to `out`, in lexicographic order, every integer point of the region extending `prefix`."""
-    level = levels[len(prefix)]
+def _interval(level: Optional[tuple], rows: list, prefix: list) -> Optional[tuple]:
+    """Integer [lo, hi] of the next coordinate given `prefix`, read off its projection `level`.
+
+    A level that the projection did not reach (None) is bounded by two exact
+    LPs over `rows` instead, and then None means no real point extends `prefix`.
+    """
     if level is None:
-        bounds = _lp_interval(rows, prefix)
-        if bounds is None:
-            return
-        lo, hi = bounds
-    else:
-        upper, lower = level
-        hi = min([(w - sum(map(mul, a, prefix))) // ai for a, ai, w in upper], default=None)
-        lo = max([-((w - sum(map(mul, a, prefix))) // ai) for a, ai, w in lower], default=None)
-        if lo is None or hi is None:
-            raise UnboundedError("unbounded enumeration region")
+        return _lp_interval(rows, prefix)
+    upper, lower = level
+    hi = min([(w - sum(map(mul, a, prefix))) // ai for a, ai, w in upper], default=None)
+    lo = max([-((w - sum(map(mul, a, prefix))) // ai) for a, ai, w in lower], default=None)
+    if lo is None or hi is None:
+        raise UnboundedError("unbounded enumeration region")
+    return lo, hi
+
+
+def _walk(levels: list, rows: list, prefix: list, out: Optional[list]) -> int:
+    """Number of integer points of the region extending `prefix`, appended to `out` unless None."""
+    bounds = _interval(levels[len(prefix)], rows, prefix)
+    if bounds is None:
+        return 0
+    lo, hi = bounds
     if len(prefix) + 1 == len(levels):
-        out.extend((*prefix, z) for z in range(lo, hi + 1))
-        return
+        if out is not None:
+            out.extend((*prefix, z) for z in range(lo, hi + 1))
+        return max(0, hi - lo + 1)
+    n = 0
     for z in range(lo, hi + 1):
         prefix.append(z)
-        _walk(levels, rows, prefix, out)
+        n += _walk(levels, rows, prefix, out)
         prefix.pop()
+    return n
 
 
 def polytope_integer_points(rows: Sequence[Sequence], rhs: Sequence) -> list:
@@ -196,23 +211,31 @@ def polytope_integer_points(rows: Sequence[Sequence], rhs: Sequence) -> list:
     rhs = [rat(x) for x in rhs]
     if not rows:
         raise ValueError("need at least one constraint")
-    m = len(rows[0])
+    out = []
+    _polytope_walk([_integer_row(r, b) for r, b in zip(rows, rhs)], out)
+    return out
+
+
+def _polytope_walk(rows: list, out: Optional[list]) -> int:
+    """Number of integer c with a . c <= w for every primitive integer row (a, w) of `rows`.
+
+    This is the walk of polytope_integer_points; unless `out` is None it also
+    appends the points to `out`, in lexicographic order.
+    """
+    m = len(rows[0][0])
     ints = {}
-    for r, b in zip(rows, rhs):
-        a, w = _integer_row(r, b)
+    for a, w in rows:
         if any(a):
             ints[a, w] = None
         elif w < 0:
-            return []
+            return 0
     if m == 0:
-        return [()]
+        if out is not None:
+            out.append(())
+        return 1
     ints = list(ints)
     levels = _prefix_projections(ints, m)
-    if levels is None:
-        return []
-    out = []
-    _walk(levels, ints, [], out)
-    return out
+    return 0 if levels is None else _walk(levels, ints, [], out)
 
 
 def _floor_center_plus_sqrt(c: Fraction, q: Fraction) -> int:
@@ -233,34 +256,37 @@ def _le_center_plus_sqrt(z: int, c: Fraction, q: Fraction) -> bool:
     return d <= 0 or d * d <= q
 
 
+def _quadratic_walk(q: QMat, bound: Fraction, out: Optional[list]) -> int:
+    """Number of integer c with c^T Q c <= bound (>= 0), appended to `out` unless it is None."""
+    # Q = L D L^T, so c^T Q c = sum_i d_i (c_i + sum_{j>i} L_ji c_j)^2
+    low, d = q.ldl()
+    return _quadratic_level([low.col(i) for i in range(q.rows)], d, [], bound, out)
+
+
+def _quadratic_level(u: list, d: tuple, suffix: list, rem: Fraction, out: Optional[list]) -> int:
+    # suffix holds coordinates i+1..m-1; rem = bound - sum of settled terms
+    m = len(d)
+    i = m - 1 - len(suffix)
+    center = -sum(u[i][j] * suffix[j - i - 1] for j in range(i + 1, m))
+    radic = rem / d[i]
+    hi = _floor_center_plus_sqrt(center, radic)
+    lo = -_floor_center_plus_sqrt(-center, radic)
+    if i == 0:
+        if out is not None:
+            out.extend((z, *suffix) for z in range(lo, hi + 1))
+        return max(0, hi - lo + 1)
+    # the bounds are exact, so every z in them leaves rem - d_i (z - center)^2 >= 0
+    return sum(_quadratic_level(u, d, [z] + suffix, rem - d[i] * (z - center) ** 2, out)
+               for z in range(lo, hi + 1))
+
+
 def quadratic_integer_points(q: QMat, bound: Fraction) -> list:
     """All integer c with c^T Q c <= bound, sorted lexicographically."""
     bound = rat(bound)
     if bound < 0:
         return []
-    m = q.rows
-    # Q = L D L^T, so c^T Q c = sum_i d_i (c_i + sum_{j>i} L_ji c_j)^2
-    low, d = q.ldl()
-    u = [low.col(i) for i in range(m)]
     out = []
-
-    def rec(suffix, rem):
-        # suffix holds coordinates i+1..m-1; rem = bound - sum of settled terms
-        i = m - 1 - len(suffix)
-        if i < 0:
-            out.append(tuple(suffix))
-            return
-        center = -sum(u[i][j] * suffix[j - i - 1] for j in range(i + 1, m))
-        radic = rem / d[i]
-        hi = _floor_center_plus_sqrt(center, radic)
-        lo = -_floor_center_plus_sqrt(-center, radic)
-        for z in range(lo, hi + 1):
-            t = d[i] * (z - center) ** 2
-            if t <= rem:
-                rec([z] + suffix, rem - t)
-
-    rec([], bound)
-    del rec  # rec refers to itself; the cycle would keep `out` alive until a gc pass
+    _quadratic_walk(q, bound, out)
     return sorted(out)
 
 
@@ -348,6 +374,20 @@ class _Chart:
             r = rat(radius)
             pts = polytope_integer_points(self.rows, [r * w for w in self.rhs])
         return [(c, self.gauge(c)) for c in pts]
+
+    def count(self, interior: bool = False) -> int:
+        """Lattice points in the body, or in its interior, counted without a point list.
+
+        Strict bounds on integer data are closed ones moved by one:
+        a . c < w is a . c <= w - 1, and c^T qint c < qden is c^T qint c <= qden - 1.
+        """
+        if self.span_empty or (interior and self.span_boundary):
+            return 0
+        shift = 1 if interior else 0
+        if self.kind == "quad":
+            return _quadratic_walk(self.q, Fraction(self.qden - shift, self.qden), None)
+        return _polytope_walk([_integer_row(a, w - shift) for a, w in zip(self.rows, self.rhs)],
+                              None)
 
     def ambient(self, c: Sequence) -> tuple:
         n = self.basis.cols

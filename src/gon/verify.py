@@ -40,7 +40,7 @@ from .body import (
     polar_body,
     symmetrize,
 )
-from .counting import _interior_points, _lattice_points, ehrhart
+from .counting import count_points, ehrhart
 from .exactmath import (
     Interval,
     QuadVal,
@@ -299,16 +299,12 @@ class _Instance:
         return successive_minima(self.k_polar, self.dual_lat, allow_asymmetric=True)
 
     @cached_property
-    def _walk(self):
-        return _lattice_points(self.k, self.lat)
-
-    @cached_property
     def count(self) -> int:
-        return len(self._walk[1])
+        return count_points(self.k, self.lat)
 
     @cached_property
     def count_interior(self) -> int:
-        return len(_interior_points(*self._walk))
+        return count_points(self.k, self.lat, interior=True)
 
     @cached_property
     def surface(self) -> Interval:

@@ -74,6 +74,16 @@ def test_count_with_dilate(files, capsys):
     assert doc["count"] == 1 and doc["interior"] is True
 
 
+def test_count_of_a_large_box(files, tmp_path, capsys):
+    body = tmp_path / "box.json"
+    body.write_text(json.dumps({"type": "box", "a": ["5/2", "5/2", "5/2"]}))
+    args = ("count", "--body", str(body), "--lattice", files["z3"], "--dilate", "14")
+    rc, doc, _ = run(capsys, *args)
+    assert rc == 0 and doc["count"] == 71 ** 3
+    rc, doc, _ = run(capsys, *args, "--interior")
+    assert rc == 0 and doc["count"] == 69 ** 3 and doc["interior"] is True
+
+
 def test_ehrhart_output(files, capsys):
     rc, doc, _ = run(capsys, "ehrhart", "--body", files["cube2"],
                      "--lattice", files["z2"], "--eval", "3")

@@ -1,10 +1,13 @@
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
-from math import comb
+from math import ceil, comb, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gon import minima
 from gon.body import (
     box,
     centered_simplex,
@@ -12,11 +15,13 @@ from gon.body import (
     cube,
     ellipsoid,
     generalized_hexagon,
+    hpoly,
     vpoly,
 )
 from gon.counting import EhrhartPoly, count_points, count_ratio_bounds, ehrhart
-from gon.exactmath import QMat
+from gon.exactmath import QMat, dot
 from gon.lattice import kernel_lattice, make_lattice, standard_lattice
+from gon.minima import polytope_integer_points, quadratic_integer_points
 
 
 def brute_count(k, lat, interior=False, span=12):
@@ -104,6 +109,149 @@ def test_count_matches_brute_force_on_sublattices(d1, d2, off):
     lat = make_lattice([[d1, off], [0, d2]])
     k = generalized_hexagon([F(1, 2), 1]).dilate(2)
     assert count_points(k, lat) == brute_count(k, lat)
+
+
+def listed_count(k, lat, interior=False):
+    """Reference: list every point of the chart's walk, then filter the interior strictly."""
+    chart = minima._Chart(k, lat)
+    if chart.span_empty:
+        return 0
+    if chart.kind == "quad":
+        pts = quadratic_integer_points(chart.q, F(1))
+    else:
+        pts = polytope_integer_points(chart.rows, chart.rhs)
+    if not interior:
+        return len(pts)
+    if chart.span_boundary:
+        return 0
+    if chart.kind == "quad":
+        return sum(1 for c in pts if dot(c, chart.q.mul_vec(c)) < 1)
+    return sum(1 for c in pts if all(dot(row, c) < bj for row, bj in zip(chart.rows, chart.rhs)))
+
+
+def brute_ambient_count(k, member, reach, interior):
+    """Points x of Z^n in [-reach, reach]^n that pass `member` and lie in K, or in int(K)."""
+    return sum(1 for x in product(range(-reach, reach + 1), repeat=k.dim)
+               if member(x) and k.contains(x, strict=interior))
+
+
+@st.composite
+def count_instances(draw):
+    """(K, L, member, reach): a body in dimension 1-4 on a full-rank or an embedded lattice.
+
+    Every lattice has an integer basis, member(x) tells whether an integer
+    vector x lies in it, and K lies inside [-reach, reach]^n. Bodies are
+    boxes, cross-polytopes, ellipsoids and boxes cut by random rows. On an
+    embedded lattice, the kernel of a row r, a cut r . x <= b with b < 0
+    misses the span and one with b = 0 touches it only on the boundary.
+    """
+    n = draw(st.integers(1, 4))
+    halves = st.integers(1, 5).map(lambda h: F(h, 2))
+    lat_kind = draw(st.sampled_from(["standard", "sheared"] + ["kernel"] * (n > 1) * 2))
+    if lat_kind == "standard":
+        lat, member, normal = standard_lattice(n), lambda x: True, None
+    elif lat_kind == "sheared":
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n - 1):
+            rows[i][i + 1] = draw(st.integers(-2, 2))
+        for i in range(n):
+            if draw(st.booleans()):
+                rows[i] = [2 * x for x in rows[i]]
+        lat, normal = make_lattice(rows), None
+        coords = QMat.from_rows(rows).inverse().transpose()  # x's coefficients in the basis
+        member = lambda x: all(v.denominator == 1 for v in coords.mul_vec(x))
+    else:
+        normal = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+        lat = kernel_lattice([normal])
+        member = lambda x: dot(normal, x) == 0
+    kind = draw(st.sampled_from(["box", "cross", "cut", "ellipsoid"]))
+    if kind == "box":
+        sides = sorted(draw(st.lists(halves, min_size=n, max_size=n)), reverse=True)
+        return box(sides), lat, member, ceil(sides[0])
+    if kind == "cross":
+        scale = draw(halves)
+        return cross_polytope(n, scale), lat, member, ceil(scale)
+    if kind == "ellipsoid":
+        # Q = M^T diag(d) M / r2 with M unit upper triangular
+        shear = [[int(i == j) if j <= i else draw(st.integers(-1, 1)) for j in range(n)]
+                 for i in range(n)]
+        d = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        r2 = draw(st.integers(1, 6))
+        q = [[F(sum(shear[t][i] * d[t] * shear[t][j] for t in range(n)), r2) for j in range(n)]
+             for i in range(n)]
+        k = ellipsoid(q)
+        # |x_i| <= sqrt((Q^-1)_ii) on the ellipsoid
+        inv = QMat.from_rows(q).inverse()
+        reach = max(isqrt(ceil(inv[i, i])) + 1 for i in range(n))
+        return k, lat, member, reach
+    side = draw(st.integers(1, 3))
+    rows, rhs = [], []
+    for i in range(n):
+        e = [int(i == j) for j in range(n)]
+        rows += [e, [-x for x in e]]
+        rhs += [side, side]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)))
+        rhs.append(draw(st.fractions(min_value=F(1, 2), max_value=4, max_denominator=3)))
+    if normal is not None and draw(st.booleans()):
+        rows.append(list(normal))
+        rhs.append(draw(st.sampled_from([F(-1, 3), 0, 1])))
+    try:
+        k = hpoly(rows, rhs)
+    except ValueError:
+        return box([F(side)] * n), lat, member, side
+    return k, lat, member, side
+
+
+@given(count_instances())
+@settings(max_examples=200, deadline=None)
+def test_counts_match_point_lists_and_brute_force(inst):
+    k, lat, member, reach = inst
+    small = (2 * reach + 1) ** k.dim <= 2500
+    for interior in (False, True):
+        got = count_points(k, lat, interior=interior)
+        assert got == listed_count(k, lat, interior)
+        if small:
+            assert got == brute_ambient_count(k, member, reach, interior)
+
+
+@given(count_instances(), st.sampled_from([0, 2, 8]))
+@settings(max_examples=80, deadline=None)
+def test_counts_past_the_projection_budget_match_point_lists(inst, budget):
+    # a projection larger than the budget hands its leading coordinates to LPs
+    k, lat, _, _ = inst
+    want = [listed_count(k, lat, interior) for interior in (False, True)]
+    with mock.patch.object(minima, "_PROJECTION_MAX_ROWS", budget):
+        got = [count_points(k, lat, interior=interior) for interior in (False, True)]
+    assert got == want
+
+
+@pytest.mark.parametrize("b, flag, closed, interior", [
+    (F(-1, 3), "span_empty", 0, 0),
+    (0, "span_boundary", 3, 0),
+    (1, None, 3, 1),
+])
+def test_counts_of_a_cut_constant_on_the_span(b, flag, closed, interior):
+    # the cut (1, 2, 3) . x <= b is constant on the lattice's span, the plane x . (1, 2, 3) = 0
+    rows = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [1, 2, 3]]
+    k = hpoly(rows, [1, 1, 1, 1, 1, 1, b])
+    lat = kernel_lattice([[1, 2, 3]])
+    chart = minima._Chart(k, lat)
+    assert (chart.span_empty, chart.span_boundary) == (flag == "span_empty", flag == "span_boundary")
+    assert count_points(k, lat) == listed_count(k, lat) == closed
+    assert count_points(k, lat, interior=True) == listed_count(k, lat, True) == interior
+
+
+def test_count_builds_no_point_list():
+    # the 71^3 points of this count held about 30 MB as a list
+    k = box([F(5, 2)] * 3).dilate(14)
+    tracemalloc.start()
+    try:
+        assert count_points(k, standard_lattice(3)) == 357911
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- Ehrhart ------------------------------------------------------------------

@@ -157,6 +157,15 @@ def walk_or_unbounded(walk, rows, rhs):
         return "unbounded"
 
 
+def walk_count(rows, rhs):
+    """The counting mode of the walk behind polytope_integer_points."""
+    return minima._polytope_walk([minima._integer_row(r, F(b)) for r, b in zip(rows, rhs)], None)
+
+
+def count_of(points):
+    return points if points == "unbounded" else len(points)
+
+
 @st.composite
 def walk_regions(draw):
     """(rows, rhs, box): random rows over optional coordinate bounds.
@@ -200,6 +209,7 @@ def test_walk_matches_lp_walk_and_brute_force(region):
     rows, rhs, box = region
     got = walk_or_unbounded(polytope_integer_points, rows, rhs)
     assert got == walk_or_unbounded(lp_walk, rows, rhs)
+    assert walk_or_unbounded(walk_count, rows, rhs) == count_of(got)
     if box is not None:
         brute = [c for c in product(*box)
                  if all(sum(F(a) * x for a, x in zip(r, c)) <= b for r, b in zip(rows, rhs))]
@@ -213,7 +223,9 @@ def test_walk_past_the_projection_budget_matches_lp_walk(region, budget):
     rows, rhs, _ = region
     with mock.patch.object(minima, "_PROJECTION_MAX_ROWS", budget):
         got = walk_or_unbounded(polytope_integer_points, rows, rhs)
+        count = walk_or_unbounded(walk_count, rows, rhs)
     assert got == walk_or_unbounded(lp_walk, rows, rhs)
+    assert count == count_of(got)
 
 
 def test_walk_of_a_large_projection_matches_lp_walk():
@@ -305,11 +317,15 @@ def test_quadratic_integer_points_circle():
 
 def test_walks_leave_no_reference_cycle():
     # a cycle would hold a walk's whole point list until the next collection
+    shifted, ball, z3 = cube(3).translate([1, 1, 1]), unit_ball(3).dilate(2), standard_lattice(3)
     gc.collect()
     gc.disable()
     try:
         polytope_integer_points([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1]], [0, 0, 0, 3])
         quadratic_integer_points(QMat.identity(3), F(4))
+        for interior in (False, True):  # the counting modes of both walks
+            count_points(shifted, z3, interior=interior)
+            count_points(ball, z3, interior=interior)
         assert gc.collect() == 0
     finally:
         gc.enable()
