@@ -928,6 +928,12 @@ def lp_exact(A, b, c, sense: str = "max") -> LPResult:
 # hulls by double description
 
 
+def _integer_matrix(rows: Sequence[Sequence]) -> tuple:
+    """(M, den): the rational matrix `rows` equals M / den with M an integer matrix."""
+    den = math.lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
+
+
 def _primitive(v) -> tuple[int, ...]:
     """The positive multiple of a rational vector whose entries are coprime integers."""
     den = math.lcm(*(x.denominator for x in v))

@@ -9,7 +9,6 @@ QuadVal unless the root is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .exactmath import (
     QMat,
@@ -19,6 +18,7 @@ from .exactmath import (
     rat,
     rat_str,
     vec,
+    _integer_matrix,
 )
 
 
@@ -92,36 +92,19 @@ class Lattice:
             raise ValueError("scale factor must be positive")
         return Lattice(QMat(self.basis.rows, self.basis.cols, [t * x for x in self.basis.data]))
 
-    def _integer_image(self) -> tuple[QMat, int]:
-        """(scaled integer basis, common denominator d) with rows = d * basis."""
-        d = 1
-        for x in self.basis.data:
-            d = d * x.denominator // gcd(d, x.denominator)
-        m = QMat(
-            self.basis.rows,
-            self.basis.cols,
-            [x * d for x in self.basis.data],
-        )
-        return m, d
-
     def hermite_basis(self) -> "Lattice":
         """Canonical basis: HNF of the integer-scaled rows, rescaled back."""
-        m, d = self._integer_image()
-        h, _ = hnf(m)
+        m, d = _integer_matrix(self.basis.to_rows())
+        h, _ = hnf(QMat.from_rows(m))
         rows = [h.row(i) for i in range(h.rows) if any(x != 0 for x in h.row(i))]
         return Lattice(QMat.from_rows([[x / d for x in r] for r in rows]))
 
     def same_lattice(self, other: "Lattice") -> bool:
         if self.dim != other.dim or self.rank != other.rank:
             return False
-        d1 = 1
-        for x in (*self.basis.data, *other.basis.data):
-            d1 = d1 * x.denominator // gcd(d1, x.denominator)
-        def canon(lat):
-            m = QMat(lat.basis.rows, lat.basis.cols, [x * d1 for x in lat.basis.data])
-            h, _ = hnf(m)
-            return h
-        return canon(self) == canon(other)
+        # both bases scaled by their common denominator
+        m, _ = _integer_matrix(self.basis.to_rows() + other.basis.to_rows())
+        return hnf(QMat.from_rows(m[:self.rank]))[0] == hnf(QMat.from_rows(m[self.rank:]))[0]
 
     def index_in(self, other: "Lattice") -> Fraction:
         """[other : self] for a finite-index sublattice; raises otherwise."""
@@ -171,19 +154,20 @@ def polar_lattice(lat: Lattice) -> Lattice:
 def minors_gcd(a_rows) -> int:
     """gcd of all maximal minors of a full-row-rank integer matrix.
 
-    Computed as the product of the Smith invariant factors.
+    Computed as the product of the pivots of the Hermite normal form of the
+    transpose: unimodular row operations keep the gcd of the maximal minors,
+    and the only nonzero maximal minor of that form is its pivot triangle.
     """
-    from .exactmath import invariant_factors
-
     A = QMat.from_rows([[rat(x) for x in r] for r in a_rows])
     if not A.is_integer():
         raise ValueError("minors gcd needs an integer matrix")
-    fac = invariant_factors(A)
-    if len(fac) < A.rows:
+    h, _ = hnf(A.transpose())
+    pivots = [next(x for x in row if x != 0) for row in h.to_rows() if any(row)]
+    if len(pivots) < A.rows:
         raise RankDeficientError("matrix does not have full row rank")
     out = 1
-    for f in fac:
-        out *= f
+    for p in pivots:
+        out *= int(p)
     return out
 
 

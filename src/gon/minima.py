@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt, lcm
+from math import ceil, floor, gcd, isqrt
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -34,6 +34,7 @@ from .exactmath import (
     quad_or_rat,
     rat,
     vec,
+    _integer_matrix,
     _primitive,
 )
 from .lattice import Lattice, lll_reduce, polar_lattice
@@ -50,12 +51,6 @@ class MinimaResult:
 
 
 # -- integer point walks -------------------------------------------------------
-
-
-def _integer_matrix(rows: Sequence[Sequence]) -> tuple:
-    """(M, den): the rational matrix `rows` equals M / den with M an integer matrix."""
-    den = lcm(*(x.denominator for r in rows for x in r))
-    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
 
 
 def _integer_row(row: Sequence, rhs) -> tuple:

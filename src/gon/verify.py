@@ -12,9 +12,19 @@ status:
     undecided  an interval comparison could not be separated at the
                working precision
 
+Each check declares its hypotheses when it is registered, in order, from one
+table (symmetric K, a polytope, the integer lattice, ...).  Whether L is
+full-rank or embedded is one of them: the cube-section checks require an
+embedded lattice, every other check a full-rank one.  run_checks tests them
+in order and skips the check with the first that fails as its reason.  The
+hypotheses that carry witnesses (a volume or point-count threshold, a bound
+on the minima) are tested by the check itself.
+
 Rational and quadratic sides are compared exactly.  Sides only available
 as certified enclosures (surface areas, the constants pi and e) are decided
-by one-sided interval separation and never certify an equality.
+by one-sided interval separation and never certify an equality; one
+comparison routine gives every check its status, margin and the reason for
+an undecided result.
 """
 
 from __future__ import annotations
@@ -203,20 +213,42 @@ class CheckReport:
         }
 
 
-def _skipped(cid, kind, reason, **witnesses) -> CheckReport:
-    return CheckReport(cid, kind, None, None, "skipped", None, dict(witnesses), reason)
+def _skipped(reason, **witnesses) -> tuple:
+    return None, None, "skipped", None, dict(witnesses), reason
 
 
-def _le_report(cid, kind, lhs, rhs, witnesses=None, strict=False, refine=None) -> CheckReport:
-    """Report for lhs <= rhs (or <), retrying once at higher precision."""
-    status = _certify_le(lhs, rhs, strict)
-    if status == "undecided" and refine is not None:
-        lhs, rhs = refine()
+class _Comparisons:
+    """Comparisons lhs <= rhs (or <) that one report combines.
+
+    An undecided comparison is retried once with the sharper right side that
+    refine() returns.  The report takes the combined status, the least
+    margin, and the reason when the result is undecided.
+    """
+
+    def __init__(self):
+        self.statuses, self.margins = [], []
+
+    def le(self, lhs, rhs, strict=False, refine=None) -> tuple:
+        """Certify lhs <= rhs; return the right side compared last and the status."""
         status = _certify_le(lhs, rhs, strict)
-    reason = None
-    if status == "undecided":
-        reason = "interval overlap; refine the working precision"
-    return CheckReport(cid, kind, lhs, rhs, status, rhs - lhs, witnesses or {}, reason)
+        if status == "undecided" and refine is not None:
+            rhs = refine()
+            status = _certify_le(lhs, rhs, strict)
+        self.statuses.append(status)
+        self.margins.append(rhs - lhs)
+        return rhs, status
+
+    def report(self, lhs, rhs, witnesses) -> tuple:
+        status = _combine(self.statuses)
+        reason = "interval overlap; refine the working precision" if status == "undecided" else None
+        return lhs, rhs, status, _min_margin(self.margins), witnesses, reason
+
+
+def _le_report(lhs, rhs, witnesses=None, strict=False, refine=None) -> tuple:
+    """Report for lhs <= rhs (or <), retrying once at higher precision."""
+    cmp = _Comparisons()
+    rhs, _ = cmp.le(lhs, rhs, strict, refine)
+    return cmp.report(lhs, rhs, witnesses or {})
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +290,14 @@ class _Instance:
     @cached_property
     def is_zn(self) -> bool:
         return self.lat.same_lattice(standard_lattice(self.n))
+
+    @cached_property
+    def cube_side(self):
+        # the common side of a uniform box, None for any other body
+        k = self.k
+        if k.kind != BOX or len(set(k.data)) != 1:
+            return None
+        return k.data[0]
 
     @cached_property
     def ks(self) -> Body:
@@ -317,21 +357,43 @@ class _Instance:
 # ---------------------------------------------------------------------------
 # registry plumbing
 
+# the hypotheses a check can declare: name -> (skip reason, test on the instance)
+_HYPOTHESES = {
+    "full-rank": ("requires a full-rank lattice", lambda inst: not inst.embedded),
+    "embedded": ("requires an embedded lattice", lambda inst: inst.embedded),
+    "symmetric": ("requires symmetric K", lambda inst: inst.symmetric),
+    "centered": ("requires centered K", lambda inst: inst.centered),
+    "origin-interior": ("requires the origin in the interior of K",
+                        lambda inst: inst.origin_interior),
+    "polytope": ("requires a polytope", lambda inst: inst.k.is_polytope),
+    "lattice-polytope": ("requires a lattice polytope (vertices in L)",
+                         lambda inst: all(inst.lat.contains(v) for v in inst.k.vertices())),
+    "cube": ("requires a cube", lambda inst: inst.cube_side is not None),
+    "Z^n": ("requires the integer lattice", lambda inst: inst.is_zn),
+    "n>=2": ("requires n >= 2", lambda inst: inst.n >= 2),
+    "n=2": ("requires n = 2", lambda inst: inst.n == 2),
+}
+
 
 @dataclass(frozen=True)
 class _Check:
     check_id: str
     kind: str
     applies: str
+    needs: tuple
     fn: Callable
 
 
 _CHECKS: "dict[str, _Check]" = {}
 
 
-def _check(cid: str, kind: str, applies: str):
+def _check(cid: str, kind: str, applies: str, *needs: str):
+    """Register a check that runs once the named hypotheses hold, tested in order.
+
+    The check returns the fields of its CheckReport after the id and kind.
+    """
     def deco(fn):
-        _CHECKS[cid] = _Check(cid, kind, applies, fn)
+        _CHECKS[cid] = _Check(cid, kind, applies, tuple(_HYPOTHESES[h] for h in needs), fn)
         return fn
 
     return deco
@@ -341,53 +403,44 @@ def _check(cid: str, kind: str, applies: str):
 # volume vs minima
 
 
-@_check("minkowski_first", "theorem", "symmetric K, full-rank L")
-def _c_minkowski_first(inst: _Instance) -> CheckReport:
-    cid, kind = "minkowski_first", "theorem"
-    if not inst.symmetric:
-        return _skipped(cid, kind, "requires symmetric K")
+@_check("minkowski_first", "theorem", "symmetric K, full-rank L", "full-rank", "symmetric")
+def _c_minkowski_first(inst: _Instance):
     lam1 = inst.lam_s.values[0]
     lhs = _pow(lam1, inst.n) * inst.vol
     rhs = Fraction(2) ** inst.n * inst.det
     wit = {"lambda_1": lam1, "witness": inst.lam_s.witnesses[0]}
-    return _le_report(cid, kind, lhs, rhs, wit)
+    return _le_report(lhs, rhs, wit)
 
 
-@_check("minkowski_upper", "theorem", "any full-dimensional K, full-rank L")
-def _c_minkowski_upper(inst: _Instance) -> CheckReport:
-    cid, kind = "minkowski_upper", "theorem"
+@_check("minkowski_upper", "theorem", "any full-dimensional K, full-rank L", "full-rank")
+def _c_minkowski_upper(inst: _Instance):
     lhs = _prod(inst.lam_s.values) * inst.vol
     rhs = Fraction(2) ** inst.n * inst.det
     wit = {"minima": list(inst.lam_s.values), "witnesses": list(inst.lam_s.witnesses)}
-    return _le_report(cid, kind, lhs, rhs, wit)
+    return _le_report(lhs, rhs, wit)
 
 
-@_check("minkowski_lower", "theorem", "any full-dimensional K, full-rank L")
-def _c_minkowski_lower(inst: _Instance) -> CheckReport:
-    cid, kind = "minkowski_lower", "theorem"
+@_check("minkowski_lower", "theorem", "any full-dimensional K, full-rank L", "full-rank")
+def _c_minkowski_lower(inst: _Instance):
     lhs = Fraction(2 ** inst.n, factorial(inst.n)) * inst.det
     rhs = _prod(inst.lam_s.values) * inst.vol
     wit = {"minima": list(inst.lam_s.values)}
-    return _le_report(cid, kind, lhs, rhs, wit)
+    return _le_report(lhs, rhs, wit)
 
 
-@_check("centered_lower", "theorem", "centered K (centroid at the origin)")
-def _c_centered_lower(inst: _Instance) -> CheckReport:
-    cid, kind = "centered_lower", "theorem"
-    if not inst.centered:
-        return _skipped(cid, kind, "requires centered K")
+@_check("centered_lower", "theorem", "centered K (centroid at the origin)",
+        "full-rank", "centered")
+def _c_centered_lower(inst: _Instance):
     lam = inst.lam_body
     lhs = Fraction(inst.n + 1, factorial(inst.n)) * inst.det
     rhs = _prod(lam.values) * inst.vol
     wit = {"minima": list(lam.values), "witnesses": list(lam.witnesses)}
-    return _le_report(cid, kind, lhs, rhs, wit)
+    return _le_report(lhs, rhs, wit)
 
 
-@_check("ehrhart_conj_instance", "conjecture", "centered K above the volume threshold")
-def _c_ehrhart_conj(inst: _Instance) -> CheckReport:
-    cid, kind = "ehrhart_conj_instance", "conjecture"
-    if not inst.centered:
-        return _skipped(cid, kind, "requires centered K")
+@_check("ehrhart_conj_instance", "conjecture", "centered K above the volume threshold",
+        "full-rank", "centered")
+def _c_ehrhart_conj(inst: _Instance):
     threshold = Fraction((inst.n + 1) ** inst.n, factorial(inst.n)) * inst.det
     vol = inst.vol
     if isinstance(vol, Interval):
@@ -396,16 +449,12 @@ def _c_ehrhart_conj(inst: _Instance) -> CheckReport:
         elif Interval.point(threshold).surely_le(vol):
             hyp = True
         else:
-            return CheckReport(
-                cid, kind, threshold, vol, "undecided", None,
-                {"threshold": threshold},
-                "volume enclosure straddles the threshold",
-            )
+            return (threshold, vol, "undecided", None, {"threshold": threshold},
+                    "volume enclosure straddles the threshold")
     else:
         hyp = vol >= threshold
     if not hyp:
-        return _skipped(cid, kind, "volume below the threshold",
-                        volume=vol, threshold=threshold)
+        return _skipped("volume below the threshold", volume=vol, threshold=threshold)
     lam = inst.lam_body
     found = lam.values[0] <= 1
     if found:
@@ -418,120 +467,72 @@ def _c_ehrhart_conj(inst: _Instance) -> CheckReport:
         "lambda_1": lam.values[0],
         "nonzero_point": lam.witnesses[0] if found else None,
     }
-    return CheckReport(cid, kind, threshold, vol, status, vol - threshold, wit)
+    return threshold, vol, status, vol - threshold, wit, None
 
 
 # ---------------------------------------------------------------------------
 # intrinsic volumes and surface area (integer lattice only)
 
 
-@_check("wills_lower", "theorem", "Z^n; boxes check every index, other polytopes the top two")
-def _c_wills_lower(inst: _Instance) -> CheckReport:
-    cid, kind = "wills_lower", "theorem"
-    if not inst.is_zn:
-        return _skipped(cid, kind, "requires the integer lattice")
-    if not inst.k.is_polytope:
-        return _skipped(cid, kind, "requires a polytope")
+@_check("wills_lower", "theorem", "Z^n; boxes check every index, other polytopes the top two",
+        "full-rank", "Z^n", "polytope")
+def _c_wills_lower(inst: _Instance):
     lam = inst.lam_s.values
     n = inst.n
-    parts = {}
-    statuses, margins = [], []
-    top_lhs = top_rhs = None
+    # (index i, lambda_1 ... lambda_i times the i-th intrinsic volume, its refinement)
     if inst.k.kind == BOX:
         intr = intrinsic_volumes_box(inst.k.data)
-        indices = [(i, intr[i], None) for i in range(1, n + 1)]
+        indices = [(i, _prod(lam[:i]) * intr[i], None) for i in range(1, n + 1)]
     else:
-        indices = [(n, inst.vol, None)]
+        indices = [(n, _prod(lam) * inst.vol, None)]
         if n >= 2:
-            indices.append((n - 1, Fraction(1, 2) * inst.surface,
-                            lambda: Fraction(1, 2) * inst.surface_refined()))
-    for i, vi, refine in indices:
+            head = _prod(lam[:n - 1])
+            indices.append((n - 1, head * (Fraction(1, 2) * inst.surface),
+                            lambda: head * (Fraction(1, 2) * inst.surface_refined())))
+    cmp = _Comparisons()
+    parts = {}
+    for i, rhs, refine in indices:
         lhs = Fraction(2 ** i, factorial(i))
-        rhs = _prod(lam[:i]) * vi
-        status = _certify_le(lhs, rhs)
-        if status == "undecided" and refine is not None:
-            rhs = _prod(lam[:i]) * refine()
-            status = _certify_le(lhs, rhs)
-        if i == n:
-            top_lhs, top_rhs = lhs, rhs
+        rhs, status = cmp.le(lhs, rhs, refine=refine)
         parts[f"i={i}"] = {"lhs": lhs, "rhs": rhs, "status": status}
-        statuses.append(status)
-        margins.append(rhs - lhs)
-    status = _combine(statuses)
-    reason = "interval overlap; refine the working precision" if status == "undecided" else None
-    return CheckReport(cid, kind, top_lhs, top_rhs, status, _min_margin(margins),
-                       {"minima": list(lam), "parts": parts}, reason)
+    top = parts[f"i={n}"]
+    return cmp.report(top["lhs"], top["rhs"], {"minima": list(lam), "parts": parts})
 
 
-@_check("henk_upper", "theorem", "Z^n, n >= 2; strict, certified by interval separation off boxes")
-def _c_henk_upper(inst: _Instance) -> CheckReport:
-    cid, kind = "henk_upper", "theorem"
-    if not inst.is_zn:
-        return _skipped(cid, kind, "requires the integer lattice")
-    if inst.n < 2:
-        return _skipped(cid, kind, "requires n >= 2")
-    if not inst.k.is_polytope:
-        return _skipped(cid, kind, "requires a polytope")
+@_check("henk_upper", "theorem", "Z^n, n >= 2; strict, certified by interval separation off boxes",
+        "full-rank", "Z^n", "n>=2", "polytope")
+def _c_henk_upper(inst: _Instance):
     lam = inst.lam_s.values
     n = inst.n
+    cmp = _Comparisons()
     parts = {}
-    statuses, margins = [], []
-    rep_lhs = rep_rhs = None
     if inst.k.kind == BOX:
         intr = intrinsic_volumes_box(inst.k.data)
         for i in range(1, n):
             lhs = _prod(lam[i:])
-            rhs = Fraction(2 ** (n - i)) * intr[i] / inst.vol
-            status = _certify_le(lhs, rhs, strict=True)
+            rhs, status = cmp.le(lhs, Fraction(2 ** (n - i)) * intr[i] / inst.vol, strict=True)
             parts[f"i={i}"] = {"lhs": lhs, "rhs": rhs, "status": status}
-            statuses.append(status)
-            margins.append(rhs - lhs)
-            if i == n - 1:
-                rep_lhs, rep_rhs = lhs, rhs
     else:
         # top index only, cleared by vol: lambda_n * vol < S
         lhs = lam[-1] * inst.vol
-        rhs = inst.surface
-        status = _certify_le(lhs, rhs, strict=True)
-        if status == "undecided":
-            rhs = inst.surface_refined()
-            status = _certify_le(lhs, rhs, strict=True)
+        rhs, status = cmp.le(lhs, inst.surface, strict=True, refine=inst.surface_refined)
         parts[f"i={n - 1}"] = {"lhs": lhs, "rhs": rhs, "status": status,
                                "comparison": "lambda_n * vol < surface"}
-        statuses.append(status)
-        margins.append(rhs - lhs)
-        rep_lhs, rep_rhs = lhs, rhs
-    status = _combine(statuses)
-    reason = "interval overlap; refine the working precision" if status == "undecided" else None
-    return CheckReport(cid, kind, rep_lhs, rep_rhs, status, _min_margin(margins),
-                       {"minima": list(lam), "parts": parts}, reason)
+    top = parts[f"i={n - 1}"]
+    return cmp.report(top["lhs"], top["rhs"], {"minima": list(lam), "parts": parts})
 
 
-@_check("survol", "theorem", "Z^n, n >= 2; strict")
-def _c_survol(inst: _Instance) -> CheckReport:
-    cid, kind = "survol", "theorem"
-    if not inst.is_zn:
-        return _skipped(cid, kind, "requires the integer lattice")
-    if inst.n < 2:
-        return _skipped(cid, kind, "requires n >= 2")
-    if not inst.k.is_polytope:
-        return _skipped(cid, kind, "requires a polytope")
+@_check("survol", "theorem", "Z^n, n >= 2; strict", "full-rank", "Z^n", "n>=2", "polytope")
+def _c_survol(inst: _Instance):
     lam_n = inst.lam_s.values[-1]
     lhs = lam_n * inst.vol
     wit = {"lambda_n": lam_n, "comparison": "lambda_n * vol < surface"}
-    return _le_report(cid, kind, lhs, inst.surface, wit, strict=True,
-                      refine=lambda: (lhs, inst.surface_refined()))
+    return _le_report(lhs, inst.surface, wit, strict=True, refine=inst.surface_refined)
 
 
-@_check("hhh_surface", "theorem", "symmetric polytope, Z^n")
-def _c_hhh_surface(inst: _Instance) -> CheckReport:
-    cid, kind = "hhh_surface", "theorem"
-    if not inst.symmetric:
-        return _skipped(cid, kind, "requires symmetric K")
-    if not inst.is_zn:
-        return _skipped(cid, kind, "requires the integer lattice")
-    if not inst.k.is_polytope:
-        return _skipped(cid, kind, "requires a polytope")
+@_check("hhh_surface", "theorem", "symmetric polytope, Z^n",
+        "full-rank", "symmetric", "Z^n", "polytope")
+def _c_hhh_surface(inst: _Instance):
     sq = [_square(v) for v in inst.lam_s.values]
     all_sq = Fraction(1)
     for s in sq:
@@ -541,201 +542,162 @@ def _c_hhh_surface(inst: _Instance) -> CheckReport:
     lhs = Fraction(2 ** inst.n, factorial(inst.n - 1))
     rhs = root * inst.surface
     wit = {"minima": list(inst.lam_s.values), "sum_of_square_products": total}
-    return _le_report(cid, kind, lhs, rhs, wit,
-                      refine=lambda: (lhs, _iv(root, _REFINE_WIDTH) * inst.surface_refined()))
+    return _le_report(lhs, rhs, wit,
+                      refine=lambda: _iv(root, _REFINE_WIDTH) * inst.surface_refined())
 
 
 # ---------------------------------------------------------------------------
 # volume products with the polar body
 
 
-@_check("mahler_bounds", "bound", "symmetric K")
-def _c_mahler_bounds(inst: _Instance) -> CheckReport:
-    cid, kind = "mahler_bounds", "bound"
-    if not inst.symmetric:
-        return _skipped(cid, kind, "requires symmetric K")
+@_check("mahler_bounds", "bound", "symmetric K", "full-rank", "symmetric")
+def _c_mahler_bounds(inst: _Instance):
     n = inst.n
     product = inst.vol * inst.ks_polar.volume()
     lower = pi_interval().pow_int(n) * Fraction(1, factorial(n))
     upper = unit_ball_volume_interval(n).pow_int(2)
-    s_lo = _certify_le(lower, product)
-    s_hi = _certify_le(product, upper)
-    status = _combine([s_lo, s_hi])
-    reason = "interval overlap; refine the working precision" if status == "undecided" else None
+    cmp = _Comparisons()
+    _, s_lo = cmp.le(lower, product)
+    _, s_hi = cmp.le(product, upper)
     wit = {"volume_product": product, "lower_status": s_lo, "upper_status": s_hi}
-    margin = _min_margin([product - lower, upper - product])
-    return CheckReport(cid, kind, lower, upper, status, margin, wit, reason)
+    return cmp.report(lower, upper, wit)
 
 
-@_check("mahler_conj", "conjecture", "symmetric K")
-def _c_mahler_conj(inst: _Instance) -> CheckReport:
-    cid, kind = "mahler_conj", "conjecture"
-    if not inst.symmetric:
-        return _skipped(cid, kind, "requires symmetric K")
+@_check("mahler_conj", "conjecture", "symmetric K", "full-rank", "symmetric")
+def _c_mahler_conj(inst: _Instance):
     lhs = Fraction(4 ** inst.n, factorial(inst.n))
     rhs = inst.vol * inst.ks_polar.volume()
-    return _le_report(cid, kind, lhs, rhs, {"volume_product": rhs})
+    return _le_report(lhs, rhs, {"volume_product": rhs})
 
 
-@_check("mahler_nonsym_conj", "conjecture", "K with the origin interior")
-def _c_mahler_nonsym(inst: _Instance) -> CheckReport:
-    cid, kind = "mahler_nonsym_conj", "conjecture"
-    if not inst.origin_interior:
-        return _skipped(cid, kind, "requires the origin in the interior of K")
+@_check("mahler_nonsym_conj", "conjecture", "K with the origin interior",
+        "full-rank", "origin-interior")
+def _c_mahler_nonsym(inst: _Instance):
     n = inst.n
     lhs = Fraction((n + 1) ** (n + 1), factorial(n) ** 2)
     rhs = inst.vol * inst.k_polar.volume()
-    return _le_report(cid, kind, lhs, rhs, {"volume_product": rhs})
+    return _le_report(lhs, rhs, {"volume_product": rhs})
 
 
-@_check("mahler_minima_conj", "conjecture", "symmetric K")
-def _c_mahler_minima(inst: _Instance) -> CheckReport:
-    cid, kind = "mahler_minima_conj", "conjecture"
-    if not inst.symmetric:
-        return _skipped(cid, kind, "requires symmetric K")
+@_check("mahler_minima_conj", "conjecture", "symmetric K", "full-rank", "symmetric")
+def _c_mahler_minima(inst: _Instance):
     lam = inst.lam_ks_polar.values
     lhs = Fraction(2 ** inst.n, factorial(inst.n)) * inst.det * _prod(lam)
     rhs = inst.vol
-    return _le_report(cid, kind, lhs, rhs, {"dual_minima": list(lam)})
+    return _le_report(lhs, rhs, {"dual_minima": list(lam)})
 
 
-@_check("makai_conj", "conjecture", "any full-dimensional K")
-def _c_makai_conj(inst: _Instance) -> CheckReport:
-    cid, kind = "makai_conj", "conjecture"
+@_check("makai_conj", "conjecture", "any full-dimensional K", "full-rank")
+def _c_makai_conj(inst: _Instance):
     lam1 = inst.lam_ks_polar.values[0]
     lhs = Fraction(inst.n + 1, factorial(inst.n)) * inst.det * _pow(lam1, inst.n)
     rhs = inst.vol
-    return _le_report(cid, kind, lhs, rhs, {"dual_lambda_1": lam1})
+    return _le_report(lhs, rhs, {"dual_lambda_1": lam1})
 
 
-@_check("makai_strong", "conjecture", "any full-dimensional K")
-def _c_makai_strong(inst: _Instance) -> CheckReport:
-    cid, kind = "makai_strong", "conjecture"
+@_check("makai_strong", "conjecture", "any full-dimensional K", "full-rank")
+def _c_makai_strong(inst: _Instance):
     lam = inst.lam_ks_polar.values
     lhs = Fraction(inst.n + 1, factorial(inst.n)) * inst.det * _prod(lam)
     rhs = inst.vol
-    return _le_report(cid, kind, lhs, rhs, {"dual_minima": list(lam)})
+    return _le_report(lhs, rhs, {"dual_minima": list(lam)})
 
 
-@_check("eggleston", "theorem", "planar K (n = 2)")
-def _c_eggleston(inst: _Instance) -> CheckReport:
-    cid, kind = "eggleston", "theorem"
-    if inst.n != 2:
-        return _skipped(cid, kind, "requires n = 2")
+@_check("eggleston", "theorem", "planar K (n = 2)", "full-rank", "n=2")
+def _c_eggleston(inst: _Instance):
     lhs = Fraction(6)
     rhs = inst.vol * inst.ks_polar.volume()
-    return _le_report(cid, kind, lhs, rhs, {"volume_product": rhs})
+    return _le_report(lhs, rhs, {"volume_product": rhs})
 
 
-@_check("alvarez_conj", "conjecture", "K with the origin interior")
-def _c_alvarez(inst: _Instance) -> CheckReport:
-    cid, kind = "alvarez_conj", "conjecture"
-    if not inst.origin_interior:
-        return _skipped(cid, kind, "requires the origin in the interior of K")
+@_check("alvarez_conj", "conjecture", "K with the origin interior",
+        "full-rank", "origin-interior")
+def _c_alvarez(inst: _Instance):
     lam1 = inst.lam_k_polar.values[0]
     lhs = Fraction(inst.n + 1, factorial(inst.n)) * inst.det * _pow(lam1, inst.n)
     rhs = inst.vol
-    return _le_report(cid, kind, lhs, rhs, {"polar_lambda_1": lam1})
+    return _le_report(lhs, rhs, {"polar_lambda_1": lam1})
 
 
-@_check("transference", "theorem", "symmetric K")
-def _c_transference(inst: _Instance) -> CheckReport:
-    cid, kind = "transference", "theorem"
-    if not inst.symmetric:
-        return _skipped(cid, kind, "requires symmetric K")
+@_check("transference", "theorem", "symmetric K", "full-rank", "symmetric")
+def _c_transference(inst: _Instance):
     n = inst.n
     lam = inst.lam_s.values
     dual = inst.lam_ks_polar.values
     lhs, rhs = Fraction(1), Fraction(factorial(n))
+    cmp = _Comparisons()
     parts = {}
-    statuses, margins = [], []
     for i in range(1, n + 1):
         p = lam[i - 1] * dual[n - i]
-        s_lo = _certify_le(lhs, p)
-        s_hi = _certify_le(p, rhs)
+        _, s_lo = cmp.le(lhs, p)
+        _, s_hi = cmp.le(p, rhs)
         parts[f"i={i}"] = {"product": p, "status": _combine([s_lo, s_hi])}
-        statuses.extend([s_lo, s_hi])
-        margins.extend([p - lhs, rhs - p])
-    status = _combine(statuses)
-    return CheckReport(cid, kind, lhs, rhs, status, _min_margin(margins),
-                       {"minima": list(lam), "dual_minima": list(dual), "parts": parts})
+    return cmp.report(lhs, rhs, {"minima": list(lam), "dual_minima": list(dual), "parts": parts})
 
 
-@_check("hx_upper", "theorem", "any full-dimensional K")
-def _c_hx_upper(inst: _Instance) -> CheckReport:
-    cid, kind = "hx_upper", "theorem"
+@_check("hx_upper", "theorem", "any full-dimensional K", "full-rank")
+def _c_hx_upper(inst: _Instance):
     lam = inst.lam_ks_polar.values
     lhs = inst.vol
     rhs = Fraction(2 ** inst.n) * inst.det * _prod(lam)
-    return _le_report(cid, kind, lhs, rhs, {"dual_minima": list(lam)})
+    return _le_report(lhs, rhs, {"dual_minima": list(lam)})
 
 
-@_check("hx_centered_upper", "theorem", "centered K")
-def _c_hx_centered_upper(inst: _Instance) -> CheckReport:
-    cid, kind = "hx_centered_upper", "theorem"
-    if not inst.centered:
-        return _skipped(cid, kind, "requires centered K")
+@_check("hx_centered_upper", "theorem", "centered K", "full-rank", "centered")
+def _c_hx_centered_upper(inst: _Instance):
     lam = inst.lam_k_polar.values
     n = inst.n
     lhs = inst.vol
     rhs = Fraction((n + 1) ** n, factorial(n)) * inst.det * _prod(lam)
-    return _le_report(cid, kind, lhs, rhs, {"polar_minima": list(lam)})
+    return _le_report(lhs, rhs, {"polar_minima": list(lam)})
 
 
 # ---------------------------------------------------------------------------
 # lattice point counts vs minima
 
 
-@_check("minkowski_3n", "theorem", "symmetric K holding at least 3^n + 1 points")
-def _c_minkowski_3n(inst: _Instance) -> CheckReport:
-    cid, kind = "minkowski_3n", "theorem"
-    if not inst.symmetric:
-        return _skipped(cid, kind, "requires symmetric K")
+@_check("minkowski_3n", "theorem", "symmetric K holding at least 3^n + 1 points",
+        "full-rank", "symmetric")
+def _c_minkowski_3n(inst: _Instance):
     threshold = 3 ** inst.n + 1
     if inst.count < threshold:
-        return _skipped(cid, kind, "point count below the threshold",
-                        count=inst.count, threshold=threshold)
+        return _skipped("point count below the threshold", count=inst.count, threshold=threshold)
     interior = inst.count_interior
     status = "holds" if interior >= 2 else "violated"
     wit = {"count": inst.count, "interior_count": interior, "threshold": threshold}
-    return CheckReport(cid, kind, Fraction(threshold), Fraction(inst.count), status,
-                       Fraction(interior - 2), wit)
+    return (Fraction(threshold), Fraction(inst.count), status, Fraction(interior - 2), wit,
+            None)
 
 
-@_check("bhw_upper", "theorem", "any full-dimensional K")
-def _c_bhw_upper(inst: _Instance) -> CheckReport:
-    cid, kind = "bhw_upper", "theorem"
+@_check("bhw_upper", "theorem", "any full-dimensional K", "full-rank")
+def _c_bhw_upper(inst: _Instance):
     lam1 = inst.lam_s.values[0]
     base = _floor_scalar(Fraction(2) / lam1) + 1
     lhs = Fraction(inst.count)
     rhs = Fraction(base ** inst.n)
     wit = {"count": inst.count, "lambda_1": lam1, "base": base}
-    return _le_report(cid, kind, lhs, rhs, wit)
+    return _le_report(lhs, rhs, wit)
 
 
-@_check("bhw_conj", "conjecture", "any full-dimensional K")
-def _c_bhw_conj(inst: _Instance) -> CheckReport:
-    cid, kind = "bhw_conj", "conjecture"
+@_check("bhw_conj", "conjecture", "any full-dimensional K", "full-rank")
+def _c_bhw_conj(inst: _Instance):
     factors = [_floor_scalar(Fraction(2) / v) + 1 for v in inst.lam_s.values]
     rhs = Fraction(1)
     for f in factors:
         rhs *= f
     lhs = Fraction(inst.count)
     wit = {"count": inst.count, "factors": factors, "minima": list(inst.lam_s.values)}
-    return _le_report(cid, kind, lhs, rhs, wit)
+    return _le_report(lhs, rhs, wit)
 
 
-@_check("bhw_lower", "theorem", "symmetric K with lambda_n <= 2")
-def _c_bhw_lower(inst: _Instance) -> CheckReport:
-    cid, kind = "bhw_lower", "theorem"
-    if not inst.symmetric:
-        return _skipped(cid, kind, "requires symmetric K")
+@_check("bhw_lower", "theorem", "symmetric K with lambda_n <= 2", "full-rank", "symmetric")
+def _c_bhw_lower(inst: _Instance):
     lam = inst.lam_s.values
     if not lam[-1] <= 2:
-        return _skipped(cid, kind, "requires lambda_n <= 2", minima=list(lam))
+        return _skipped("requires lambda_n <= 2", minima=list(lam))
     lhs = Fraction(1, factorial(inst.n)) * _prod([Fraction(2) / v - 1 for v in lam])
     rhs = Fraction(inst.count)
-    return _le_report(cid, kind, lhs, rhs, {"count": inst.count, "minima": list(lam)})
+    return _le_report(lhs, rhs, {"count": inst.count, "minima": list(lam)})
 
 
 def _four_over_e() -> Interval:
@@ -743,9 +705,8 @@ def _four_over_e() -> Interval:
     return Interval(Fraction(4) / e.hi, Fraction(4) / e.lo)
 
 
-@_check("malikiosis_bound", "bound", "any full-dimensional K")
-def _c_malikiosis(inst: _Instance) -> CheckReport:
-    cid, kind = "malikiosis_bound", "bound"
+@_check("malikiosis_bound", "bound", "any full-dimensional K", "full-rank")
+def _c_malikiosis(inst: _Instance):
     lam = inst.lam_s.values
     factors = [_floor_scalar(Fraction(2) / v) + 1 for v in lam]
     prod = Fraction(1)
@@ -763,28 +724,27 @@ def _c_malikiosis(inst: _Instance) -> CheckReport:
     rhs = rhs_at(None)
     wit = {"count": inst.count, "floor_product": prod,
            "base": "(40/9)^(1/3)" if inst.symmetric else "sqrt(3)"}
-    return _le_report(cid, kind, lhs, rhs, wit,
-                      refine=lambda: (lhs, rhs_at(_REFINE_WIDTH)))
+    return _le_report(lhs, rhs, wit, refine=lambda: rhs_at(_REFINE_WIDTH))
 
 
-@_check("tointon_bound", "bound", "K with at least one minimum under the threshold")
-def _c_tointon(inst: _Instance) -> CheckReport:
-    cid, kind = "tointon_bound", "bound"
+@_check("tointon_bound", "bound", "K with at least one minimum under the threshold",
+        "full-rank")
+def _c_tointon(inst: _Instance):
     lam = inst.lam_s.values
     threshold = 1 if inst.symmetric else 2
     k = sum(1 for v in lam if v <= threshold)
     if k == 0:
-        return _skipped(cid, kind, "no successive minimum meets the threshold",
+        return _skipped("no successive minimum meets the threshold",
                         minima=list(lam), threshold=threshold)
     rhs = _prod([Fraction(2) / v + 1 for v in lam[:k]])
     lhs = Fraction(inst.count)
     wit = {"count": inst.count, "k": k, "threshold": threshold, "minima": list(lam)}
-    return _le_report(cid, kind, lhs, rhs, wit)
+    return _le_report(lhs, rhs, wit)
 
 
-@_check("gv_conj", "conjecture", "any full-dimensional K; lower bound needs n*lambda_n <= 2")
-def _c_gv(inst: _Instance) -> CheckReport:
-    cid, kind = "gv_conj", "conjecture"
+@_check("gv_conj", "conjecture", "any full-dimensional K; lower bound needs n*lambda_n <= 2",
+        "full-rank")
+def _c_gv(inst: _Instance):
     lam = inst.lam_s.values
     n = inst.n
     upper = _prod([1 + lam[i - 1] * Fraction(i, 2) for i in range(1, n + 1)])
@@ -792,21 +752,16 @@ def _c_gv(inst: _Instance) -> CheckReport:
     lower = None
     if lower_applies:
         lower = _prod([1 - lam[i - 1] * Fraction(i, 2) for i in range(1, n + 1)])
-    statuses, margins = [], []
+    cmp = _Comparisons()
     variants = {}
     for name, g in (("closed", inst.count), ("interior", inst.count_interior)):
         mid = Fraction(g) * inst.det
-        s_hi = _certify_le(mid, upper * inst.vol)
+        _, s_hi = cmp.le(mid, upper * inst.vol)
         entry = {"count": g, "upper_status": s_hi}
-        statuses.append(s_hi)
-        margins.append(upper * inst.vol - mid)
         if lower is not None:
-            s_lo = _certify_le(lower * inst.vol, mid)
+            _, s_lo = cmp.le(lower * inst.vol, mid)
             entry["lower_status"] = s_lo
-            statuses.append(s_lo)
-            margins.append(mid - lower * inst.vol)
         variants[name] = entry
-    status = _combine(statuses)
     wit = {
         "minima": list(lam),
         "variants": variants,
@@ -815,12 +770,12 @@ def _c_gv(inst: _Instance) -> CheckReport:
     }
     if not lower_applies:
         wit["lower_skip_reason"] = "requires n*lambda_n <= 2"
-    return CheckReport(cid, kind, lower, upper, status, _min_margin(margins), wit)
+    return cmp.report(lower, upper, wit)
 
 
-@_check("freyer_lucas", "theorem", "any full-dimensional K; negative lower factors clamp to zero")
-def _c_freyer_lucas(inst: _Instance) -> CheckReport:
-    cid, kind = "freyer_lucas", "theorem"
+@_check("freyer_lucas", "theorem", "any full-dimensional K; negative lower factors clamp to zero",
+        "full-rank")
+def _c_freyer_lucas(inst: _Instance):
     lam = inst.lam_s.values
     n = inst.n
     lower_factors = []
@@ -830,14 +785,12 @@ def _c_freyer_lucas(inst: _Instance) -> CheckReport:
     lower = _prod(lower_factors)
     upper = _prod([1 + v * Fraction(n, 2) for v in lam])
     mid = Fraction(inst.count) * inst.det
-    s_lo = _certify_le(lower * inst.vol, mid)
-    s_hi = _certify_le(mid, upper * inst.vol)
+    cmp = _Comparisons()
+    _, s_lo = cmp.le(lower * inst.vol, mid)
+    _, s_hi = cmp.le(mid, upper * inst.vol)
     # arithmetic consequence of the upper bound and the minima-volume bound
     count_bound = _prod([Fraction(2) / v + n for v in lam])
-    s_cons = _certify_le(Fraction(inst.count), count_bound)
-    status = _combine([s_lo, s_hi, s_cons])
-    margins = [mid - lower * inst.vol, upper * inst.vol - mid,
-               count_bound - Fraction(inst.count)]
+    _, s_cons = cmp.le(Fraction(inst.count), count_bound)
     wit = {
         "count": inst.count,
         "minima": list(lam),
@@ -847,23 +800,16 @@ def _c_freyer_lucas(inst: _Instance) -> CheckReport:
         "count_bound_status": s_cons,
         "comparison": "lower * vol <= count * det <= upper * vol",
     }
-    return CheckReport(cid, kind, lower, upper, status, _min_margin(margins), wit)
+    return cmp.report(lower, upper, wit)
 
 
-@_check("discrete_volsur", "theorem", "symmetric polytope with vertices in L")
-def _c_discrete_volsur(inst: _Instance) -> CheckReport:
-    cid, kind = "discrete_volsur", "theorem"
-    if not inst.symmetric:
-        return _skipped(cid, kind, "requires symmetric K")
-    if not inst.k.is_polytope:
-        return _skipped(cid, kind, "requires a polytope")
-    if not all(inst.lat.contains(v) for v in inst.k.vertices()):
-        return _skipped(cid, kind, "requires a lattice polytope (vertices in L)")
+@_check("discrete_volsur", "theorem", "symmetric polytope with vertices in L",
+        "full-rank", "symmetric", "polytope", "lattice-polytope")
+def _c_discrete_volsur(inst: _Instance):
     n = inst.n
     estimated = inst.vol * Fraction(n ** n) / inst.det
     if estimated > _EHRHART_GUARD:
-        return _skipped(cid, kind, "dilate-count guard exceeded",
-                        estimated_points=estimated)
+        return _skipped("dilate-count guard exceeded", estimated_points=estimated)
     poly = ehrhart(inst.k, inst.lat, holdout=False)
     lhs = poly.coefficients[n - 1] / poly.coefficients[n]
     lam = inst.lam_s.values
@@ -872,53 +818,38 @@ def _c_discrete_volsur(inst: _Instance) -> CheckReport:
         total += v
     rhs = Fraction(1, 2) * total
     wit = {"coefficients": list(poly.coefficients), "minima": list(lam)}
-    return _le_report(cid, kind, lhs, rhs, wit)
+    return _le_report(lhs, rhs, wit)
 
 
 # ---------------------------------------------------------------------------
 # cube sections through embedded lattices
 
 
-def _uniform_box_scale(k: Body):
-    if k.kind != BOX:
-        return None
-    sides = set(k.data)
-    return k.data[0] if len(sides) == 1 else None
-
-
-@_check("vaaler_section", "theorem", "uniform box cut by an embedded lattice's span")
-def _c_vaaler_section(inst: _Instance) -> CheckReport:
-    cid, kind = "vaaler_section", "theorem"
-    s = _uniform_box_scale(inst.k)
-    if s is None:
-        return _skipped(cid, kind, "requires a cube")
+@_check("vaaler_section", "theorem", "uniform box cut by an embedded lattice's span",
+        "embedded", "cube")
+def _c_vaaler_section(inst: _Instance):
+    s = inst.cube_side
     d = inst.lat.rank
     # the section of the cube scaled by s has s^d times the unit cube's content
     content_sq = _section_content_sq(inst.lat) * s ** (2 * d)
     lhs = (2 * s) ** d
     rhs = quad_or_rat(content_sq)
     wit = {"section_dim": d, "content_squared": content_sq}
-    return _le_report(cid, kind, lhs, rhs, wit)
+    return _le_report(lhs, rhs, wit)
 
 
-@_check("siegel_bv", "theorem", "uniform box with an embedded lattice")
-def _c_siegel_bv(inst: _Instance) -> CheckReport:
-    cid, kind = "siegel_bv", "theorem"
-    s = _uniform_box_scale(inst.k)
-    if s is None:
-        return _skipped(cid, kind, "requires a cube")
+@_check("siegel_bv", "theorem", "uniform box with an embedded lattice", "embedded", "cube")
+def _c_siegel_bv(inst: _Instance):
     # a cube is symmetric, so the minima of its symmetral are its own
     res = inst.lam_s
-    lhs = _prod(res.values) * s ** inst.lat.rank
+    lhs = _prod(res.values) * inst.cube_side ** inst.lat.rank
     rhs = inst.det
     wit = {"minima": list(res.values), "witnesses": list(res.witnesses)}
-    return _le_report(cid, kind, lhs, rhs, wit)
+    return _le_report(lhs, rhs, wit)
 
 
 # ---------------------------------------------------------------------------
 # public interface
-
-_EMBEDDED_IDS = ("vaaler_section", "siegel_bv")
 
 
 def list_checks() -> list:
@@ -930,9 +861,9 @@ def list_checks() -> list:
 def run_checks(k: Body, lat: Lattice, selection=None) -> list:
     """Evaluate the selected checks (default: all) on the instance (k, lat).
 
-    Inapplicable checks report status skipped with the failed hypothesis.
-    A rank-deficient lattice routes to the embedded-section checks and
-    skips the rest.
+    A check whose declared hypotheses do not all hold reports status skipped
+    with the first one that fails.  Whether L is full-rank is one of them: a
+    rank-deficient lattice runs only the embedded-section checks.
     """
     if selection is None or selection == "all":
         ids = list(_CHECKS)
@@ -945,12 +876,9 @@ def run_checks(k: Body, lat: Lattice, selection=None) -> list:
     out = []
     for cid in ids:
         c = _CHECKS[cid]
-        if inst.embedded and cid not in _EMBEDDED_IDS:
-            out.append(_skipped(cid, c.kind, "requires a full-rank lattice"))
-        elif not inst.embedded and cid in _EMBEDDED_IDS:
-            out.append(_skipped(cid, c.kind, "requires an embedded lattice"))
-        else:
-            out.append(c.fn(inst))
+        failed = next((reason for reason, holds in c.needs if not holds(inst)), None)
+        fields = c.fn(inst) if failed is None else _skipped(failed)
+        out.append(CheckReport(cid, c.kind, *fields))
     return out
 
 

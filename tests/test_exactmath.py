@@ -37,6 +37,7 @@ from gon.exactmath import (
     volume_centroid,
     _lp_extreme_points,
 )
+from gon.lattice import minors_gcd
 
 small_int = st.integers(-9, 9)
 
@@ -348,6 +349,19 @@ def test_invariant_factors_match_minor_gcds(rows):
         assert prod == brute_minors_gcd(m, k)
     if len(fac) < 3:
         assert brute_minors_gcd(m, len(fac) + 1) == 0
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.integers(k, 5).flatmap(lambda m: int_matrix(k, m))))
+@settings(max_examples=80)
+def test_minors_gcd_matches_brute_force(rows):
+    # minors_gcd reads the product of the HNF pivots of the transpose
+    g = brute_minors_gcd(QMat.from_rows(rows), len(rows))
+    if g == 0:
+        with pytest.raises(RankDeficientError):
+            minors_gcd(rows)
+    else:
+        assert minors_gcd(rows) == g
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from gon.body import (
     cross_polytope,
     cube,
     dual_centered_simplex,
+    ellipsoid,
+    standard_simplex,
 )
 from gon.exactmath import Interval, QuadVal
 from gon.lattice import Lattice, kernel_lattice, make_lattice, standard_lattice
@@ -50,6 +53,46 @@ def test_registry_size_and_ids():
     assert ids[-2:] == ["vaaler_section", "siegel_bv"]
     assert all(c["kind"] in ("theorem", "conjecture", "bound") for c in listing)
     assert listing == list_checks()
+
+
+# the registry listing, in order: id, kind and the applicability note
+LISTING = [
+    ("minkowski_first", "theorem", "symmetric K, full-rank L"),
+    ("minkowski_upper", "theorem", "any full-dimensional K, full-rank L"),
+    ("minkowski_lower", "theorem", "any full-dimensional K, full-rank L"),
+    ("centered_lower", "theorem", "centered K (centroid at the origin)"),
+    ("ehrhart_conj_instance", "conjecture", "centered K above the volume threshold"),
+    ("wills_lower", "theorem", "Z^n; boxes check every index, other polytopes the top two"),
+    ("henk_upper", "theorem", "Z^n, n >= 2; strict, certified by interval separation off boxes"),
+    ("survol", "theorem", "Z^n, n >= 2; strict"),
+    ("hhh_surface", "theorem", "symmetric polytope, Z^n"),
+    ("mahler_bounds", "bound", "symmetric K"),
+    ("mahler_conj", "conjecture", "symmetric K"),
+    ("mahler_nonsym_conj", "conjecture", "K with the origin interior"),
+    ("mahler_minima_conj", "conjecture", "symmetric K"),
+    ("makai_conj", "conjecture", "any full-dimensional K"),
+    ("makai_strong", "conjecture", "any full-dimensional K"),
+    ("eggleston", "theorem", "planar K (n = 2)"),
+    ("alvarez_conj", "conjecture", "K with the origin interior"),
+    ("transference", "theorem", "symmetric K"),
+    ("hx_upper", "theorem", "any full-dimensional K"),
+    ("hx_centered_upper", "theorem", "centered K"),
+    ("minkowski_3n", "theorem", "symmetric K holding at least 3^n + 1 points"),
+    ("bhw_upper", "theorem", "any full-dimensional K"),
+    ("bhw_conj", "conjecture", "any full-dimensional K"),
+    ("bhw_lower", "theorem", "symmetric K with lambda_n <= 2"),
+    ("malikiosis_bound", "bound", "any full-dimensional K"),
+    ("tointon_bound", "bound", "K with at least one minimum under the threshold"),
+    ("gv_conj", "conjecture", "any full-dimensional K; lower bound needs n*lambda_n <= 2"),
+    ("freyer_lucas", "theorem", "any full-dimensional K; negative lower factors clamp to zero"),
+    ("discrete_volsur", "theorem", "symmetric polytope with vertices in L"),
+    ("vaaler_section", "theorem", "uniform box cut by an embedded lattice's span"),
+    ("siegel_bv", "theorem", "uniform box with an embedded lattice"),
+]
+
+
+def test_registry_listing_pinned():
+    assert [(c["check_id"], c["kind"], c["applies"]) for c in list_checks()] == LISTING
 
 
 def test_registry_conjecture_kinds():
@@ -225,6 +268,35 @@ def test_1d_surface_checks_skip():
     assert reps["henk_upper"].reason == "requires n >= 2"
     assert reps["survol"].status == "skipped"
     assert reps["wills_lower"].status == "equality"
+
+
+# Bodies that reach the hypotheses no corpus instance reaches: every corpus
+# body is a centered polytope.  The full reports are pinned in
+# pinned_hypothesis_reports.json beside this file.
+HYPOTHESIS_REPORTS = Path(__file__).with_name("pinned_hypothesis_reports.json")
+HYPOTHESIS_BODIES = {
+    # not a polytope
+    "ellipsoid": lambda: ellipsoid([[1, 0], [0, F(1, 4)]]),
+    # not centered, the origin still interior
+    "shifted_simplex": lambda: centered_simplex(2).translate([F(1, 3), F(-1, 4)]),
+    # the origin is a vertex
+    "standard_simplex": lambda: standard_simplex(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HYPOTHESIS_BODIES))
+def test_unreached_hypotheses_pinned(name):
+    pinned = json.loads(HYPOTHESIS_REPORTS.read_text())[name]
+    assert [r.to_json() for r in run_checks(HYPOTHESIS_BODIES[name](), Z2)] == pinned
+
+
+def test_unreached_hypothesis_reasons():
+    reasons = {name: {r.reason for r in run_checks(make(), Z2) if r.status == "skipped"}
+               for name, make in HYPOTHESIS_BODIES.items()}
+    assert "requires a polytope" in reasons["ellipsoid"]
+    assert "requires centered K" in reasons["shifted_simplex"]
+    assert "requires the origin in the interior of K" not in reasons["shifted_simplex"]
+    assert "requires the origin in the interior of K" in reasons["standard_simplex"]
 
 
 # -- counting checks -----------------------------------------------------------
