@@ -37,6 +37,7 @@ from .exactmath import (
     _facet_contents,
     _facet_sets,
     _guard_vertex_enum,
+    _integer_row,
     _tight_facets,
     _vertex_hull,
     _vertex_rays,
@@ -138,6 +139,13 @@ class Body:
             raise ValueError("ellipsoids have no facet description")
         self._cache["hrep"] = out
         return out
+
+    def _integer_hrep(self) -> tuple:
+        """The rows (a, w) of hrep() scaled to primitive integer rows, a . x <= w."""
+        if "integer_hrep" not in self._cache:
+            a, b = self.hrep()
+            self._cache["integer_hrep"] = tuple(_integer_row(a.row(j), b[j]) for j in range(a.rows))
+        return self._cache["integer_hrep"]
 
     def _facets(self) -> list:
         """Vertex sets of the facets; a hull finds them with the hrep or the vertices."""

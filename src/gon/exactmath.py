@@ -652,45 +652,62 @@ def _int_rows(m: QMat):
     return [[int(x) for x in m.row(i)] for i in range(m.rows)]
 
 
+def _hnf(a: list[list[int]], ncols: int) -> list[int]:
+    """Row Hermite normal form of the integer rows ``a``, in place.
+
+    Pivots are sought in the first ncols columns only; any further columns
+    are carried along, so rows ``[m | I]`` come back as ``[H | U]``.  Each
+    column is cleared below the pivot by repeated division by its smallest
+    entry; the pivot is made positive and the entries above it are reduced
+    into [0, pivot).  Returns the pivot column of each leading row.
+    """
+    nr = len(a)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nr:
+            break
+        while True:
+            nz = [(abs(a[i][c]), i) for i in range(r, nr) if a[i][c]]
+            if not nz:
+                break
+            i0 = min(nz)[1]  # the first of the smallest
+            if i0 != r:
+                a[r], a[i0] = a[i0], a[r]
+            if len(nz) == 1:
+                break
+            # every row at or below r is zero before column c
+            prow = a[r][c:]
+            d = prow[0]
+            for i in range(r + 1, nr):
+                row = a[i]
+                q = row[c] // d
+                if q:
+                    row[c:] = [x - q * y for x, y in zip(row[c:], prow)]
+        if a[r][c]:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+            prow = a[r][c:]
+            d = prow[0]
+            for i in range(r):
+                row = a[i]
+                q = row[c] // d
+                if q:
+                    row[c:] = [x - q * y for x, y in zip(row[c:], prow)]
+            pivots.append(c)
+    return pivots
+
+
 def hnf(m: QMat) -> tuple[QMat, QMat]:
     """Row Hermite normal form.  Returns (H, U) with H = U @ m, |det U| = 1.
 
     H is in row-echelon form, pivots positive, entries above a pivot reduced
     into [0, pivot).
     """
-    a = _int_rows(m)
-    nr, nc = len(a), len(a[0])
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        while True:
-            nz = [i for i in range(r, nr) if a[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
-            if i0 != r:
-                a[r], a[i0] = a[i0], a[r]
-                u[r], u[i0] = u[i0], u[r]
-            others = [i for i in range(r + 1, nr) if a[i][c] != 0]
-            if not others:
-                break
-            for i in others:
-                q = a[i][c] // a[r][c]
-                _row_sub(a, i, r, q)
-                _row_sub(u, i, r, q)
-        if a[r][c] != 0:
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-                u[r] = [-x for x in u[r]]
-            d = a[r][c]
-            for i in range(r):
-                q = a[i][c] // d
-                _row_sub(a, i, r, q)
-                _row_sub(u, i, r, q)
-            r += 1
-    return QMat.from_rows(a), QMat.from_rows(u)
+    nr, nc = m.rows, m.cols
+    a = [row + [int(i == j) for j in range(nr)] for i, row in enumerate(_int_rows(m))]
+    _hnf(a, nc)
+    return QMat.from_rows([r[:nc] for r in a]), QMat.from_rows([r[nc:] for r in a])
 
 
 def snf(m: QMat) -> tuple[QMat, QMat, QMat]:
@@ -940,6 +957,12 @@ def _primitive(v) -> tuple[int, ...]:
     ints = [x.numerator * (den // x.denominator) for x in v]
     g = math.gcd(*ints)
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def _integer_row(row: Sequence, rhs) -> tuple:
+    """(a, w): the constraint row . x <= rhs scaled by a positive factor to coprime integers."""
+    *a, w = _primitive((*row, rhs))
+    return tuple(a), w
 
 
 def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:

@@ -9,15 +9,17 @@ QuadVal unless the root is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
+from operator import mul
 
 from .exactmath import (
     QMat,
     RankDeficientError,
-    hnf,
     quad_or_rat,
     rat,
     rat_str,
     vec,
+    _hnf,
     _integer_matrix,
 )
 
@@ -95,16 +97,18 @@ class Lattice:
     def hermite_basis(self) -> "Lattice":
         """Canonical basis: HNF of the integer-scaled rows, rescaled back."""
         m, d = _integer_matrix(self.basis.to_rows())
-        h, _ = hnf(QMat.from_rows(m))
-        rows = [h.row(i) for i in range(h.rows) if any(x != 0 for x in h.row(i))]
-        return Lattice(QMat.from_rows([[x / d for x in r] for r in rows]))
+        _hnf(m, self.dim)
+        return Lattice(QMat.from_rows([[Fraction(x, d) for x in r] for r in m]))
 
     def same_lattice(self, other: "Lattice") -> bool:
         if self.dim != other.dim or self.rank != other.rank:
             return False
         # both bases scaled by their common denominator
         m, _ = _integer_matrix(self.basis.to_rows() + other.basis.to_rows())
-        return hnf(QMat.from_rows(m[:self.rank]))[0] == hnf(QMat.from_rows(m[self.rank:]))[0]
+        mine, theirs = m[:self.rank], m[self.rank:]
+        _hnf(mine, self.dim)
+        _hnf(theirs, self.dim)
+        return mine == theirs
 
     def index_in(self, other: "Lattice") -> Fraction:
         """[other : self] for a finite-index sublattice; raises otherwise."""
@@ -151,6 +155,23 @@ def polar_lattice(lat: Lattice) -> Lattice:
     return lat.dual()
 
 
+def _integer_rows(a_rows, what: str) -> list:
+    """The rows of an integer matrix as lists of ints.
+
+    Raises ValueError for an empty or ragged matrix or a non-integer entry,
+    and TypeError for an entry that is not a rational.
+    """
+    rows = [list(r) for r in a_rows]
+    if not rows:
+        raise ValueError("empty matrix")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged rows")
+    rows = [[x if type(x) is int else rat(x) for x in r] for r in rows]
+    if any(x.denominator != 1 for r in rows for x in r):
+        raise ValueError(f"{what} needs an integer matrix")
+    return [[x.numerator for x in r] for r in rows]
+
+
 def minors_gcd(a_rows) -> int:
     """gcd of all maximal minors of a full-row-rank integer matrix.
 
@@ -158,96 +179,92 @@ def minors_gcd(a_rows) -> int:
     transpose: unimodular row operations keep the gcd of the maximal minors,
     and the only nonzero maximal minor of that form is its pivot triangle.
     """
-    A = QMat.from_rows([[rat(x) for x in r] for r in a_rows])
-    if not A.is_integer():
-        raise ValueError("minors gcd needs an integer matrix")
-    h, _ = hnf(A.transpose())
-    pivots = [next(x for x in row if x != 0) for row in h.to_rows() if any(row)]
-    if len(pivots) < A.rows:
+    a = _integer_rows(a_rows, "minors gcd")
+    at = [list(col) for col in zip(*a)]
+    pivots = _hnf(at, len(a))
+    if len(pivots) < len(a):
         raise RankDeficientError("matrix does not have full row rank")
-    out = 1
-    for p in pivots:
-        out *= int(p)
-    return out
+    return prod(at[i][c] for i, c in enumerate(pivots))
 
 
 def kernel_lattice(a_rows) -> Lattice:
     """The saturated lattice {x in Z^n : A x = 0} for an integer matrix A.
 
     Requires full row rank and m < n so the kernel is a nontrivial
-    primitive sublattice.
+    primitive sublattice.  The Hermite normal form of [A^T | I] is [H | U]
+    with U A^T = H; the rows of U beside the zero rows of H span the kernel.
     """
-    A = QMat.from_rows([[rat(x) for x in r] for r in a_rows])
-    if not A.is_integer():
-        raise ValueError("kernel lattice needs an integer matrix")
-    m, n = A.rows, A.cols
+    a = _integer_rows(a_rows, "kernel lattice")
+    m, n = len(a), len(a[0])
     if m >= n:
         raise ValueError("kernel lattice needs fewer rows than columns")
-    if A.rank() < m:
+    aug = [[r[j] for r in a] + [int(i == j) for i in range(n)] for j in range(n)]
+    pivots = _hnf(aug, m + n)
+    if sum(c < m for c in pivots) < m:
         raise RankDeficientError("matrix does not have full row rank")
-    at = A.transpose()
-    aug = QMat.from_rows(
-        [list(at.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    )
-    h, _ = hnf(aug)
-    out = []
-    for i in range(h.rows):
-        row = h.row(i)
-        if all(x == 0 for x in row[:m]):
-            out.append(row[m:])
-    if not out:
-        raise RankDeficientError("kernel is trivial")
-    return Lattice(QMat.from_rows(out))
+    return Lattice(QMat.from_rows([r[m:] for r in aug if not any(r[:m])]))
 
 
 # ---------------------------------------------------------------------------
 # basis reduction
 
 
-def _gso(rows):
-    m = len(rows)
-    mu = [[Fraction(0)] * m for _ in range(m)]
-    star = [None] * m
-    norms = [Fraction(0)] * m
-    for i in range(m):
-        v = list(rows[i])
-        for j in range(i):
-            num = sum((a * b for a, b in zip(rows[i], star[j])), Fraction(0))
-            mu[i][j] = num / norms[j]
-            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-        star[i] = v
-        norms[i] = sum((x * x for x in v), Fraction(0))
-    return mu, norms
-
-
-def _round_half(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
-
-
 def lll_reduce(lat: Lattice, delta: Fraction = Fraction(3, 4)) -> Lattice:
-    """Lenstra-Lenstra-Lovasz reduction over exact rationals.
+    """Lenstra-Lenstra-Lovasz reduction in integer arithmetic.
 
-    Gram-Schmidt data is recomputed from scratch after every swap; ranks
-    here are small enough that clarity wins.
+    The basis is scaled to integers once and reduced by the integral LLL of
+    de Weger (1987), as in Cohen, A Course in Computational Algebraic Number
+    Theory (1993), Algorithm 2.6.7. Its Gram-Schmidt data are integers: the
+    Gram determinants d_i of the first i rows and l_kj = d_{j+1} mu_kj, which
+    a swap updates by exact divisions. The steps are those of the rational
+    LLL of Lenstra, Lenstra and Lovasz (1982), in their order: row k is
+    size-reduced against rows k-1, ..., 0 by the nearest integer to mu_kj,
+    halves rounded up, and then Lovasz's condition with delta = p/q is tested
+    as q d_{k+1} d_{k-1} >= p d_k^2 - q l_k,k-1^2. The decisions are those of
+    the rational algorithm, and so is the reduced basis.
     """
-    rows = [list(r) for r in lat.vectors()]
-    m = len(rows)
+    m = lat.rank
     if m <= 1:
         return lat
-    mu, norms = _gso(rows)
+    b, den = _integer_matrix(lat.basis.to_rows())
+    p, q = delta.numerator, delta.denominator
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+    for k in range(m):
+        for j in range(k + 1):
+            u = sum(map(mul, b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
     k = 1
     while k < m:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = _round_half(mu[k][j])
-            if q:
-                rows[k] = [x - q * y for x, y in zip(rows[k], rows[j])]
+            dj = d[j + 1]
+            r = (2 * lk[j] + dj) // (2 * dj)
+            if r:
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                lj = lam[j]
                 for t in range(j):
-                    mu[k][t] -= q * mu[j][t]
-                mu[k][j] -= q
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                    lk[t] -= r * lj[t]
+                lk[j] -= r * dj
+        l = lk[k - 1]
+        if q * d[k + 1] * d[k - 1] >= p * d[k] ** 2 - q * l * l:
             k += 1
-        else:
-            rows[k], rows[k - 1] = rows[k - 1], rows[k]
-            mu, norms = _gso(rows)
-            k = max(k - 1, 1)
-    return Lattice(QMat.from_rows(rows))
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        lk1 = lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lk1[j] = lk1[j], lk[j]
+        dk = (d[k - 1] * d[k + 1] + l * l) // d[k]
+        for i in range(k + 1, m):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - l * t) // d[k]
+            li[k - 1] = (dk * t + l * li[k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
+    return Lattice(QMat.from_rows([[Fraction(x, den) for x in r] for r in b]))

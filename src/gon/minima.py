@@ -3,9 +3,14 @@
 All enumeration happens in the coefficient space of an LLL-reduced basis, so
 embedded lattices (kernel lattices of integer matrices, say) need no special
 coordinates: a body is pulled back to {c : gauge(c B) <= r} and integer vectors
-c are walked one coordinate at a time. A polytope's constraints are scaled to
-primitive integer rows, and Fourier-Motzkin elimination projects them once per
-walk onto every prefix of the coordinates, so each node of the walk reads its
+c are walked one coordinate at a time. A polytope's pull-back is built from
+integer rows end to end: the basis is scaled to integers over one
+denominator, the body's H-representation to primitive integer rows once per
+body, and their products are the chart's rows. A radius p/q enters the walk
+as the rows (q a, p w), gauges are read off the rows by cross-multiplication,
+and a point goes back to the ambient space by integer dot products over the
+basis denominator. Fourier-Motzkin elimination projects the walk's rows once
+onto every prefix of the coordinates, so each node of the walk reads its
 interval by integer floor and ceiling division. Only when a projection would
 grow past a fixed row budget are the leading coordinates it leaves out bounded
 by exact LPs instead. Ellipsoids are walked Fincke-Pohst style, bounding each
@@ -35,7 +40,7 @@ from .exactmath import (
     rat,
     vec,
     _integer_matrix,
-    _primitive,
+    _integer_row,
 )
 from .lattice import Lattice, lll_reduce, polar_lattice
 
@@ -53,9 +58,11 @@ class MinimaResult:
 # -- integer point walks -------------------------------------------------------
 
 
-def _integer_row(row: Sequence, rhs) -> tuple:
-    """(a, w): the constraint row . c <= rhs scaled by a positive factor to coprime integers."""
-    *a, w = _primitive((*row, rhs))
+def _coprime(a: Sequence[int], w: int) -> tuple:
+    """(a, w) of the integer constraint a . c <= w divided by the gcd of its entries."""
+    g = gcd(w, *a)
+    if g > 1:
+        return tuple(x // g for x in a), w // g
     return tuple(a), w
 
 
@@ -291,42 +298,41 @@ def quadratic_integer_points(q: QMat, bound: Fraction) -> list:
 class _Chart:
     """A body pulled back to the integer coefficient space of a lattice basis.
 
-    A polytope chart holds its constraints as primitive integer rows
-    (rows[j] . c <= rhs[j]); an ellipsoid chart holds its form q and, for
-    gauges, q scaled to integers as qint / qden.
+    The lattice basis is held as integer rows `basis` over one denominator
+    `den`. A polytope chart holds its constraints as
+    primitive integer rows (rows[j] . c <= rhs[j]), the products of the
+    body's primitive integer H-representation with the integer basis. Its
+    walks, gauges and ambient points stay in integers until a gauge or a
+    coordinate is returned as a Fraction. An ellipsoid chart holds its form
+    q and, for gauges, q scaled to integers as qint / qden.
     """
 
     def __init__(self, body: Body, lat: Lattice):
-        self.basis = lat.basis
         self.m = lat.rank
         if body.dim != lat.dim:
             raise ValueError("body and lattice dimensions differ")
+        self.basis, self.den = _integer_matrix(lat.basis.to_rows())
+        self.span_empty = False
+        self.span_boundary = False
         if body.kind == ELLIPSOID:
             self.kind = "quad"
-            self.span_empty = False
-            self.span_boundary = False
-            self.q = (self.basis @ body.data) @ self.basis.transpose()
+            self.q = (lat.basis @ body.data) @ lat.basis.transpose()
             self.qint, self.qden = _integer_matrix(self.q.to_rows())
             return
         self.kind = "hpoly"
-        self.span_empty = False
-        self.span_boundary = False
-        a, b = body.hrep()
-        # the row through basis vector i is a . basis_i, taken in integers
-        basis, den = _integer_matrix(self.basis.to_rows())
         rows = []
         rhs = []
-        for j in range(a.rows):
-            aj, bj = _integer_row(a.row(j), b[j])
-            row = [sum(map(mul, aj, e)) for e in basis]
+        for a, w in body._integer_hrep():
+            # a . (e / den) <= w for the integer basis row e reads (a . e) <= w * den
+            row = [sum(map(mul, a, e)) for e in self.basis]
             if not any(row):
                 # constraint constant on the span: void, tight, or violated there
-                if bj < 0:
+                if w < 0:
                     self.span_empty = True
-                elif bj == 0:
+                elif w == 0:
                     self.span_boundary = True
                 continue
-            row, w = _integer_row(row, bj * den)
+            row, w = _coprime(row, w * self.den)
             rows.append(row)
             rhs.append(w)
         if not rows:
@@ -366,8 +372,12 @@ class _Chart:
             bound = radius.square if isinstance(radius, QuadVal) else rat(radius) ** 2
             pts = quadratic_integer_points(self.q, bound)
         else:
+            # gauge <= p/q is q (a . c) <= p w on every row
             r = rat(radius)
-            pts = polytope_integer_points(self.rows, [r * w for w in self.rhs])
+            p, q = r.numerator, r.denominator
+            pts = []
+            _polytope_walk([_coprime([q * x for x in a], p * w) for a, w in zip(self.rows, self.rhs)],
+                           pts)
         return [(c, self.gauge(c)) for c in pts]
 
     def count(self, interior: bool = False) -> int:
@@ -381,18 +391,11 @@ class _Chart:
         shift = 1 if interior else 0
         if self.kind == "quad":
             return _quadratic_walk(self.q, Fraction(self.qden - shift, self.qden), None)
-        return _polytope_walk([_integer_row(a, w - shift) for a, w in zip(self.rows, self.rhs)],
-                              None)
+        return _polytope_walk([_coprime(a, w - shift) for a, w in zip(self.rows, self.rhs)], None)
 
-    def ambient(self, c: Sequence) -> tuple:
-        n = self.basis.cols
-        acc = [Fraction(0)] * n
-        for ci, i in zip(c, range(self.m)):
-            if ci:
-                row = self.basis.row(i)
-                for t in range(n):
-                    acc[t] += ci * row[t]
-        return tuple(acc)
+    def ambient(self, c: Sequence[int]) -> tuple:
+        """The lattice point with integer coefficients c, as Fractions."""
+        return tuple(Fraction(sum(map(mul, c, col)), self.den) for col in zip(*self.basis))
 
 
 def _require_gauge_body(k: Body, lat: Lattice, allow_asymmetric: bool) -> _Chart:

@@ -355,10 +355,11 @@ _EXACT_SUP = {2: Fraction(1), 3: Fraction(4, 3), 4: Fraction(27, 19)}
 _SCAN_GUARD = 200_000
 
 
-def _scan_minima(a: tuple) -> tuple:
-    lat = kernel_lattice([list(a)])
-    res = successive_minima(cube(len(a)), lat)
-    return tuple(int(v) for v in res.values)
+def _scan_minima(vectors: list) -> list:
+    """Successive minima of the unit cube on the kernel lattice of each row, one cube for all."""
+    k = cube(len(vectors[0]))
+    return [tuple(int(v) for v in successive_minima(k, kernel_lattice([list(a)])).values)
+            for a in vectors]
 
 
 def _scan_record(a: tuple, lams: tuple) -> ScanRecord:
@@ -394,12 +395,15 @@ def scan_constants(n: int, a_max: int, dedupe: bool = True, jobs: int = 1) -> Sc
         if not (dedupe and gcd(*a) > 1)
     ]
     if jobs > 1:
+        # a Body does not pickle, so each chunk of rows is one task that builds its own cube
         ctx = multiprocessing.get_context("fork")
+        chunk = max(1, len(vectors) // (8 * jobs))
         with ctx.Pool(jobs) as pool:
-            chunk = max(1, len(vectors) // (8 * jobs))
-            minima_lists = pool.map(_scan_minima, vectors, chunksize=chunk)
+            parts = pool.map(_scan_minima, [vectors[i:i + chunk]
+                                            for i in range(0, len(vectors), chunk)])
+        minima_lists = [lams for part in parts for lams in part]
     else:
-        minima_lists = [_scan_minima(a) for a in vectors]
+        minima_lists = _scan_minima(vectors)
     records = tuple(_scan_record(a, lams) for a, lams in zip(vectors, minima_lists))
 
     best_c = max(records, key=lambda r: r.ratio_single)

@@ -2,10 +2,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gon.exactmath import QMat, QuadVal, RankDeficientError, dot
+from gon.exactmath import QMat, QuadVal, RankDeficientError, dot, hnf, rat
 from gon.lattice import (
     Lattice,
     kernel_lattice,
@@ -193,10 +193,22 @@ def test_kernel_single_row(a):
 # reduction
 
 
-def assert_lll_reduced(rows, delta=F(3, 4)):
-    from gon.lattice import _gso
+def gram_schmidt(rows):
+    """(mu, |b*_i|^2) of the rows, in Fractions."""
+    star, norms = [], []
+    mu = [[F(0)] * len(rows) for _ in rows]
+    for i, b in enumerate(rows):
+        v = [F(x) for x in b]
+        for j in range(i):
+            mu[i][j] = sum((F(x) * y for x, y in zip(b, star[j])), F(0)) / norms[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+        star.append(v)
+        norms.append(sum((x * x for x in v), F(0)))
+    return mu, norms
 
-    mu, norms = _gso(rows)
+
+def assert_lll_reduced(rows, delta=F(3, 4)):
+    mu, norms = gram_schmidt(rows)
     m = len(rows)
     for i in range(m):
         for j in range(i):
@@ -236,3 +248,195 @@ def test_lll_first_vector_bound(rows):
     b1 = R.vectors()[0]
     n1 = dot(b1, b1)
     assert n1**2 <= 4 * L.det_squared()
+
+
+# ---------------------------------------------------------------------------
+# the integer pipeline against the rational routines it replaced
+#
+# The reference functions below are the rational LLL, the Hermite normal form
+# and the kernel lattice as they stood before the lattice layer moved to
+# integer arithmetic, copied without change.
+
+
+def _ref_gso(rows):
+    m = len(rows)
+    mu = [[F(0)] * m for _ in range(m)]
+    star = [None] * m
+    norms = [F(0)] * m
+    for i in range(m):
+        v = list(rows[i])
+        for j in range(i):
+            num = sum((a * b for a, b in zip(rows[i], star[j])), F(0))
+            mu[i][j] = num / norms[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+        star[i] = v
+        norms[i] = sum((x * x for x in v), F(0))
+    return mu, norms
+
+
+def _ref_round_half(x: F) -> int:
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+
+
+def ref_lll_reduce(lat: Lattice, delta: F = F(3, 4)) -> Lattice:
+    rows = [list(r) for r in lat.vectors()]
+    m = len(rows)
+    if m <= 1:
+        return lat
+    mu, norms = _ref_gso(rows)
+    k = 1
+    while k < m:
+        for j in range(k - 1, -1, -1):
+            q = _ref_round_half(mu[k][j])
+            if q:
+                rows[k] = [x - q * y for x, y in zip(rows[k], rows[j])]
+                for t in range(j):
+                    mu[k][t] -= q * mu[j][t]
+                mu[k][j] -= q
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            rows[k], rows[k - 1] = rows[k - 1], rows[k]
+            mu, norms = _ref_gso(rows)
+            k = max(k - 1, 1)
+    return Lattice(QMat.from_rows(rows))
+
+
+def _ref_row_sub(a, i, j, q):
+    if q:
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+
+
+def _ref_int_rows(m: QMat):
+    if not m.is_integer():
+        raise ValueError("normal forms require an integer matrix")
+    return [[int(x) for x in m.row(i)] for i in range(m.rows)]
+
+
+def ref_hnf(m: QMat) -> tuple[QMat, QMat]:
+    a = _ref_int_rows(m)
+    nr, nc = len(a), len(a[0])
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        while True:
+            nz = [i for i in range(r, nr) if a[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
+            if i0 != r:
+                a[r], a[i0] = a[i0], a[r]
+                u[r], u[i0] = u[i0], u[r]
+            others = [i for i in range(r + 1, nr) if a[i][c] != 0]
+            if not others:
+                break
+            for i in others:
+                q = a[i][c] // a[r][c]
+                _ref_row_sub(a, i, r, q)
+                _ref_row_sub(u, i, r, q)
+        if a[r][c] != 0:
+            if a[r][c] < 0:
+                a[r] = [-x for x in a[r]]
+                u[r] = [-x for x in u[r]]
+            d = a[r][c]
+            for i in range(r):
+                q = a[i][c] // d
+                _ref_row_sub(a, i, r, q)
+                _ref_row_sub(u, i, r, q)
+            r += 1
+    return QMat.from_rows(a), QMat.from_rows(u)
+
+
+def ref_kernel_lattice(a_rows) -> Lattice:
+    A = QMat.from_rows([[rat(x) for x in r] for r in a_rows])
+    if not A.is_integer():
+        raise ValueError("kernel lattice needs an integer matrix")
+    m, n = A.rows, A.cols
+    if m >= n:
+        raise ValueError("kernel lattice needs fewer rows than columns")
+    if A.rank() < m:
+        raise RankDeficientError("matrix does not have full row rank")
+    at = A.transpose()
+    aug = QMat.from_rows(
+        [list(at.row(i)) + [F(int(i == j)) for j in range(n)] for i in range(n)]
+    )
+    h, _ = ref_hnf(aug)
+    out = []
+    for i in range(h.rows):
+        row = h.row(i)
+        if all(x == 0 for x in row[:m]):
+            out.append(row[m:])
+    if not out:
+        raise RankDeficientError("kernel is trivial")
+    return Lattice(QMat.from_rows(out))
+
+
+small_rational = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def rational_bases(draw):
+    """Independent rational rows, m <= n <= 5: full rank when m = n, embedded when m < n."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, n))
+    rows = draw(st.lists(st.lists(small_rational, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    assume(QMat.from_rows(rows).rank() == m)
+    return rows
+
+
+@given(rational_bases(), st.sampled_from([F(1, 2), F(3, 4), F(99, 100)]))
+@example([[2, 0, 0], [0, 1, 1]], F(1, 2))  # Lovasz's condition holds with equality
+@settings(max_examples=200, deadline=None)
+def test_lll_matches_rational_lll(rows, delta):
+    lat = Lattice(QMat.from_rows(rows))
+    got = lll_reduce(lat, delta)
+    assert got == ref_lll_reduce(lat, delta)
+    assert_lll_reduced(got.vectors(), delta)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda r: st.integers(1, 5).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c),
+                           min_size=r, max_size=r))))
+@settings(max_examples=200, deadline=None)
+def test_hnf_matches_reference(rows):
+    m = QMat.from_rows(rows)
+    h, u = hnf(m)
+    assert (h, u) == ref_hnf(m)
+    assert u @ m == h
+    assert abs(u.det()) == 1
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as e:  # the error type and message are part of the outcome
+        return type(e), str(e)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda r: st.integers(1, 5).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-6, 6), min_size=c, max_size=c),
+                           min_size=r, max_size=r))))
+@settings(max_examples=200, deadline=None)
+def test_kernel_lattice_matches_reference(rows):
+    assert _outcome(kernel_lattice, rows) == _outcome(ref_kernel_lattice, rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0], [0, 1]],              # m >= n: the kernel would be trivial
+    [[1, 2, 3], [4, 5, 6], [7, 8, 10]],
+    [[1, 2, 3], [2, 4, 6]],        # rank deficient
+    [[0, 0, 0]],
+    [[F(1, 2), 1, 0]],             # not integer
+    [[1, "3/2", 2]],
+    [[1.5, 2, 3]],                 # not a rational
+    [[1, 2, 3], [4, 5]],           # ragged
+    [],                            # empty
+])
+def test_kernel_lattice_errors_match_reference(rows):
+    got = _outcome(kernel_lattice, rows)
+    assert isinstance(got, tuple) and got == _outcome(ref_kernel_lattice, rows)

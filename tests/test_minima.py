@@ -23,7 +23,15 @@ from gon.body import (
     vpoly,
 )
 from gon.counting import count_points
-from gon.exactmath import Interval, QMat, QuadVal, UnboundedError, lp_exact, sqrt_interval
+from gon.exactmath import (
+    Interval,
+    QMat,
+    QuadVal,
+    UnboundedError,
+    lp_exact,
+    sqrt_interval,
+    _integer_row,
+)
 from gon import minima
 from gon.lattice import kernel_lattice, make_lattice, polar_lattice, standard_lattice
 from gon.minima import (
@@ -499,6 +507,35 @@ def test_unimodular_invariance_in_dimensions_2_to_4(data):
     assert lat1.same_lattice(lat2)
     assert successive_minima(k, lat1).values == successive_minima(k, lat2).values
     assert count_points(k, lat1) == count_points(k, lat2)
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_chart_walk_entry_matches_public_walk(data, p, q):
+    # points_within(p/q) walks the integer rows (q a, p w); the public walk scales r w itself
+    k = data.draw(symmetric_bodies())
+    b, u = data.draw(lattices_and_unimodular(k.dim))
+    lat = make_lattice((u @ b).to_rows())
+    chart = minima._Chart(k, lat)
+    r = F(p, q)
+    got = chart.points_within(r)
+    assert [c for c, _ in got] == polytope_integer_points(chart.rows, [r * w for w in chart.rhs])
+    for c, g in got:
+        assert chart.ambient(c) == lat.point(c)
+        assert g == k.gauge(lat.point(c)) <= r
+
+
+@pytest.mark.parametrize("k", [
+    box([3, F(1, 2)]),
+    cross_polytope(3, F(2, 3)),
+    hpoly([[2, 1], [-1, 3], [F(-1, 2), -1], [1, -4]], [4, F(9, 2), 1, 6]),
+    vpoly([[0, 0, 0], [F(3, 2), 0, 0], [0, 2, 0], [0, 0, 1], [1, 1, F(1, 3)]]),
+], ids=["box", "cross", "hpoly", "vpoly"])
+def test_integer_hrep_is_the_primitive_hrep(k):
+    a, b = k.hrep()
+    rows = k._integer_hrep()
+    assert rows == tuple(_integer_row(a.row(j), b[j]) for j in range(a.rows))
+    assert k._integer_hrep() is rows  # computed once per body
 
 
 def test_linear_image_matches_lattice_change():
