@@ -1204,12 +1204,12 @@ def _volume_centroid(vertices, facets):
     return vol, tuple(x / vol for x in cent)
 
 
-def volume_centroid(points, assume_extreme: bool = False):
+def volume_centroid(points):
     """Exact volume and centroid of the convex hull of the given points.
 
     The facets come from one double description of the hull, which drops
-    points that are not extreme whether or not assume_extreme says there are
-    none; the hull is then triangulated from its vertex-facet incidences.
+    points that are not extreme; the hull is then triangulated from its
+    vertex-facet incidences.
     Raises RankDeficientError when the hull is not full-dimensional.
     """
     pts = [vec(p) for p in points]

@@ -1,14 +1,16 @@
 """Lattices with exact rational bases.
 
-A lattice is stored as an m-by-n basis matrix whose rows are independent;
-m < n gives a lattice embedded in a proper subspace.  Determinants of
-non-full-rank lattices are square roots of rationals and come back as
-QuadVal unless the root is exact.
+A lattice is an m-by-n basis matrix whose rows are independent; m < n gives a
+lattice embedded in a proper subspace.  It is stored as integer rows over the
+least common denominator of its entries, and the rational basis is a view
+built on first use.  Determinants of non-full-rank lattices are square roots
+of rationals and come back as QuadVal unless the root is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from operator import mul
 
@@ -25,31 +27,45 @@ from .exactmath import (
 
 
 class Lattice:
-    """Free Z-module spanned by the rows of ``basis``."""
+    """Free Z-module spanned by the rows of ``basis``.
 
-    __slots__ = ("basis",)
+    Stored as the integer rows ``_rows`` over ``_den``, the least common
+    denominator of the basis entries; unimodular row operations keep it so.
+    """
 
     def __init__(self, basis: QMat):
-        if basis.rank() != basis.rows:
+        rows, den = _integer_matrix(basis.to_rows())
+        vars(self).update(_rows=tuple(map(tuple, rows)), _den=den, basis=basis)
+        if len(_hnf(rows, basis.cols)) < basis.rows:
             raise RankDeficientError("basis rows are dependent")
-        object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def _of_rows(cls, rows, den: int = 1) -> "Lattice":
+        """The lattice of independent integer rows over their least common denominator."""
+        lat = object.__new__(cls)
+        vars(lat).update(_rows=tuple(map(tuple, rows)), _den=den)
+        return lat
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")
 
+    @cached_property
+    def basis(self) -> QMat:
+        return QMat.from_rows([[Fraction(x, self._den) for x in r] for r in self._rows])
+
     @property
     def rank(self) -> int:
-        return self.basis.rows
+        return len(self._rows)
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self._rows[0])
 
     def is_full_rank(self) -> bool:
         return self.rank == self.dim
 
     def is_integer(self) -> bool:
-        return self.basis.is_integer()
+        return self._den == 1
 
     def vectors(self) -> list[tuple[Fraction, ...]]:
         return [self.basis.row(i) for i in range(self.rank)]
@@ -77,7 +93,10 @@ class Lattice:
         return c is not None and all(ci.denominator == 1 for ci in c)
 
     def point(self, coeffs) -> tuple[Fraction, ...]:
-        return self.basis.transpose().mul_vec(vec(coeffs))
+        c = [x if type(x) is int else rat(x) for x in coeffs]
+        if len(c) != self.rank:
+            raise ValueError("vector length mismatch")
+        return tuple(Fraction(sum(map(mul, c, col)), self._den) for col in zip(*self._rows))
 
     def dual(self) -> "Lattice":
         """Dual lattice within the span of this one.
@@ -95,17 +114,18 @@ class Lattice:
         return Lattice(QMat(self.basis.rows, self.basis.cols, [t * x for x in self.basis.data]))
 
     def hermite_basis(self) -> "Lattice":
-        """Canonical basis: HNF of the integer-scaled rows, rescaled back."""
-        m, d = _integer_matrix(self.basis.to_rows())
-        _hnf(m, self.dim)
-        return Lattice(QMat.from_rows([[Fraction(x, d) for x in r] for r in m]))
+        """Canonical basis: HNF of the integer rows, over the same denominator."""
+        m = [list(r) for r in self._rows]
+        if len(_hnf(m, self.dim)) < self.rank:
+            raise RuntimeError("Hermite normal form lost a basis row")
+        return Lattice._of_rows(m, self._den)
 
     def same_lattice(self, other: "Lattice") -> bool:
         if self.dim != other.dim or self.rank != other.rank:
             return False
-        # both bases scaled by their common denominator
-        m, _ = _integer_matrix(self.basis.to_rows() + other.basis.to_rows())
-        mine, theirs = m[:self.rank], m[self.rank:]
+        # both bases scaled by the product of the denominators
+        mine = [[x * other._den for x in r] for r in self._rows]
+        theirs = [[x * self._den for x in r] for r in other._rows]
         _hnf(mine, self.dim)
         _hnf(theirs, self.dim)
         return mine == theirs
@@ -131,10 +151,10 @@ class Lattice:
         return make_lattice(obj["basis"])
 
     def __eq__(self, other):
-        return isinstance(other, Lattice) and self.basis == other.basis
+        return isinstance(other, Lattice) and self._den == other._den and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.basis)
+        return hash((self._den, self._rows))
 
     def __repr__(self):
         return f"Lattice({self.basis!r})"
@@ -202,7 +222,7 @@ def kernel_lattice(a_rows) -> Lattice:
     pivots = _hnf(aug, m + n)
     if sum(c < m for c in pivots) < m:
         raise RankDeficientError("matrix does not have full row rank")
-    return Lattice(QMat.from_rows([r[m:] for r in aug if not any(r[:m])]))
+    return Lattice._of_rows([r[m:] for r in aug if not any(r[:m])])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +232,7 @@ def kernel_lattice(a_rows) -> Lattice:
 def lll_reduce(lat: Lattice, delta: Fraction = Fraction(3, 4)) -> Lattice:
     """Lenstra-Lenstra-Lovasz reduction in integer arithmetic.
 
-    The basis is scaled to integers once and reduced by the integral LLL of
+    The lattice's integer rows are reduced by the integral LLL of
     de Weger (1987), as in Cohen, A Course in Computational Algebraic Number
     Theory (1993), Algorithm 2.6.7. Its Gram-Schmidt data are integers: the
     Gram determinants d_i of the first i rows and l_kj = d_{j+1} mu_kj, which
@@ -221,12 +241,13 @@ def lll_reduce(lat: Lattice, delta: Fraction = Fraction(3, 4)) -> Lattice:
     size-reduced against rows k-1, ..., 0 by the nearest integer to mu_kj,
     halves rounded up, and then Lovasz's condition with delta = p/q is tested
     as q d_{k+1} d_{k-1} >= p d_k^2 - q l_k,k-1^2. The decisions are those of
-    the rational algorithm, and so is the reduced basis.
+    the rational algorithm, and so is the reduced basis. Each d_i is
+    positive for independent rows; a d_i <= 0 is a fault in the program.
     """
     m = lat.rank
     if m <= 1:
         return lat
-    b, den = _integer_matrix(lat.basis.to_rows())
+    b = [list(r) for r in lat._rows]
     p, q = delta.numerator, delta.denominator
     d = [1] * (m + 1)
     lam = [[0] * m for _ in range(m)]
@@ -239,6 +260,8 @@ def lll_reduce(lat: Lattice, delta: Fraction = Fraction(3, 4)) -> Lattice:
                 lam[k][j] = u
             else:
                 d[k + 1] = u
+        if d[k + 1] <= 0:
+            raise RuntimeError("LLL basis rows are dependent")
     k = 1
     while k < m:
         lk = lam[k]
@@ -267,4 +290,4 @@ def lll_reduce(lat: Lattice, delta: Fraction = Fraction(3, 4)) -> Lattice:
             li[k - 1] = (dk * t + l * li[k]) // d[k + 1]
         d[k] = dk
         k = max(k - 1, 1)
-    return Lattice(QMat.from_rows([[Fraction(x, den) for x in r] for r in b]))
+    return Lattice._of_rows(b, lat._den)

@@ -4,22 +4,22 @@ All enumeration happens in the coefficient space of an LLL-reduced basis, so
 embedded lattices (kernel lattices of integer matrices, say) need no special
 coordinates: a body is pulled back to {c : gauge(c B) <= r} and integer vectors
 c are walked one coordinate at a time. A polytope's pull-back is built from
-integer rows end to end: the basis is scaled to integers over one
-denominator, the body's H-representation to primitive integer rows once per
-body, and their products are the chart's rows. A radius p/q enters the walk
-as the rows (q a, p w), gauges are read off the rows by cross-multiplication,
-and a point goes back to the ambient space by integer dot products over the
-basis denominator. Fourier-Motzkin elimination projects the walk's rows once
-onto every prefix of the coordinates, so each node of the walk reads its
-interval by integer floor and ceiling division. Only when a projection would
-grow past a fixed row budget are the leading coordinates it leaves out bounded
-by exact LPs instead. Ellipsoids are walked Fincke-Pohst style, bounding each
-coordinate by exact integer square roots. Both walks also run in a counting
-mode that adds up the lengths of the last coordinate's intervals and builds no
-point list; an interior count is the closed count of the integer region whose
-bounds are moved in by one. Gauges stay rational for polytopes and are
-square-root values for ellipsoids; both are compared in integer arithmetic and
-nothing is rounded anywhere.
+integer rows end to end: the chart reads the lattice's integer rows over their
+denominator, the body's H-representation is scaled to primitive integer rows
+once per body, and their products are the chart's rows. A radius p/q enters
+the walk as the rows (q a, p w), gauges are read off the rows by
+cross-multiplication, and the lattice maps a point back to the ambient space
+by integer dot products over its denominator. Fourier-Motzkin elimination
+projects the walk's rows once onto every prefix of the coordinates, so each
+node of the walk reads its interval by integer floor and ceiling division.
+Only when a projection would grow past a fixed row budget are the leading
+coordinates it leaves out bounded by exact LPs instead. Ellipsoids are walked
+Fincke-Pohst style, bounding each coordinate by exact integer square roots.
+Both walks also run in a counting mode that adds up the lengths of the last
+coordinate's intervals and builds no point list; an interior count is the
+closed count of the integer region whose bounds are moved in by one. Gauges
+stay rational for polytopes and are square-root values for ellipsoids; both
+are compared in integer arithmetic and nothing is rounded anywhere.
 """
 
 from __future__ import annotations
@@ -298,20 +298,19 @@ def quadratic_integer_points(q: QMat, bound: Fraction) -> list:
 class _Chart:
     """A body pulled back to the integer coefficient space of a lattice basis.
 
-    The lattice basis is held as integer rows `basis` over one denominator
-    `den`. A polytope chart holds its constraints as
-    primitive integer rows (rows[j] . c <= rhs[j]), the products of the
-    body's primitive integer H-representation with the integer basis. Its
-    walks, gauges and ambient points stay in integers until a gauge or a
-    coordinate is returned as a Fraction. An ellipsoid chart holds its form
-    q and, for gauges, q scaled to integers as qint / qden.
+    The chart holds no basis: it reads the lattice's integer rows and their
+    denominator once. A polytope chart holds its constraints as primitive
+    integer rows (rows[j] . c <= rhs[j]), the products of the body's primitive
+    integer H-representation with the lattice's integer rows. Its walks and
+    gauges stay in integers until a gauge is returned as a Fraction; the
+    lattice maps coefficients back to points. An ellipsoid chart holds its
+    form q and, for gauges, q scaled to integers as qint / qden.
     """
 
     def __init__(self, body: Body, lat: Lattice):
         self.m = lat.rank
         if body.dim != lat.dim:
             raise ValueError("body and lattice dimensions differ")
-        self.basis, self.den = _integer_matrix(lat.basis.to_rows())
         self.span_empty = False
         self.span_boundary = False
         if body.kind == ELLIPSOID:
@@ -324,7 +323,7 @@ class _Chart:
         rhs = []
         for a, w in body._integer_hrep():
             # a . (e / den) <= w for the integer basis row e reads (a . e) <= w * den
-            row = [sum(map(mul, a, e)) for e in self.basis]
+            row = [sum(map(mul, a, e)) for e in lat._rows]
             if not any(row):
                 # constraint constant on the span: void, tight, or violated there
                 if w < 0:
@@ -332,7 +331,7 @@ class _Chart:
                 elif w == 0:
                     self.span_boundary = True
                 continue
-            row, w = _coprime(row, w * self.den)
+            row, w = _coprime(row, w * lat._den)
             rows.append(row)
             rhs.append(w)
         if not rows:
@@ -393,10 +392,6 @@ class _Chart:
             return _quadratic_walk(self.q, Fraction(self.qden - shift, self.qden), None)
         return _polytope_walk([_coprime(a, w - shift) for a, w in zip(self.rows, self.rhs)], None)
 
-    def ambient(self, c: Sequence[int]) -> tuple:
-        """The lattice point with integer coefficients c, as Fractions."""
-        return tuple(Fraction(sum(map(mul, c, col)), self.den) for col in zip(*self.basis))
-
 
 def _require_gauge_body(k: Body, lat: Lattice, allow_asymmetric: bool) -> _Chart:
     if not allow_asymmetric and not k.is_symmetric():
@@ -420,7 +415,7 @@ def enumerate_points(k: Body, lat: Lattice, radius, allow_asymmetric: bool = Fal
     radius = rat(radius)
     if radius <= 0:
         return [(zero, Fraction(0))]
-    pts = [(chart.ambient(c), g) for c, g in chart.points_within(radius)]
+    pts = [(lat.point(c), g) for c, g in chart.points_within(radius)]
     pts.sort(key=lambda t: t[0])
     return pts
 
@@ -476,7 +471,7 @@ def successive_minima(
         if p >= 0:
             picked.append((r, p))
             values.append(g)
-            witnesses.append(chart.ambient(c))
+            witnesses.append(red.point(c))
             if len(picked) == count:
                 break
     if len(picked) < count:

@@ -72,18 +72,10 @@ def _int_rows(data) -> tuple:
 
 def _section_content_sq(lat: Lattice) -> Fraction:
     """Squared d-content of the unit cube C_n cut by the span of the lattice."""
-    b = lat.basis
-    d, n = b.rows, b.cols
-    rows, rhs = [], []
-    for i in range(n):
-        col = [b.row(j)[i] for j in range(d)]
-        if all(x == 0 for x in col):
-            continue
-        rows.append(col)
-        rhs.append(Fraction(1))
-        rows.append([-x for x in col])
-        rhs.append(Fraction(1))
-    vol = Body(HPOLY, (QMat.from_rows(rows), tuple(rhs))).volume()
+    # |x_i| <= 1 for x = c B = c R / den reads |c . R_i| <= den on the integer column R_i
+    cols = [col for col in zip(*lat._rows) if any(col)]
+    rows = [r for col in cols for r in (col, [-x for x in col])]
+    vol = Body(HPOLY, (QMat.from_rows(rows), (Fraction(lat._den),) * len(rows))).volume()
     # the basis chart scales d-content by sqrt(det of its gram matrix)
     return vol * vol * lat.det_squared()
 

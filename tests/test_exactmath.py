@@ -697,7 +697,7 @@ def test_volume_2d_shoelace(pts):
 
     if affine_rank(ex) < 2:
         return
-    vol, _ = volume_centroid(ex, assume_extreme=True)
+    vol, _ = volume_centroid(ex)
     cx = sum((p[0] for p in ex), F(0)) / len(ex)
     cy = sum((p[1] for p in ex), F(0)) / len(ex)
     import functools

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gon.exactmath import QMat, QuadVal, RankDeficientError, dot, hnf, rat
+from gon.exactmath import QMat, QuadVal, RankDeficientError, dot, hnf, rat, vec
 from gon.lattice import (
     Lattice,
     kernel_lattice,
@@ -440,3 +440,96 @@ def test_kernel_lattice_matches_reference(rows):
 def test_kernel_lattice_errors_match_reference(rows):
     got = _outcome(kernel_lattice, rows)
     assert isinstance(got, tuple) and got == _outcome(ref_kernel_lattice, rows)
+
+
+# -- the integer form: each lattice holds integer rows over its least common denominator
+
+
+def _ref_integer_matrix(rows):
+    """Reference: the Fraction rows scaled by their least common denominator."""
+    den = math.lcm(*(rat(x).denominator for r in rows for x in r))
+    return [[rat(x) * den for x in r] for r in rows], den
+
+
+def ref_hermite_basis(lat: Lattice) -> Lattice:
+    """Reference: the route that scaled the Fraction basis to integers and back."""
+    m, den = _ref_integer_matrix(lat.basis.to_rows())
+    h, _ = ref_hnf(QMat.from_rows(m))
+    return Lattice(QMat.from_rows([[x / den for x in h.row(i)] for i in range(h.rows)]))
+
+
+def ref_same_lattice(a: Lattice, b: Lattice) -> bool:
+    """Reference: both bases scaled by one common denominator, then compared by HNF."""
+    if a.dim != b.dim or a.rank != b.rank:
+        return False
+    m, _ = _ref_integer_matrix(a.basis.to_rows() + b.basis.to_rows())
+    return ref_hnf(QMat.from_rows(m[:a.rank]))[0] == ref_hnf(QMat.from_rows(m[a.rank:]))[0]
+
+
+def assert_integer_form(out: Lattice, ref: Lattice | None = None):
+    # the public constructor, which reduces the Fraction basis itself, finds the same form
+    again = Lattice(out.basis)
+    assert again == out and hash(again) == hash(out)
+    assert again.basis == out.basis and repr(again) == repr(out)
+    if ref is not None:
+        assert out.basis == ref.basis and out == ref and hash(out) == hash(ref)
+
+
+@given(rational_bases(), st.sampled_from([F(3, 4), F(99, 100)]))
+@settings(max_examples=150, deadline=None)
+def test_producers_keep_the_integer_form(rows, delta):
+    lat = Lattice(QMat.from_rows(rows))
+    assert_integer_form(lat)
+    assert_integer_form(lll_reduce(lat, delta), ref_lll_reduce(lat, delta))
+    assert_integer_form(lat.hermite_basis(), ref_hermite_basis(lat))
+    assert_integer_form(lat.dual())
+    assert_integer_form(lat.scale(F(3, 2)))
+    assert lat.is_integer() == lat.basis.is_integer()
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda r: st.integers(r + 1, 5).flatmap(
+        lambda c: st.lists(st.lists(st.integers(-6, 6), min_size=c, max_size=c),
+                           min_size=r, max_size=r))))
+@settings(max_examples=150, deadline=None)
+def test_kernel_lattice_keeps_the_integer_form(rows):
+    assume(QMat.from_rows(rows).rank() == len(rows))
+    out = kernel_lattice(rows)
+    assert_integer_form(out, ref_kernel_lattice(rows))
+    assert_integer_form(lll_reduce(out), ref_lll_reduce(out))
+
+
+@given(rational_bases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_dependent_rational_rows_raise(rows, data):
+    weights = data.draw(st.lists(small_rational, min_size=len(rows), max_size=len(rows)))
+    extra = [sum((w * r[j] for w, r in zip(weights, rows)), F(0)) for j in range(len(rows[0]))]
+    at = data.draw(st.integers(0, len(rows)))
+    with pytest.raises(RankDeficientError):
+        Lattice(QMat.from_rows(rows[:at] + [extra] + rows[at:]))
+
+
+@given(rational_bases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_point_matches_the_basis_product(rows, data):
+    lat = Lattice(QMat.from_rows(rows))
+    ints = data.draw(st.lists(small_int, min_size=lat.rank, max_size=lat.rank))
+    fracs = data.draw(st.lists(small_rational, min_size=lat.rank, max_size=lat.rank))
+    for c in (ints, fracs, [str(x) for x in fracs], [F(x) for x in ints]):
+        got = lat.point(c)
+        assert got == lat.basis.transpose().mul_vec(vec(c))
+        assert all(type(x) is F for x in got)
+    assert _outcome(lat.point, ints + [0]) == _outcome(lat.basis.transpose().mul_vec, ints + [0])
+    assert _outcome(lat.point, [True] + ints[1:]) == (TypeError, "bool is not a rational")
+
+
+@given(rational_bases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_same_lattice_across_denominators(rows, data):
+    lat = Lattice(QMat.from_rows(rows))
+    others = [lll_reduce(lat), lat.hermite_basis(), lat.dual(), lat.scale(F(1, 2)),
+              lat.scale(3), Lattice(QMat.from_rows(data.draw(rational_bases())))]
+    for other in others:
+        assert lat.same_lattice(other) == ref_same_lattice(lat, other)
+        assert other.same_lattice(lat) == ref_same_lattice(other, lat)
+    assert lat.same_lattice(others[0]) and lat.same_lattice(others[1])

