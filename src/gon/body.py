@@ -223,7 +223,7 @@ class Body:
         return c
 
     def _polytope_volume_centroid(self) -> tuple:
-        # both are read off one triangulation, so they are cached together
+        # both are sums over one pulling triangulation, so they are cached together
         v, c = _volume_centroid(self.vertices(), self._facets())
         self._cache["vol"], self._cache["cen"] = v, c
         return v, c

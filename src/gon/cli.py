@@ -82,6 +82,9 @@ def _load_matrix(path: str) -> list:
     data = doc["data"]
     if len(data) != doc["rows"] or any(len(r) != doc["cols"] for r in data):
         raise CliError("schema", f"{path}: data shape disagrees with rows/cols")
+    if any(type(x) is not int for r in data for x in r):
+        # the schema's "integer" admits JSON numbers such as 1.0
+        raise CliError("schema", f"{path}: matrix entries must be integers")
     return data
 
 

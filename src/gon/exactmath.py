@@ -15,10 +15,10 @@ by one LP above dimension 6, where a hull can have exponentially many facets.
 ``lp_exact`` is an exact two-phase simplex.
 
 Volumes, centroids and surface areas come from one triangulation that needs
-only the vertex-facet incidences: which vertices lie on which facet.  Each
-face is coned from its vertex centroid over its own facets, down to edges.
-The incidences are the zero sets that the double description returns, or
-are read off an H-representation by tightness where no hull was run.
+only the vertex-facet incidences: which vertices lie on which facet.  A face
+that is a simplex is kept whole; any other is coned from its least vertex over
+its own facets that miss it.  The incidences are the zero sets that the double
+description returns, or are read off an H-representation by tightness.
 """
 
 from __future__ import annotations
@@ -1169,39 +1169,33 @@ def _facet_sets(A, b, vertices):
 
 
 def _pulling_simplices(face, facets, dim):
-    """Simplices (tuples of dim+1 points) covering a dim-dimensional face.
+    """Simplices (tuples of dim+1 vertices) triangulating a dim-dimensional face.
 
     face is the face's vertex set and facets the polytope's facet vertex sets.
-    The face is coned from its vertex centroid over its own facets, which are
-    the inclusion-maximal proper intersections of face with the facets; a
-    1-dimensional face is its two endpoints.
+    A face with dim+1 vertices is a simplex.  Any other is pulled from its least
+    vertex v (Lee, Handbook of Discrete and Computational Geometry, ch. 17): v
+    is coned over the face's own facets that miss v; these are among the
+    inclusion-maximal proper intersections of face with the facets.
     """
-    if dim == 1:
+    if len(face) == dim + 1:
         return [tuple(face)]
-    c = vavg(list(face))
+    v = min(face)
     subs = _maximal(g for g in (face & f for f in facets) if g != face)
-    return [(c,) + s for g in subs for s in _pulling_simplices(g, facets, dim - 1)]
-
-
-def _simplex_volume(simplex):
-    base = simplex[0]
-    n = len(base)
-    m = QMat.from_rows([vsub(p, base) for p in simplex[1:]])
-    return abs(m.det()) / math.factorial(n)
+    return [(v,) + s for g in subs if v not in g for s in _pulling_simplices(g, facets, dim - 1)]
 
 
 def _volume_centroid(vertices, facets):
-    # volume and centroid of a full-dimensional polytope from its vertex-facet incidences
+    # volume and centroid of a full-dimensional polytope from its vertex-facet
+    # incidences; a simplex weighs |det| of its edges, which is n! times its volume
     n = len(vertices[0])
-    vol = Fraction(0)
-    cent = [Fraction(0)] * n
+    total = Fraction(0)
+    moment = [Fraction(0)] * n
     for s in _pulling_simplices(frozenset(vertices), facets, n):
-        v = _simplex_volume(s)
-        vol += v
-        sc = vavg(s)
+        d = abs(QMat.from_rows([vsub(p, s[0]) for p in s[1:]]).det())
+        total += d
         for i in range(n):
-            cent[i] += v * sc[i]
-    return vol, tuple(x / vol for x in cent)
+            moment[i] += d * sum(p[i] for p in s)
+    return total / math.factorial(n), tuple(x / ((n + 1) * total) for x in moment)
 
 
 def volume_centroid(points):
@@ -1229,27 +1223,39 @@ def facet_contents(A, b, vertices, max_width: Fraction | None = None) -> Interva
 
     vertices must be the polytope's vertex set.  Each facet, read off the
     vertex-facet incidences, is triangulated like a volume one dimension down,
-    and the interval width is split evenly over the simplices.
+    and the interval width is split evenly over the facets.
     """
     return _facet_contents(vertices, _facet_sets(A, b, vertices), max_width)
 
 
+def _minor(rows, k):
+    # the determinant of rows with column k dropped
+    return QMat.from_rows([r[:k] + r[k + 1 :] for r in rows]).det()
+
+
 def _facet_contents(vertices, facets, max_width: Fraction | None = None) -> Interval:
-    # facet_contents from the vertex-facet incidences
+    """facet_contents from the vertex-facet incidences: one square root per facet.
+
+    A facet simplex whose edge matrix has (n-1)-minors a has content |a| / (n-1)!
+    (Cauchy-Binet), and the simplices of one facet have parallel a.  So with a
+    from the first and a_k != 0, the facet's content is |a| / |a_k| times the
+    sum of its simplices' volumes with coordinate k dropped.
+    """
     if max_width is None:
         max_width = SURFACE_WIDTH
     n = len(vertices[0])
     if n == 1:
         return Interval.point(2)  # two endpoint facets, each a point of content 1
-    simplices = [s for f in facets for s in _pulling_simplices(f, facets, n - 1)]
-    if not simplices:
+    if not facets:
         raise RankDeficientError("no facets found")
-    per_term = max_width / len(simplices)
+    per_facet = max_width / len(facets)
     total = Interval.point(0)
-    for s in simplices:
-        base = s[0]
-        edges = [vsub(p, base) for p in s[1:]]
-        gram = QMat.from_rows([[dot(e1, e2) for e2 in edges] for e1 in edges])
-        g = gram.det()
-        total = total + sqrt_interval(g, per_term) * Fraction(1, math.factorial(n - 1))
+    for f in facets:
+        edges = [[vsub(p, s[0]) for p in s[1:]] for s in _pulling_simplices(f, facets, n - 1)]
+        a = [_minor(edges[0], j) for j in range(n)] if edges else [0] * n
+        if not any(a):
+            raise RankDeficientError("a facet is not (n-1)-dimensional")
+        k = next(j for j, x in enumerate(a) if x)
+        v_k = (abs(a[k]) + sum(abs(_minor(e, k)) for e in edges[1:])) / math.factorial(n - 1)
+        total = total + sqrt_interval(v_k * v_k * dot(a, a) / (a[k] * a[k]), per_facet)
     return total

@@ -32,7 +32,7 @@ from .exactmath import (
     rat,
     root_interval,
 )
-from .lattice import Lattice, kernel_lattice, make_lattice, minors_gcd
+from .lattice import Lattice, _integer_rows, kernel_lattice, make_lattice, minors_gcd
 from .body import HPOLY, Body, cube, generalized_hexagon
 from .minima import MinimaResult, first_minimum, successive_minima
 
@@ -58,16 +58,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # cube sections and their kernel lattices
-
-
-def _int_rows(data) -> tuple:
-    rows = [tuple(int(x) for x in r) for r in data]
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("need a nonempty rectangular integer matrix")
-    for r, src in zip(rows, data):
-        if any(a != b for a, b in zip(r, src)):
-            raise ValueError("matrix entries must be integers")
-    return tuple(rows)
 
 
 def _section_content_sq(lat: Lattice) -> Fraction:
@@ -111,9 +101,8 @@ def section_body(a) -> CubeSection:
     data = list(a)
     if data and not isinstance(data[0], (list, tuple)):
         data = [data]
-    rows = _int_rows(data)
-    lat = kernel_lattice([list(r) for r in rows])
-    return CubeSection(rows, lat, cube(len(rows[0])))
+    rows = _integer_rows(data, "cube section")
+    return CubeSection(tuple(map(tuple, rows)), kernel_lattice(rows), cube(len(rows[0])))
 
 
 # ---------------------------------------------------------------------------

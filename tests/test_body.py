@@ -408,6 +408,48 @@ def test_hpoly_and_vpoly_of_its_vertices_agree(data):
     assert h.surface_area() == v.surface_area()
 
 
+@st.composite
+def _integer_vpoly(draw):
+    # a simplex around the origin in dimension 2-5 and a few more integer points
+    n = draw(st.integers(2, 5))
+    pts = [(-1,) * n] + [tuple(3 * int(j == i) for j in range(n)) for i in range(n)]
+    return pts + draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=3))
+
+
+@settings(max_examples=20)
+@given(_integer_vpoly())
+def test_vpoly_and_hpoly_of_its_hrep_agree(pts):
+    v = vpoly(pts)
+    a, b = v.hrep()
+    h = hpoly(a.to_rows(), b)
+    assert h.volume() == v.volume()
+    assert h.centroid() == v.centroid()
+    assert h.surface_area() == v.surface_area()
+
+
+@st.composite
+def _unimodular(draw, n):
+    # a product of elementary shears and a sign change: integer with determinant +-1
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        t = draw(st.integers(-2, 2))
+        u[i] = [a + t * b for a, b in zip(u[i], u[j])]
+    u[0] = [-a for a in u[0]] if draw(st.booleans()) else u[0]
+    return u
+
+
+@settings(max_examples=20)
+@given(st.data())
+def test_unimodular_image_keeps_volume_and_moves_centroid(data):
+    pts = data.draw(_integer_vpoly())
+    u = data.draw(_unimodular(len(pts[0])))
+    k = vpoly(pts)
+    uk = vpoly([[sum(a * x for a, x in zip(row, p)) for row in u] for p in pts])
+    assert uk.volume() == k.volume()
+    assert uk.centroid() == tuple(sum(a * x for a, x in zip(row, k.centroid())) for row in u)
+
+
 # -- volumes and scalars -----------------------------------------------------
 
 

@@ -260,6 +260,14 @@ def test_matrix_shape_mismatch(files, capsys):
     expect_error(capsys, "schema", "siegel", "--matrix", files["badmat"])
 
 
+@pytest.mark.parametrize("entry", [1.0, True, "3"])
+def test_matrix_entries_must_be_json_integers(tmp_path, capsys, entry):
+    # 1.0 passes the schema's "integer"; true and "3" fail it
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 3, "data": [[entry, 2, 5]]}))
+    expect_error(capsys, "schema", "siegel", "--matrix", str(path))
+
+
 def test_unknown_check_id(files, capsys):
     expect_error(capsys, "usage", "verify", "--body", files["cube2"],
                  "--lattice", files["z2"], "--checks", "nope")

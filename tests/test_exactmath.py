@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gon.body import vpoly
+from gon import exactmath as em
+from gon.body import box, cross_polytope, cube, dual_centered_simplex, standard_simplex, vpoly
 from gon.exactmath import (
     DEFAULT_WIDTH,
+    SURFACE_WIDTH,
     DimensionGuardError,
     Interval,
     QMat,
@@ -35,7 +38,13 @@ from gon.exactmath import (
     unit_ball_volume_interval,
     vertex_enum,
     volume_centroid,
+    vavg,
+    vsub,
     _lp_extreme_points,
+    _maximal,
+    _tight_facets,
+    _vertex_hull,
+    _vertex_rays,
 )
 from gon.lattice import minors_gcd
 
@@ -755,3 +764,171 @@ def test_facet_contents_duplicate_rows_collapse():
     b = [1, 2, 1, 1, 1]
     vs = vertex_enum(A, b)
     assert facet_contents(A, b, vs) == Interval.point(8)
+
+
+# ---------------------------------------------------------------------------
+# pulling triangulation from a vertex, against the centroid coning it replaced
+#
+# The routines below are the earlier triangulation, kept verbatim as the
+# reference: it cones every face from its vertex centroid, down to edges, and
+# encloses each simplex's content by the square root of its Gram determinant.
+
+
+def _pulling_simplices(face, facets, dim):
+    """Simplices (tuples of dim+1 points) covering a dim-dimensional face.
+
+    face is the face's vertex set and facets the polytope's facet vertex sets.
+    The face is coned from its vertex centroid over its own facets, which are
+    the inclusion-maximal proper intersections of face with the facets; a
+    1-dimensional face is its two endpoints.
+    """
+    if dim == 1:
+        return [tuple(face)]
+    c = vavg(list(face))
+    subs = _maximal(g for g in (face & f for f in facets) if g != face)
+    return [(c,) + s for g in subs for s in _pulling_simplices(g, facets, dim - 1)]
+
+
+def _simplex_volume(simplex):
+    base = simplex[0]
+    n = len(base)
+    m = QMat.from_rows([vsub(p, base) for p in simplex[1:]])
+    return abs(m.det()) / math.factorial(n)
+
+
+def _volume_centroid(vertices, facets):
+    # volume and centroid of a full-dimensional polytope from its vertex-facet incidences
+    n = len(vertices[0])
+    vol = Fraction(0)
+    cent = [Fraction(0)] * n
+    for s in _pulling_simplices(frozenset(vertices), facets, n):
+        v = _simplex_volume(s)
+        vol += v
+        sc = vavg(s)
+        for i in range(n):
+            cent[i] += v * sc[i]
+    return vol, tuple(x / vol for x in cent)
+
+
+def _facet_contents(vertices, facets, max_width: Fraction | None = None) -> Interval:
+    # facet_contents from the vertex-facet incidences
+    if max_width is None:
+        max_width = SURFACE_WIDTH
+    n = len(vertices[0])
+    if n == 1:
+        return Interval.point(2)  # two endpoint facets, each a point of content 1
+    simplices = [s for f in facets for s in _pulling_simplices(f, facets, n - 1)]
+    if not simplices:
+        raise RankDeficientError("no facets found")
+    per_term = max_width / len(simplices)
+    total = Interval.point(0)
+    for s in simplices:
+        base = s[0]
+        edges = [vsub(p, base) for p in s[1:]]
+        gram = QMat.from_rows([[dot(e1, e2) for e2 in edges] for e1 in edges])
+        g = gram.det()
+        total = total + sqrt_interval(g, per_term) * Fraction(1, math.factorial(n - 1))
+    return total
+
+
+@st.composite
+def _random_polytopes(draw):
+    """(vertices, facets) of a random V- or H-polytope of dimension 2-5."""
+    n = draw(st.integers(2, 5))
+    coord = st.integers(-3, 3)
+    if draw(st.booleans()):
+        # a simplex around the origin and a few more integer points
+        pts = [tuple(-1 for _ in range(n))] + [tuple(3 * int(j == i) for j in range(n)) for i in range(n)]
+        pts += draw(st.lists(st.tuples(*[coord] * n), max_size=3))
+        verts, _, facets = _vertex_hull(pts)
+        return verts, facets
+    # a box cut by rows that keep the origin interior
+    rows = [[s * int(j == i) for j in range(n)] for i in range(n) for s in (1, -1)]
+    rhs = [draw(st.integers(1, 3)) for _ in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(draw(st.lists(coord, min_size=n, max_size=n)))
+        rhs.append(draw(st.fractions(min_value=F(1, 2), max_value=3, max_denominator=4)))
+    verts, _ = _vertex_rays(rows, rhs)
+    return tuple(x for x, _ in verts), _tight_facets(verts, len(rows))
+
+
+@settings(max_examples=40)
+@given(_random_polytopes())
+def test_vertex_pulling_keeps_volume_and_centroid(poly):
+    verts, facets = poly
+    assert em._volume_centroid(verts, facets) == _volume_centroid(verts, facets)
+
+
+@settings(max_examples=40)
+@given(_random_polytopes(), st.sampled_from([SURFACE_WIDTH, F(1, 2**8), F(1, 2**100)]))
+def test_facet_contents_overlap_the_gram_enclosures(poly, width):
+    verts, facets = poly
+    new = em._facet_contents(verts, facets, width)
+    old = _facet_contents(verts, facets, width)
+    assert new.lo <= old.hi and old.lo <= new.hi
+    assert new.width <= width
+
+
+def _encloses(iv, r, q, m):
+    # whether iv contains r + q sqrt(m), for rationals q >= 0 and m >= 0
+    lo, hi = iv.lo - r, iv.hi - r
+    return (lo <= 0 or lo * lo <= q * q * m) and hi >= 0 and hi * hi >= q * q * m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_box_closed_forms(n):
+    a = [F(n - i, 2) for i in range(n)]
+    k = box(a)
+    sides = [2 * x for x in a]
+    assert em._volume_centroid(k.vertices(), k._facets()) == (math.prod(sides), (0,) * n)
+    faces = sum(math.prod(sides[:i] + sides[i + 1 :]) for i in range(n))
+    assert em._facet_contents(k.vertices(), k._facets()) == Interval.point(2 * faces)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_standard_simplex_closed_forms(n):
+    # n facets on the coordinate hyperplanes of content 1/(n-1)!, and one of content sqrt(n)/(n-1)!
+    k = standard_simplex(n)
+    vol, cen = em._volume_centroid(k.vertices(), k._facets())
+    assert vol == F(1, math.factorial(n)) and cen == (F(1, n + 1),) * n
+    s = em._facet_contents(k.vertices(), k._facets())
+    assert _encloses(s, F(n, math.factorial(n - 1)), F(1, math.factorial(n - 1)), n)
+    assert s.width <= SURFACE_WIDTH
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cross_polytope_closed_forms(n):
+    # 2^n facets, each a regular simplex on s e_i of content s^(n-1) sqrt(n)/(n-1)!
+    s = F(3, 2)
+    k = cross_polytope(n, s)
+    assert em._volume_centroid(k.vertices(), k._facets()) == (2**n * s**n / math.factorial(n), (0,) * n)
+    area = em._facet_contents(k.vertices(), k._facets())
+    assert _encloses(area, 0, 2**n * s ** (n - 1) / math.factorial(n - 1), n)
+    assert area.width <= SURFACE_WIDTH
+
+
+def _simplex_count(k):
+    return len(em._pulling_simplices(frozenset(k.vertices()), k._facets(), k.dim))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_pulling_simplex_counts(n):
+    assert _simplex_count(standard_simplex(n)) == 1
+    assert _simplex_count(dual_centered_simplex(n)) == 1
+    assert _simplex_count(cross_polytope(n)) == 2 ** (n - 1)
+    assert _simplex_count(vpoly(cube(n).vertices())) == math.factorial(n)
+
+
+def test_dual_centered_simplex_7_is_one_simplex():
+    # the reference triangulation above cuts it into 8!/2 = 20160 simplices
+    k = dual_centered_simplex(7)
+    assert _simplex_count(k) == 1
+    assert k.volume() == F(1, 630)
+
+
+def test_facet_contents_of_a_flat_polytope_raise():
+    # a square in the plane x_3 = 0 of R^3: its "facets" are edges, not 2-dimensional
+    A = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    vs = [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0)]
+    with pytest.raises(RankDeficientError):
+        facet_contents(A, [1, 1, 1, 1, 0, 0], vs)

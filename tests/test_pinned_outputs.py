@@ -13,8 +13,11 @@ this file.  It also hashes ``repr(scan_constants(n, h).records)`` over the
 benchmark's scan sweep (n = 2 with h = 4, 8, ..., 40; n = 3 with h = 2..12;
 n = 4 with h = 2..5) and compares those digests with ``pinned_scan_records.json``,
 so a basis reduction that picks a different reduced basis, and with it
-different witnesses or minima, is seen.  Lattice outputs are pinned in
-``pinned_lattice_outputs.json``: the ``to_json()`` of ``kernel_lattice`` on
+different witnesses or minima, is seen.  What no change of numerical method
+may move is pinned apart, in ``pinned_invariant_outputs.json``: for each
+instance, the ``(check_id, kind, status, reason)`` of every check, and
+``repr((volume, centroid))`` of K and of its symmetral, which are exact.
+Lattice outputs are pinned in ``pinned_lattice_outputs.json``: the ``to_json()`` of ``kernel_lattice`` on
 fixed integer matrices, and, for the 12 corpus lattices and fixed rational
 bases with a denominator above 1 or fewer rows than columns, the ``to_json()``
 of ``lll_reduce`` (delta = 3/4 and 99/100), ``hermite_basis``, ``dual`` and
@@ -22,16 +25,18 @@ of ``lll_reduce`` (delta = 3/4 and 99/100), ``hermite_basis``, ``dual`` and
 outputs, by a single digit of a margin or by the order of an
 H-representation's rows, fails here.
 
-When an output is meant to change, regenerate both files of digests with
+When an output is meant to change, regenerate the files of digests with
 
     PYTHONPATH=src python tests/test_pinned_outputs.py
 
-(the same command rewrites the lattice digests) and say in the change why
-they moved.
+(it rewrites the instance, invariant, scan and lattice digests) and say in
+the change which digests moved and why.  The invariant digests move only
+when the program's answers are meant to change, not its methods.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -46,6 +51,7 @@ from gon.lattice import kernel_lattice, lll_reduce, make_lattice
 from gon.verify import random_instance
 
 DIGESTS = Path(__file__).with_name("pinned_outputs.json")
+INVARIANT_DIGESTS = Path(__file__).with_name("pinned_invariant_outputs.json")
 SCAN_DIGESTS = Path(__file__).with_name("pinned_scan_records.json")
 LATTICE_DIGESTS = Path(__file__).with_name("pinned_lattice_outputs.json")
 RANDOM_DRAWS = 160
@@ -79,11 +85,17 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def digests(k, lat) -> dict:
-    reports = json.dumps([r.to_json() for r in run_checks(k, lat)], sort_keys=True)
-    ks = symmetrize(k)
+@functools.cache
+def _outputs(name):
+    # K, its symmetral and the reports, computed once for both digest tests
+    k, lat = INSTANCES[name]()
+    return k, symmetrize(k), run_checks(k, lat)
+
+
+def digests(name) -> dict:
+    k, ks, reports = _outputs(name)
     out = {
-        "run_checks": _sha(reports),
+        "run_checks": _sha(json.dumps([r.to_json() for r in reports], sort_keys=True)),
         "scalars": _sha(repr(k.scalars())),
         "symmetral_scalars": _sha(repr(ks.scalars())),
     }
@@ -91,6 +103,15 @@ def digests(k, lat) -> dict:
         out["hrep"] = _sha(repr(k.hrep()))
         out["symmetral_hrep"] = _sha(repr(ks.hrep()))
     return out
+
+
+def invariant_digests(name) -> dict:
+    k, ks, reports = _outputs(name)
+    return {
+        "statuses": _sha(repr([(r.check_id, r.kind, r.status, r.reason) for r in reports])),
+        "volume_centroid": _sha(repr((k.volume(), k.centroid()))),
+        "symmetral_volume_centroid": _sha(repr((ks.volume(), ks.centroid()))),
+    }
 
 
 def scan_digests() -> dict:
@@ -122,7 +143,7 @@ def lattice_digests() -> dict:
     return out
 
 
-INSTANCES = _instances()
+INSTANCES = dict(_instances())
 
 
 @pytest.fixture(scope="module")
@@ -130,13 +151,23 @@ def pinned():
     return json.loads(DIGESTS.read_text())
 
 
-def test_every_instance_is_pinned(pinned):
-    assert sorted(pinned) == sorted(name for name, _ in INSTANCES)
+@pytest.fixture(scope="module")
+def pinned_invariants():
+    return json.loads(INVARIANT_DIGESTS.read_text())
 
 
-@pytest.mark.parametrize("name,make", INSTANCES, ids=[name for name, _ in INSTANCES])
-def test_outputs_match_pinned_digests(name, make, pinned):
-    assert digests(*make()) == pinned[name]
+def test_every_instance_is_pinned(pinned, pinned_invariants):
+    assert sorted(pinned) == sorted(pinned_invariants) == sorted(INSTANCES)
+
+
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_outputs_match_pinned_digests(name, pinned):
+    assert digests(name) == pinned[name]
+
+
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_invariants_match_pinned_digests(name, pinned_invariants):
+    assert invariant_digests(name) == pinned_invariants[name]
 
 
 def test_scan_records_match_pinned_digests():
@@ -148,7 +179,9 @@ def test_lattice_outputs_match_pinned_digests():
 
 
 if __name__ == "__main__":
-    DIGESTS.write_text(json.dumps({name: digests(*make()) for name, make in INSTANCES},
+    DIGESTS.write_text(json.dumps({name: digests(name) for name in INSTANCES},
                                   indent=1, sort_keys=True) + "\n")
+    INVARIANT_DIGESTS.write_text(json.dumps({name: invariant_digests(name) for name in INSTANCES},
+                                            indent=1, sort_keys=True) + "\n")
     SCAN_DIGESTS.write_text(json.dumps(scan_digests(), indent=1, sort_keys=True) + "\n")
     LATTICE_DIGESTS.write_text(json.dumps(lattice_digests(), indent=1, sort_keys=True) + "\n")

@@ -137,6 +137,22 @@ def test_solve_rejects_bad_input():
         siegel_solve([[1, F(1, 2), 2]])
 
 
+@pytest.mark.parametrize("rows,error", [
+    ([[1.0, 2, 3]], TypeError),
+    ([[True, 2, 3]], TypeError),
+    ([[1, F(1, 2), 2]], ValueError),
+    ([["3", 2, 5]], None),
+])
+def test_section_validates_entries_as_kernel_lattice_does(rows, error):
+    if error is None:
+        assert section_body(rows).lattice == kernel_lattice(rows) == kernel_lattice([[3, 2, 5]])
+        assert section_body(rows).rows == ((3, 2, 5),)
+        return
+    for build in (section_body, kernel_lattice):
+        with pytest.raises(error):
+            build(rows)
+
+
 def test_kernel_determinant_identity():
     for rows in ([[1, 2, 3]], [[1, 0, 1], [0, 2, 2]], [[2, -1, 0, 3], [1, 1, 1, 1]]):
         s = siegel_solve(rows)
