@@ -195,6 +195,17 @@ def _as_interval(x) -> Interval:
     return Interval.point(rat(x))
 
 
+def _root_scale(q: int, max_width) -> int:
+    """Least k >= 0 with 1 / (q << k) <= max_width: the grid that encloses a root over q."""
+    width = Fraction(max_width)
+    if width <= 0:
+        raise ValueError("max_width must be positive")
+    # q 2^k >= d / n, read off the bit lengths of q n and d, then corrected by one comparison
+    t, d = q * width.numerator, width.denominator
+    k = max(0, d.bit_length() - t.bit_length())
+    return k if t << k >= d else k + 1
+
+
 def sqrt_interval(x, max_width: Fraction | None = None) -> Interval:
     """Certified enclosure of sqrt(x) for rational x >= 0.
 
@@ -209,9 +220,7 @@ def sqrt_interval(x, max_width: Fraction | None = None) -> Interval:
     if ns * ns == x.numerator and ds * ds == x.denominator:
         return Interval.point(Fraction(ns, ds))
     q = x.denominator
-    k = 0
-    while Fraction(1, q << k) > max_width:
-        k += 1
+    k = _root_scale(q, max_width)
     s = isqrt((x.numerator * q) << (2 * k))
     return Interval(Fraction(s, q << k), Fraction(s + 1, q << k))
 
@@ -226,9 +235,7 @@ def root_interval(x, r: int, max_width: Fraction | None = None) -> Interval:
     if r == 2:
         return sqrt_interval(x, max_width)
     q = x.denominator
-    k = 0
-    while Fraction(1, q << k) > max_width:
-        k += 1
+    k = _root_scale(q, max_width)
     s = iroot(x.numerator * q ** (r - 1) << (r * k), r)
     lo = Fraction(s, q << k)
     hi = Fraction(s + 1, q << k)

@@ -6,27 +6,34 @@ coordinates: a body is pulled back to {c : gauge(c B) <= r} and integer vectors
 c are walked one coordinate at a time. A polytope's pull-back is built from
 integer rows end to end: the chart reads the lattice's integer rows over their
 denominator, the body's H-representation is scaled to primitive integer rows
-once per body, and their products are the chart's rows. A radius p/q enters
-the walk as the rows (q a, p w), gauges are read off the rows by
-cross-multiplication, and the lattice maps a point back to the ambient space
-by integer dot products over its denominator. Fourier-Motzkin elimination
-projects the walk's rows once onto every prefix of the coordinates, so each
-node of the walk reads its interval by integer floor and ceiling division.
-Only when a projection would grow past a fixed row budget are the leading
-coordinates it leaves out bounded by exact LPs instead. Ellipsoids are walked
+once per body, and their products are the chart's rows. Scaled to one
+right-hand side L, they give every point an integer key max_j g_j . c whose
+gauge is key / L, and a radius enters the walk as the rows (g_j, key); the
+lattice maps a point back to the ambient space by integer dot products over
+its denominator. Fourier-Motzkin elimination projects the walk's rows once
+onto every prefix of the coordinates, so each node of the walk reads its
+interval by integer floor and ceiling division. Only when a projection would
+grow past a fixed row budget are the leading coordinates it leaves out
+bounded by exact LPs instead. Ellipsoids are walked
 Fincke-Pohst style, bounding each coordinate by exact integer square roots.
 Both walks also run in a counting mode that adds up the lengths of the last
 coordinate's intervals and builds no point list; an interior count is the
-closed count of the integer region whose bounds are moved in by one. Gauges
-stay rational for polytopes and are square-root values for ellipsoids; both
-are compared in integer arithmetic and nothing is rounded anywhere.
+closed count of the integer region whose bounds are moved in by one. For a
+symmetric body both walks also run on a canonical half, one point of each
+pair +-c and not the origin (Fincke & Pohst 1985; Schnorr & Euchner 1994).
+
+Successive minima rank their candidates by the integer keys, c^T Q c for an
+ellipsoid's form scaled to integers, and build a gauge value only for a
+minimum they return. Gauges stay rational for polytopes and are square-root
+values for ellipsoids; both are compared in integer arithmetic and nothing is
+rounded anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt
+from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -179,20 +186,28 @@ def _interval(level: Optional[tuple], rows: list, prefix: list) -> Optional[tupl
     return lo, hi
 
 
-def _walk(levels: list, rows: list, prefix: list, out: Optional[list]) -> int:
-    """Number of integer points of the region extending `prefix`, appended to `out` unless None."""
+def _walk(levels: list, rows: list, prefix: list, out: Optional[list], half: bool = False) -> int:
+    """Number of integer points of the region extending `prefix`, appended to `out` unless None.
+
+    With `half`, the prefix is all zeros and only the points whose first
+    nonzero coordinate is positive are walked: the level starts at 0, and at 1
+    when it is the last.
+    """
     bounds = _interval(levels[len(prefix)], rows, prefix)
     if bounds is None:
         return 0
     lo, hi = bounds
-    if len(prefix) + 1 == len(levels):
+    last = len(prefix) + 1 == len(levels)
+    if half:
+        lo = max(lo, 1 if last else 0)
+    if last:
         if out is not None:
             out.extend((*prefix, z) for z in range(lo, hi + 1))
         return max(0, hi - lo + 1)
     n = 0
     for z in range(lo, hi + 1):
         prefix.append(z)
-        n += _walk(levels, rows, prefix, out)
+        n += _walk(levels, rows, prefix, out, half and not z)
         prefix.pop()
     return n
 
@@ -218,11 +233,13 @@ def polytope_integer_points(rows: Sequence[Sequence], rhs: Sequence) -> list:
     return out
 
 
-def _polytope_walk(rows: list, out: Optional[list]) -> int:
+def _polytope_walk(rows: list, out: Optional[list], half: bool = False) -> int:
     """Number of integer c with a . c <= w for every primitive integer row (a, w) of `rows`.
 
     This is the walk of polytope_integer_points; unless `out` is None it also
-    appends the points to `out`, in lexicographic order.
+    appends the points to `out`, in lexicographic order. With `half` it walks
+    only the points whose first nonzero coordinate is positive: of a symmetric
+    region, one of each pair +-c and not the origin.
     """
     m = len(rows[0][0])
     ints = {}
@@ -231,13 +248,15 @@ def _polytope_walk(rows: list, out: Optional[list]) -> int:
             ints[a, w] = None
         elif w < 0:
             return 0
-    if m == 0:
+    if m == 0:  # the one point is the origin, which the half walk leaves out
+        if half:
+            return 0
         if out is not None:
             out.append(())
         return 1
     ints = list(ints)
     levels = _prefix_projections(ints, m)
-    return 0 if levels is None else _walk(levels, ints, [], out)
+    return 0 if levels is None else _walk(levels, ints, [], out, half)
 
 
 def _floor_center_plus_sqrt(c: Fraction, q: Fraction) -> int:
@@ -258,27 +277,36 @@ def _le_center_plus_sqrt(z: int, c: Fraction, q: Fraction) -> bool:
     return d <= 0 or d * d <= q
 
 
-def _quadratic_walk(q: QMat, bound: Fraction, out: Optional[list]) -> int:
-    """Number of integer c with c^T Q c <= bound (>= 0), appended to `out` unless it is None."""
+def _quadratic_walk(q: QMat, bound: Fraction, out: Optional[list], half: bool = False) -> int:
+    """Number of integer c with c^T Q c <= bound (>= 0), appended to `out` unless it is None.
+
+    The walk fixes c_{m-1} first. With `half` it walks only the points whose
+    last nonzero coordinate is positive: one of each pair +-c, and not the origin.
+    """
     # Q = L D L^T, so c^T Q c = sum_i d_i (c_i + sum_{j>i} L_ji c_j)^2
     low, d = q.ldl()
-    return _quadratic_level([low.col(i) for i in range(q.rows)], d, [], bound, out)
+    return _quadratic_level([low.col(i) for i in range(q.rows)], d, [], bound, out, half)
 
 
-def _quadratic_level(u: list, d: tuple, suffix: list, rem: Fraction, out: Optional[list]) -> int:
-    # suffix holds coordinates i+1..m-1; rem = bound - sum of settled terms
+def _quadratic_level(u: list, d: tuple, suffix: list, rem: Fraction, out: Optional[list],
+                     half: bool) -> int:
+    # suffix holds coordinates i+1..m-1; rem = bound - sum of settled terms;
+    # half: the suffix is all zeros, so c_i starts at 0, or at 1 when it is c_0
     m = len(d)
     i = m - 1 - len(suffix)
     center = -sum(u[i][j] * suffix[j - i - 1] for j in range(i + 1, m))
     radic = rem / d[i]
     hi = _floor_center_plus_sqrt(center, radic)
     lo = -_floor_center_plus_sqrt(-center, radic)
+    if half:
+        lo = max(lo, 1 if i == 0 else 0)
     if i == 0:
         if out is not None:
             out.extend((z, *suffix) for z in range(lo, hi + 1))
         return max(0, hi - lo + 1)
     # the bounds are exact, so every z in them leaves rem - d_i (z - center)^2 >= 0
-    return sum(_quadratic_level(u, d, [z] + suffix, rem - d[i] * (z - center) ** 2, out)
+    return sum(_quadratic_level(u, d, [z] + suffix, rem - d[i] * (z - center) ** 2, out,
+                                half and not z)
                for z in range(lo, hi + 1))
 
 
@@ -301,10 +329,15 @@ class _Chart:
     The chart holds no basis: it reads the lattice's integer rows and their
     denominator once. A polytope chart holds its constraints as primitive
     integer rows (rows[j] . c <= rhs[j]), the products of the body's primitive
-    integer H-representation with the lattice's integer rows. Its walks and
-    gauges stay in integers until a gauge is returned as a Fraction; the
-    lattice maps coefficients back to points. An ellipsoid chart holds its
-    form q and, for gauges, q scaled to integers as qint / qden.
+    integer H-representation with the lattice's integer rows. An ellipsoid
+    chart holds its form q and, for gauges, q scaled to integers as qint / qden.
+
+    Gauges are ranked by integer keys, and a value is built only from a key.
+    When the origin is interior, a polytope chart also holds its rows scaled
+    to one right-hand side L = lcm(rhs), as `keyrows`: the key of c is
+    max(0, max_j keyrows[j] . c) and its gauge is key / L. An ellipsoid's key
+    is c^T qint c and its gauge is sqrt(key / qden). The lattice maps
+    coefficients back to points.
     """
 
     def __init__(self, body: Body, lat: Lattice):
@@ -338,46 +371,54 @@ class _Chart:
             raise ValueError("body has no constraints on the lattice span")
         self.rows = rows
         self.rhs = rhs
+        if self.origin_interior():
+            self.lcm = lcm(*rhs)
+            self.keyrows = [tuple(x * (self.lcm // w) for x in a) for a, w in zip(rows, rhs)]
 
     def origin_interior(self) -> bool:
         if self.kind == "quad":
             return True
         return all(x > 0 for x in self.rhs)
 
-    def gauge(self, c: Sequence[int]) -> Scalar:
-        """Gauge of the integer coefficient vector c; the origin must be interior."""
+    def key(self, c: Sequence[int]) -> int:
+        """Integer key of the gauge of c: keys order points as their gauges do."""
         if self.kind == "quad":
-            s = sum(ci * sum(map(mul, r, c)) for ci, r in zip(c, self.qint))
-            return quad_or_rat(Fraction(s, self.qden))
-        # max over rows of (a . c) / w, floored at 0, compared by cross-multiplication
-        num, den = 0, 1
-        for a, w in zip(self.rows, self.rhs):
-            t = sum(map(mul, a, c))
-            if t * den > num * w:
-                num, den = t, w
-        return Fraction(num, den)
+            return sum(ci * sum(map(mul, r, c)) for ci, r in zip(c, self.qint))
+        return max(0, *[sum(map(mul, g, c)) for g in self.keyrows])
 
-    def basis_gauges(self) -> list:
+    def value(self, key: int) -> Scalar:
+        """The gauge whose key is `key`."""
+        if self.kind == "quad":
+            return quad_or_rat(Fraction(key, self.qden))
+        return Fraction(key, self.lcm)
+
+    def basis_keys(self) -> list:
+        if self.kind == "quad":
+            return [self.qint[i][i] for i in range(self.m)]
+        return [max(0, *col) for col in zip(*self.keyrows)]
+
+    def points(self, key: int, half: bool = False) -> list:
+        """Integer coefficient vectors c with key(c) <= key.
+
+        With `half` the body must be symmetric, and only one of each pair +-c
+        comes back, the one whose first nonzero coefficient is positive; the
+        origin is left out.
+        """
         out = []
-        for i in range(self.m):
-            e = [0] * self.m
-            e[i] = 1
-            out.append(self.gauge(e))
+        if self.kind == "quad":
+            _quadratic_walk(self.q, Fraction(key, self.qden), out, half)
+            if half:  # the ellipsoid walk's half has its last nonzero coefficient positive
+                out = [c if next(filter(None, c)) > 0 else tuple(-x for x in c) for c in out]
+        else:
+            _polytope_walk([_coprime(g, key) for g in self.keyrows], out, half)
         return out
 
-    def points_within(self, radius: Scalar) -> list:
-        """(coefficient, gauge) pairs for every lattice point with gauge <= radius."""
-        if self.kind == "quad":
-            bound = radius.square if isinstance(radius, QuadVal) else rat(radius) ** 2
-            pts = quadratic_integer_points(self.q, bound)
-        else:
-            # gauge <= p/q is q (a . c) <= p w on every row
-            r = rat(radius)
-            p, q = r.numerator, r.denominator
-            pts = []
-            _polytope_walk([_coprime([q * x for x in a], p * w) for a, w in zip(self.rows, self.rhs)],
-                           pts)
-        return [(c, self.gauge(c)) for c in pts]
+    def points_within(self, radius: Fraction) -> list:
+        """(coefficient, gauge) pairs for every lattice point with gauge <= radius (>= 0)."""
+        # keys are integers, so gauge <= r reads key <= floor(r L), or key <= floor(r^2 qden)
+        r = rat(radius)
+        key = floor(r * r * self.qden) if self.kind == "quad" else floor(r * self.lcm)
+        return [(c, self.value(self.key(c))) for c in self.points(key)]
 
     def count(self, interior: bool = False) -> int:
         """Lattice points in the body, or in its interior, counted without a point list.
@@ -420,13 +461,6 @@ def enumerate_points(k: Body, lat: Lattice, radius, allow_asymmetric: bool = Fal
     return pts
 
 
-def _canonical_sign(c: tuple) -> bool:
-    for x in c:
-        if x:
-            return x > 0
-    return True
-
-
 def successive_minima(
     k: Body,
     lat: Lattice,
@@ -438,8 +472,11 @@ def successive_minima(
     The basis is LLL-reduced, every candidate with gauge up to the count-th
     smallest basis-vector gauge is enumerated, and witnesses are selected
     greedily by (gauge, lexicographic coefficient) with exact rank tests.
-    For symmetric bodies only the sign with positive leading coefficient
-    competes, which pins the reported witnesses down uniquely.
+    Candidates are ranked by their integer gauge keys, and a gauge value is
+    built only for a picked witness. A symmetric body has gauge(-c) =
+    gauge(c), so its walk visits only the canonical half, the coefficient
+    vectors whose first nonzero entry is positive; that pins the reported
+    witnesses down uniquely.
     """
     m = lat.rank
     if count is None:
@@ -448,21 +485,13 @@ def successive_minima(
         raise ValueError("count must lie between 1 and the lattice rank")
     red = lll_reduce(lat)
     chart = _require_gauge_body(k, red, allow_asymmetric)
-    gauges = sorted(chart.basis_gauges())
-    cap = gauges[count - 1]
-    sym = k.is_symmetric()
-    cands = []
-    for c, g in chart.points_within(cap):
-        if all(x == 0 for x in c):
-            continue
-        if sym and not _canonical_sign(c):
-            continue
-        cands.append((g, c))
-    cands.sort(key=lambda t: (t[0], t[1]))
+    cap = sorted(chart.basis_keys())[count - 1]
+    # an asymmetric body's walk keeps the origin, which reduces to zero and is never picked
+    cands = sorted((chart.key(c), c) for c in chart.points(cap, half=k.is_symmetric()))
     picked = []  # (row, pivot): the witnesses' coefficients in echelon form
     values = []
     witnesses = []
-    for g, c in cands:
+    for key, c in cands:
         r = list(c)  # reduced to zero exactly when it depends on the picked rows
         for e, p in picked:
             if r[p]:
@@ -470,7 +499,7 @@ def successive_minima(
         p = next((i for i, x in enumerate(r) if x), -1)
         if p >= 0:
             picked.append((r, p))
-            values.append(g)
+            values.append(chart.value(key))
             witnesses.append(red.point(c))
             if len(picked) == count:
                 break

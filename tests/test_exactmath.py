@@ -99,6 +99,22 @@ def test_root_interval_encloses(x, r):
     assert iv.width <= DEFAULT_WIDTH
 
 
+@given(st.integers(1, 2**80), st.fractions(min_value=F(1, 2**200), max_value=2**20))
+def test_root_scale_is_the_least_grid_finer_than_the_width(q, width):
+    # the loop the scale was found by before: every enclosure keeps its endpoints
+    k = 0
+    while Fraction(1, q << k) > width:
+        k += 1
+    assert em._root_scale(q, width) == k
+
+
+def test_root_scale_rejects_a_nonpositive_width():
+    with pytest.raises(ValueError):
+        sqrt_interval(2, max_width=F(0))
+    with pytest.raises(ValueError):
+        root_interval(2, 3, max_width=F(-1, 2))
+
+
 def test_root_interval_exact_cube():
     assert root_interval(F(27, 8), 3) == Interval.point(F(3, 2))
 

@@ -3,7 +3,8 @@ import random
 import sys
 from fractions import Fraction as F
 from itertools import product
-from math import ceil, factorial, floor
+from math import ceil, factorial, floor, isqrt
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -29,11 +30,13 @@ from gon.exactmath import (
     QuadVal,
     UnboundedError,
     lp_exact,
+    quad_or_rat,
+    rat,
     sqrt_interval,
     _integer_row,
 )
 from gon import minima
-from gon.lattice import kernel_lattice, make_lattice, polar_lattice, standard_lattice
+from gon.lattice import kernel_lattice, lll_reduce, make_lattice, polar_lattice, standard_lattice
 from gon.minima import (
     MinimaResult,
     difference_body,
@@ -343,6 +346,70 @@ def test_walks_leave_no_reference_cycle():
         gc.enable()
 
 
+@st.composite
+def gram_forms(draw, m):
+    """M^T M for an integer upper triangular M, diagonal 1..3 and entries -2..2 above it."""
+    up = [[0] * m for _ in range(m)]
+    for i in range(m):
+        up[i][i] = draw(st.integers(1, 3))
+        for j in range(i + 1, m):
+            up[i][j] = draw(st.integers(-2, 2))
+    mm = QMat.from_rows(up)
+    return mm.transpose() @ mm
+
+
+@st.composite
+def symmetric_regions(draw):
+    """(kind, data, m): a region symmetric about the origin in dimension m = 1-4.
+
+    A "poly" region is a list of primitive integer rows (a, w), each with its
+    mirror (-a, w); a zero bound makes it flat. A "quad" region is (Q, bound)
+    for c^T Q c <= bound, Q drawn by gram_forms.
+    """
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        rows = []
+        for i in range(m):
+            e = [0] * m
+            e[i] = 1
+            rows.append((e, draw(st.integers(0, 2))))
+        for _ in range(draw(st.integers(0, 3))):
+            rows.append((draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m).filter(any)),
+                         draw(st.integers(0, 5))))
+        mirrored = [minima._coprime([s * x for x in a], w) for a, w in rows for s in (1, -1)]
+        return "poly", mirrored, m
+    bound = draw(st.fractions(min_value=0, max_value=10, max_denominator=3))
+    return "quad", (draw(gram_forms(m)), bound), m
+
+
+def walk_region(kind, data, out, half):
+    if kind == "poly":
+        return minima._polytope_walk(data, out, half)
+    q, bound = data
+    return minima._quadratic_walk(q, bound, out, half)
+
+
+@given(symmetric_regions(), st.sampled_from([minima._PROJECTION_MAX_ROWS, 0, 2, 8]))
+@settings(max_examples=200, deadline=None)
+def test_half_walk_is_one_of_each_pair_and_no_origin(region, budget):
+    # budgets 0, 2 and 8 hand the leading levels of a polytope walk to LPs
+    kind, data, m = region
+    full, half = [], []
+    with mock.patch.object(minima, "_PROJECTION_MAX_ROWS", budget):
+        assert walk_region(kind, data, full, False) == len(full)
+        assert walk_region(kind, data, half, True) == len(half)
+        count = walk_region(kind, data, None, True)
+    mirrored = [tuple(-x for x in c) for c in half]
+    assert sorted(half + mirrored + [(0,) * m]) == sorted(full)
+    assert count == len(half) == (len(full) - 1) // 2
+    # the polytope walk fixes c_0 first and keeps its order; the ellipsoid walk fixes c_{m-1} first
+    if kind == "poly":
+        assert half == sorted(half)
+        assert all(next(filter(None, c)) > 0 for c in half)
+    else:
+        assert all(next(filter(None, reversed(c))) > 0 for c in half)
+
+
 # -- successive minima -------------------------------------------------------------
 
 
@@ -573,6 +640,166 @@ def test_transference_bounds():
             for i in range(n):
                 prod = lam[i] * mu[n - 1 - i]
                 assert 1 <= prod <= factorial(n)
+
+
+# -- successive minima against the routine they replaced ---------------------------
+
+
+def ref_gauge(chart, c):
+    """Gauge of the integer coefficient vector c; the origin must be interior."""
+    if chart.kind == "quad":
+        s = sum(ci * sum(map(mul, r, c)) for ci, r in zip(c, chart.qint))
+        return quad_or_rat(F(s, chart.qden))
+    # max over rows of (a . c) / w, floored at 0, compared by cross-multiplication
+    num, den = 0, 1
+    for a, w in zip(chart.rows, chart.rhs):
+        t = sum(map(mul, a, c))
+        if t * den > num * w:
+            num, den = t, w
+    return F(num, den)
+
+
+def ref_basis_gauges(chart):
+    out = []
+    for i in range(chart.m):
+        e = [0] * chart.m
+        e[i] = 1
+        out.append(ref_gauge(chart, e))
+    return out
+
+
+def ref_points_within(chart, radius):
+    """(coefficient, gauge) pairs for every lattice point with gauge <= radius."""
+    if chart.kind == "quad":
+        bound = radius.square if isinstance(radius, QuadVal) else rat(radius) ** 2
+        pts = quadratic_integer_points(chart.q, bound)
+    else:
+        # gauge <= p/q is q (a . c) <= p w on every row
+        r = rat(radius)
+        p, q = r.numerator, r.denominator
+        pts = []
+        minima._polytope_walk([minima._coprime([q * x for x in a], p * w)
+                               for a, w in zip(chart.rows, chart.rhs)], pts)
+    return [(c, ref_gauge(chart, c)) for c in pts]
+
+
+def ref_canonical_sign(c):
+    for x in c:
+        if x:
+            return x > 0
+    return True
+
+
+def ref_successive_minima(k, lat, count=None, allow_asymmetric=False):
+    """successive_minima as it was: it walked both signs and gauged every point as a Fraction."""
+    m = lat.rank
+    if count is None:
+        count = m
+    if not 1 <= count <= m:
+        raise ValueError("count must lie between 1 and the lattice rank")
+    red = lll_reduce(lat)
+    chart = minima._require_gauge_body(k, red, allow_asymmetric)
+    gauges = sorted(ref_basis_gauges(chart))
+    cap = gauges[count - 1]
+    sym = k.is_symmetric()
+    cands = []
+    for c, g in ref_points_within(chart, cap):
+        if all(x == 0 for x in c):
+            continue
+        if sym and not ref_canonical_sign(c):
+            continue
+        cands.append((g, c))
+    cands.sort(key=lambda t: (t[0], t[1]))
+    picked = []  # (row, pivot): the witnesses' coefficients in echelon form
+    values = []
+    witnesses = []
+    for g, c in cands:
+        r = list(c)  # reduced to zero exactly when it depends on the picked rows
+        for e, p in picked:
+            if r[p]:
+                r = [e[p] * x - r[p] * y for x, y in zip(r, e)]
+        p = next((i for i, x in enumerate(r) if x), -1)
+        if p >= 0:
+            picked.append((r, p))
+            values.append(g)
+            witnesses.append(red.point(c))
+            if len(picked) == count:
+                break
+    if len(picked) < count:
+        raise RuntimeError("enumeration cap failed to reach enough independent points")
+    return MinimaResult(tuple(values), tuple(witnesses))
+
+
+@st.composite
+def minima_instances(draw):
+    """(k, lat, allow_asymmetric): a symmetric polytope, an asymmetric H-polytope or an
+    ellipsoid in dimension 2-4, on a sheared full-rank lattice or on the kernel
+    lattice of one integer row, embedded with rank n - 1."""
+    kind = draw(st.sampled_from(["symmetric", "asymmetric", "ellipsoid"]))
+    if kind == "symmetric":
+        k = draw(symmetric_bodies())
+        n = k.dim
+    else:
+        n = draw(st.integers(2, 4))
+    side = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=6)
+    if kind == "asymmetric":
+        rows, rhs = [], []
+        for i in range(n):
+            e = [0] * n
+            e[i] = 1
+            rows += [e, [-x for x in e]]
+            rhs += [draw(side), draw(side)]
+        for _ in range(draw(st.integers(0, 2))):
+            rows.append(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)))
+            rhs.append(draw(side))
+        k = hpoly(rows, rhs)
+    elif kind == "ellipsoid":
+        t = draw(side)
+        k = ellipsoid([[t * x for x in r] for r in draw(gram_forms(n)).to_rows()])
+    if draw(st.booleans()):
+        b, u = draw(lattices_and_unimodular(n))
+        lat = make_lattice((u @ b).to_rows())
+    else:
+        row = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n).filter(any))
+        lat = kernel_lattice([row])
+    return k, lat, kind == "asymmetric"
+
+
+def coefficient_bound(k, lat, lam):
+    """Largest |c_i| over real coefficient vectors c with c B in lam K, without the walks.
+
+    Polytopes take two exact LPs per coordinate; an ellipsoid {x^T Q x <= 1}
+    bounds c_i by lam sqrt((G^-1)_ii) for the Gram form G = B Q B^T.
+    """
+    b = lat.basis
+    if k.kind == "ellipsoid":
+        ginv = ((b @ k.data) @ b.transpose()).inverse()
+        lam_sq = lam.square if isinstance(lam, QuadVal) else lam * lam
+        return max(isqrt(floor(lam_sq * ginv[i, i])) for i in range(lat.rank))
+    a, rhs = k.hrep()
+    rows = [[sum(a[j, t] * b[i, t] for t in range(lat.dim)) for i in range(lat.rank)]
+            for j in range(a.rows)]
+    bound = 0
+    for i in range(lat.rank):
+        e = [0] * lat.rank
+        e[i] = 1
+        for sense in ("max", "min"):
+            bound = max(bound, abs(lp_exact(rows, [lam * x for x in rhs], e, sense=sense).optimum))
+    return floor(bound)
+
+
+@given(minima_instances())
+@settings(max_examples=120, deadline=None)
+def test_minima_match_the_routine_they_replaced(instance):
+    k, lat, asym = instance
+    for count in range(1, lat.rank + 1):
+        got = successive_minima(k, lat, count, allow_asymmetric=asym)
+        ref = ref_successive_minima(k, lat, count, allow_asymmetric=asym)
+        assert got == ref and repr(got) == repr(ref)
+    # the brute force scans a box of basis coefficients: compare where it holds every candidate
+    span = coefficient_bound(k, lat, got.values[-1])
+    if (2 * span + 1) ** lat.rank <= 3000:
+        assert list(got.values) == brute_minima(k, lat, lat.rank, span)
 
 
 # -- width and covering bracket --------------------------------------------------
