@@ -207,9 +207,8 @@ class Body:
         elif self.kind in (HPOLY, VPOLY):
             return self._polytope_volume_centroid()[0]
         else:
-            # vol = omega_n / sqrt(det Q)
-            q = self.data.det()
-            v = unit_ball_volume_interval(self.dim) * sqrt_interval(1 / q)
+            # vol = omega_n / sqrt(det Q), enclosed at the working width, so not cached
+            return unit_ball_volume_interval(self.dim) * sqrt_interval(1 / self.data.det())
         self._cache["vol"] = v
         return v
 
@@ -499,13 +498,19 @@ def standard_simplex(n: int) -> Body:
     return vpoly(verts)
 
 
-def generalized_hexagon(alphas: Sequence) -> Body:
-    """Cube section body {|x_i| <= 1, |sum alpha_i x_i| <= 1} with 0 < a_1 <= ... <= 1."""
+def _hexagon_coefficients(alphas: Sequence) -> tuple:
+    """The coefficients as rationals, checked to satisfy 0 < a_1 <= ... <= a_last <= 1."""
     al = vec(alphas)
     if not al:
         raise ValueError("need at least one coefficient")
-    if any(a <= 0 for a in al) or any(al[i] > al[i + 1] for i in range(len(al) - 1)) or al[-1] > 1:
+    if al[0] <= 0 or any(al[i] > al[i + 1] for i in range(len(al) - 1)) or al[-1] > 1:
         raise ValueError("coefficients must satisfy 0 < a_1 <= ... <= a_last <= 1")
+    return al
+
+
+def generalized_hexagon(alphas: Sequence) -> Body:
+    """Cube section body {|x_i| <= 1, |sum alpha_i x_i| <= 1} with 0 < a_1 <= ... <= 1."""
+    al = _hexagon_coefficients(alphas)
     n = len(al)
     rows = []
     rhs = []

@@ -18,11 +18,11 @@ from fractions import Fraction
 
 from jsonschema import ValidationError
 
-from . import exactmath
 from .body import Body, centered_simplex, cross_polytope, cube, dual_centered_simplex, \
     generalized_hexagon, polar_body
 from .counting import count_points, ehrhart
-from .exactmath import DimensionGuardError, ExactGeometryError, rat, rat_str
+from .exactmath import DimensionGuardError, ExactGeometryError, current_width, rat, rat_str, \
+    working_width
 from .lattice import Lattice, kernel_lattice, make_lattice, standard_lattice
 from .minima import lattice_width, successive_minima
 from .schemas import SCHEMA_TAG, validate_input, validate_output
@@ -88,17 +88,18 @@ def _load_matrix(path: str) -> list:
     return data
 
 
-def _apply_precision(args) -> None:
+def _precision(args) -> Fraction:
+    """The working width of this call: --precision, else GON_PRECISION, else the one in force."""
     raw = args.precision if args.precision is not None else os.environ.get("GON_PRECISION")
     if raw is None:
-        return
+        return current_width()
     try:
         exp = int(raw)
     except (TypeError, ValueError):
         raise CliError("usage", f"precision must be an integer exponent, got {raw!r}")
     if not 4 <= exp <= 512:
         raise CliError("usage", "precision exponent out of range [4, 512]")
-    exactmath.DEFAULT_WIDTH = Fraction(1, 2 ** exp)
+    return Fraction(1, 2 ** exp)
 
 
 def _doc(command: str, **fields) -> dict:
@@ -197,10 +198,7 @@ def _cmd_siegel(args):
 
 
 def _cmd_scan(args):
-    try:
-        rep = scan_constants(args.n, args.max, dedupe=not args.no_dedupe, jobs=args.jobs)
-    except ValueError as e:
-        raise CliError("guard" if "guard" in str(e) else "input", str(e))
+    rep = scan_constants(args.n, args.max, dedupe=not args.no_dedupe, jobs=args.jobs)
     records = None
     if not args.no_records:
         records = [
@@ -566,13 +564,12 @@ def _emit(doc: dict) -> None:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    # --precision and GON_PRECISION hold for this call only
-    width = exactmath.DEFAULT_WIDTH
     try:
         args = parser.parse_args(argv)
-        _apply_precision(args)
         try:
-            doc, code = _HANDLERS[args.command](args)
+            # --precision and GON_PRECISION hold for this call only
+            with working_width(_precision(args)):
+                doc, code = _HANDLERS[args.command](args)
         except CliError:
             raise
         except DimensionGuardError as e:
@@ -589,8 +586,6 @@ def main(argv=None) -> int:
         validate_output("error", err)
         _emit(err)
         return 3 if e.code == "internal" else 1
-    finally:
-        exactmath.DEFAULT_WIDTH = width
     validate_output(args.command, doc)
     _emit(doc)
     if args.pretty:

@@ -24,6 +24,8 @@ description returns, or are read off an H-representation by tightness.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -33,6 +35,9 @@ Rat = Fraction
 
 #: Default width of interval enclosures, as used by QuadVal.to_interval.
 DEFAULT_WIDTH = Fraction(1, 2**64)
+
+# the working width of the current call: DEFAULT_WIDTH unless working_width sets another
+_WIDTH: ContextVar[Fraction] = ContextVar("working_width", default=DEFAULT_WIDTH)
 
 #: Default width for surface-area enclosures (coarser: many terms add up).
 SURFACE_WIDTH = Fraction(1, 2**40)
@@ -131,10 +136,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def is_point(self) -> bool:
         return self.lo == self.hi
 
@@ -206,6 +207,28 @@ def _root_scale(q: int, max_width) -> int:
     return k if t << k >= d else k + 1
 
 
+def current_width() -> Fraction:
+    """The width that sqrt_interval and root_interval enclose to by default."""
+    return _WIDTH.get()
+
+
+@contextmanager
+def working_width(width):
+    """Enclose to ``width`` by default inside the block, in this thread only.
+
+    The scope is a context variable: other threads keep their own width, and
+    processes forked inside the block inherit this one.
+    """
+    width = Fraction(width)
+    if width <= 0:
+        raise ValueError("working width must be positive")
+    token = _WIDTH.set(width)
+    try:
+        yield width
+    finally:
+        _WIDTH.reset(token)
+
+
 def sqrt_interval(x, max_width: Fraction | None = None) -> Interval:
     """Certified enclosure of sqrt(x) for rational x >= 0.
 
@@ -215,7 +238,7 @@ def sqrt_interval(x, max_width: Fraction | None = None) -> Interval:
     if x < 0:
         raise ValueError("negative radicand")
     if max_width is None:
-        max_width = DEFAULT_WIDTH
+        max_width = _WIDTH.get()
     ns, ds = isqrt(x.numerator), isqrt(x.denominator)
     if ns * ns == x.numerator and ds * ds == x.denominator:
         return Interval.point(Fraction(ns, ds))
@@ -231,7 +254,7 @@ def root_interval(x, r: int, max_width: Fraction | None = None) -> Interval:
     if x < 0:
         raise ValueError("negative radicand")
     if max_width is None:
-        max_width = DEFAULT_WIDTH
+        max_width = _WIDTH.get()
     if r == 2:
         return sqrt_interval(x, max_width)
     q = x.denominator
@@ -290,13 +313,6 @@ class QuadVal:
 
     def __setattr__(self, *a):
         raise AttributeError("QuadVal is immutable")
-
-    @staticmethod
-    def of_rational(x) -> "QuadVal":
-        x = rat(x)
-        if x < 0:
-            raise ValueError("QuadVal represents nonnegative reals")
-        return QuadVal(x * x)
 
     def as_rational(self) -> Fraction | None:
         """The exact value when the square root is rational, else None."""
@@ -414,15 +430,6 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(t, u):
-    t = rat(t)
-    return tuple(t * a for a in u)
-
-
 def vavg(points):
     n = len(points)
     acc = [Fraction(0)] * len(points[0])
@@ -461,10 +468,6 @@ class QMat:
         if any(len(r) != n for r in rows):
             raise ValueError("ragged rows")
         return cls(m, n, [x for r in rows for x in r])
-
-    @classmethod
-    def from_cols(cls, cols: Iterable[Sequence]) -> "QMat":
-        return cls.from_rows(cols).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "QMat":
@@ -648,11 +651,6 @@ def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> tuple[Fract
 # integer normal forms
 
 
-def _row_sub(a, i, j, q):
-    if q:
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-
-
 def _int_rows(m: QMat):
     if not m.is_integer():
         raise ValueError("normal forms require an integer matrix")
@@ -705,92 +703,56 @@ def _hnf(a: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _hnf_carry(a: list[list[int]], u: list[list[int]]) -> tuple[list, list]:
+    """Row HNF of ``[a | u]``, split back into the form of a and the carried rows of u."""
+    nc = len(a[0])
+    au = [ra + ru for ra, ru in zip(a, u)]
+    _hnf(au, nc)
+    return [r[:nc] for r in au], [r[nc:] for r in au]
+
+
+def _transpose(a: list[list[int]]) -> list[list[int]]:
+    return [list(c) for c in zip(*a)]
+
+
 def hnf(m: QMat) -> tuple[QMat, QMat]:
     """Row Hermite normal form.  Returns (H, U) with H = U @ m, |det U| = 1.
 
     H is in row-echelon form, pivots positive, entries above a pivot reduced
     into [0, pivot).
     """
-    nr, nc = m.rows, m.cols
-    a = [row + [int(i == j) for j in range(nr)] for i, row in enumerate(_int_rows(m))]
-    _hnf(a, nc)
-    return QMat.from_rows([r[:nc] for r in a]), QMat.from_rows([r[nc:] for r in a])
+    h, u = _hnf_carry(_int_rows(m), _identity(m.rows))
+    return QMat.from_rows(h), QMat.from_rows(u)
 
 
 def snf(m: QMat) -> tuple[QMat, QMat, QMat]:
     """Smith normal form.  Returns (D, U, V) with D = U @ m @ V.
 
-    The diagonal of D is nonnegative and each entry divides the next.
+    The diagonal of D is nonnegative and each entry divides the next.  Row
+    Hermite forms of [A | U] and of [A^T | V^T] alternate until A is diagonal;
+    where d_t does not divide d_{t+1}, column t+1 is added into column t and
+    the alternation goes on (Cohen, A Course in Computational Algebraic Number
+    Theory, 1993, ch. 2).
     """
-    a = _int_rows(m)
-    nr, nc = len(a), len(a[0])
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def col_sub(i, j, q):
-        # column i -= q * column j, applied to a and v
-        if q:
-            for row in a:
-                row[i] -= q * row[j]
-            for row in v:
-                row[i] -= q * row[j]
-
-    def col_swap(i, j):
+    a, u, vt = _int_rows(m), _identity(m.rows), _identity(m.cols)
+    while True:
+        a, u = _hnf_carry(a, u)
+        at, vt = _hnf_carry(_transpose(a), vt)
+        a = _transpose(at)
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            continue
+        # A^T is in echelon form, so the zeros of the diagonal come last
+        d = [a[t][t] for t in range(min(m.rows, m.cols))]
+        t = next((t for t in range(len(d) - 1) if d[t] and d[t + 1] % d[t]), None)
+        if t is None:
+            return QMat.from_rows(a), QMat.from_rows(u), QMat.from_rows(_transpose(vt))
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    for t in range(min(nr, nc)):
-        while True:
-            cand = [
-                (abs(a[i][j]), i, j)
-                for i in range(t, nr)
-                for j in range(t, nc)
-                if a[i][j] != 0
-            ]
-            if not cand:
-                break
-            _, pi, pj = min(cand)
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-                u[t], u[pi] = u[pi], u[t]
-            if pj != t:
-                col_swap(t, pj)
-            dirty = False
-            for i in range(t + 1, nr):
-                q = a[i][t] // a[t][t]
-                _row_sub(a, i, t, q)
-                _row_sub(u, i, t, q)
-                if a[i][t]:
-                    dirty = True
-            for j in range(t + 1, nc):
-                q = a[t][j] // a[t][t]
-                col_sub(j, t, q)
-                if a[t][j]:
-                    dirty = True
-            if dirty:
-                continue
-            # pivot must divide the whole trailing block
-            bad = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, nr)
-                    for j in range(t + 1, nc)
-                    if a[i][j] % a[t][t] != 0
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            bi = bad[0]
-            a[t] = [x + y for x, y in zip(a[t], a[bi])]
-            u[t] = [x + y for x, y in zip(u[t], u[bi])]
-    for t in range(min(nr, nc)):
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    return QMat.from_rows(a), QMat.from_rows(u), QMat.from_rows(v)
+            row[t] += row[t + 1]
+        vt[t] = [x + y for x, y in zip(vt[t], vt[t + 1])]
 
 
 def invariant_factors(m: QMat) -> list[int]:

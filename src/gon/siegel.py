@@ -25,6 +25,7 @@ from itertools import combinations_with_replacement
 from typing import Optional, Sequence, Union
 
 from .exactmath import (
+    DimensionGuardError,
     Interval,
     QMat,
     QuadVal,
@@ -33,7 +34,7 @@ from .exactmath import (
     root_interval,
 )
 from .lattice import Lattice, _integer_rows, kernel_lattice, make_lattice, minors_gcd
-from .body import HPOLY, Body, cube, generalized_hexagon
+from .body import HPOLY, Body, _hexagon_coefficients, cube, generalized_hexagon
 from .minima import MinimaResult, first_minimum, successive_minima
 
 __all__ = [
@@ -177,14 +178,7 @@ class GeneralizedHexagon:
     alphas: tuple
 
     def __post_init__(self):
-        al = tuple(rat(x) for x in self.alphas)
-        if not al:
-            raise ValueError("need at least one coefficient")
-        if any(x <= 0 for x in al) or any(al[i] > al[i + 1] for i in range(len(al) - 1)):
-            raise ValueError("coefficients must be positive and ascending")
-        if al[-1] > 1:
-            raise ValueError("coefficients must not exceed 1")
-        object.__setattr__(self, "alphas", al)
+        object.__setattr__(self, "alphas", _hexagon_coefficients(self.alphas))
 
     @property
     def dim(self) -> int:
@@ -369,7 +363,7 @@ def scan_constants(n: int, a_max: int, dedupe: bool = True, jobs: int = 1) -> Sc
     if a_max < 1:
         raise ValueError("need a_max >= 1")
     if comb(a_max + n - 1, n) > _SCAN_GUARD:
-        raise ValueError("scan domain exceeds the resource guard")
+        raise DimensionGuardError("scan domain exceeds the resource guard")
     vectors = [
         a
         for a in combinations_with_replacement(range(1, a_max + 1), n)

@@ -54,6 +54,7 @@ from .counting import count_points, ehrhart
 from .exactmath import (
     Interval,
     QuadVal,
+    current_width,
     e_interval,
     pi_interval,
     quad_or_rat,
@@ -72,8 +73,13 @@ Side = Union[Fraction, QuadVal, Interval]
 # enumeration guard for the dilate counts behind Ehrhart coefficients
 _EHRHART_GUARD = 25_000
 
-# retry width for undecided interval comparisons
+# retry width for undecided interval comparisons: 2^-96 at the default working
+# width, and 2^32 times finer than any narrower one
 _REFINE_WIDTH = Fraction(1, 2 ** 96)
+
+
+def _refine_width() -> Fraction:
+    return min(_REFINE_WIDTH, current_width() / 2 ** 32)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +357,7 @@ class _Instance:
         return self.k.surface_area()
 
     def surface_refined(self) -> Interval:
-        return self.k.surface_area(max_width=_REFINE_WIDTH)
+        return self.k.surface_area(max_width=_refine_width())
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +549,7 @@ def _c_hhh_surface(inst: _Instance):
     rhs = root * inst.surface
     wit = {"minima": list(inst.lam_s.values), "sum_of_square_products": total}
     return _le_report(lhs, rhs, wit,
-                      refine=lambda: _iv(root, _REFINE_WIDTH) * inst.surface_refined())
+                      refine=lambda: _iv(root, _refine_width()) * inst.surface_refined())
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +730,7 @@ def _c_malikiosis(inst: _Instance):
     rhs = rhs_at(None)
     wit = {"count": inst.count, "floor_product": prod,
            "base": "(40/9)^(1/3)" if inst.symmetric else "sqrt(3)"}
-    return _le_report(lhs, rhs, wit, refine=lambda: rhs_at(_REFINE_WIDTH))
+    return _le_report(lhs, rhs, wit, refine=lambda: rhs_at(_refine_width()))
 
 
 @_check("tointon_bound", "bound", "K with at least one minimum under the threshold",

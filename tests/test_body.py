@@ -33,6 +33,7 @@ from gon.exactmath import (
     pi_interval,
     sqrt_interval,
     unit_ball_volume_interval,
+    working_width,
 )
 
 rational = st.fractions(min_value=-4, max_value=4)
@@ -469,6 +470,16 @@ def test_ellipsoid_volume_interval():
     half_pi = pi_interval() * F(1, 2)
     assert v.lo <= half_pi.hi and half_pi.lo <= v.hi
     assert v.width < F(1, 10 ** 30)
+
+
+def test_ellipsoid_volume_follows_the_working_width():
+    k = ellipsoid([[1, 0], [0, 2]])
+    fine = k.volume()
+    with working_width(F(1, 2 ** 8)):
+        coarse = k.volume()
+    assert coarse.lo <= fine.lo <= fine.hi <= coarse.hi
+    assert coarse.width > F(1, 2 ** 10) > F(1, 2 ** 60) > fine.width
+    assert k.volume() == fine
 
 
 def test_scalars_bundle():

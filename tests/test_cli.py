@@ -5,9 +5,9 @@ import pytest
 from jsonschema import ValidationError
 
 import gon.cli as cli
-import gon.exactmath as exactmath
 from gon.body import Body
 from gon.cli import main
+from gon.exactmath import current_width, working_width
 from gon.schemas import validate_input, validate_output
 from gon.verify import CheckReport
 
@@ -34,13 +34,6 @@ def files(tmp_path):
         "badbody": w("badbody.json", {"type": "box", "sides": [1, 1]}),
         "badmat": w("badmat.json", {"rows": 2, "cols": 3, "data": [[1, 2, 3]]}),
     }
-
-
-@pytest.fixture(autouse=True)
-def _restore_width():
-    saved = exactmath.DEFAULT_WIDTH
-    yield
-    exactmath.DEFAULT_WIDTH = saved
 
 
 def run(capsys, *argv):
@@ -313,7 +306,23 @@ def test_precision_holds_for_one_call(files, capsys):
               _classical_width(capsys, files, "--precision", "8"),
               _classical_width(capsys, files)]
     assert widths == [F(1, 2 ** 64), F(1, 2 ** 8), F(1, 2 ** 64)]
-    assert exactmath.DEFAULT_WIDTH == F(1, 2 ** 64)
+    assert current_width() == F(1, 2 ** 64)
+
+
+def test_precision_inherits_the_callers_scope(files, capsys):
+    with working_width(F(1, 2 ** 72)):
+        assert _classical_width(capsys, files) == F(1, 2 ** 72)
+        assert _classical_width(capsys, files, "--precision", "8") == F(1, 2 ** 8)
+        assert current_width() == F(1, 2 ** 72)
+
+
+def test_corpus_jobs_byte_identical_under_precision(capsys):
+    rc1 = main(["corpus", "--instances", "2", "--precision", "100", "--jobs", "1"])
+    out1 = capsys.readouterr().out
+    rc2 = main(["corpus", "--instances", "2", "--precision", "100", "--jobs", "2"])
+    out2 = capsys.readouterr().out
+    assert rc1 == rc2 == 0
+    assert out1 == out2
 
 
 # -- schema units ------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import threading
 from fractions import Fraction
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -19,6 +21,7 @@ from gon.exactmath import (
     RankDeficientError,
     UnboundedError,
     affine_rank,
+    current_width,
     dot,
     e_interval,
     extreme_points,
@@ -40,6 +43,7 @@ from gon.exactmath import (
     volume_centroid,
     vavg,
     vsub,
+    working_width,
     _lp_extreme_points,
     _maximal,
     _tight_facets,
@@ -97,6 +101,60 @@ def test_root_interval_encloses(x, r):
     iv = root_interval(x, r)
     assert iv.lo**r <= x <= iv.hi**r
     assert iv.width <= DEFAULT_WIDTH
+
+
+def test_working_width_scopes_the_default():
+    assert current_width() == DEFAULT_WIDTH
+    with working_width(F(1, 2 ** 8)) as w:
+        assert w == current_width() == F(1, 2 ** 8)
+        assert sqrt_interval(2).width == F(1, 2 ** 8)
+        assert root_interval(2, 3).width == F(1, 2 ** 8)
+        assert sqrt_interval(2, F(1, 2 ** 20)).width == F(1, 2 ** 20)  # an explicit width wins
+        with working_width(F(1, 2 ** 100)):
+            assert QuadVal(2).to_interval().width == F(1, 2 ** 100)
+        assert current_width() == F(1, 2 ** 8)
+    assert sqrt_interval(2).width == DEFAULT_WIDTH
+    with pytest.raises(ValueError):
+        with working_width(0):
+            pass
+    with pytest.raises(ZeroDivisionError):
+        with working_width(F(1, 2 ** 8)):
+            1 / 0
+    assert current_width() == DEFAULT_WIDTH
+
+
+def test_working_width_is_per_thread():
+    barrier = threading.Barrier(2)
+    seen = {}
+
+    def probe(name, width):
+        with working_width(width):
+            barrier.wait()  # both scopes are open at once
+            seen[name] = sqrt_interval(2).width
+            barrier.wait()
+
+    def plain():
+        barrier.wait()
+        seen["plain"] = sqrt_interval(2).width
+        barrier.wait()
+
+    threads = [threading.Thread(target=probe, args=("coarse", F(1, 2 ** 8))),
+               threading.Thread(target=plain)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert seen == {"coarse": F(1, 2 ** 8), "plain": DEFAULT_WIDTH}
+
+
+def _sqrt2_width():
+    return sqrt_interval(2).width
+
+
+def test_forked_workers_inherit_the_width():
+    with working_width(F(1, 2 ** 8)):
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(_sqrt2_width) == F(1, 2 ** 8)
 
 
 @given(st.integers(1, 2**80), st.fractions(min_value=F(1, 2**200), max_value=2**20))
@@ -345,22 +403,35 @@ def test_snf_frozen():
     assert (u @ m @ v) == d
 
 
-@given(int_matrix(3, 4))
+def _dependent_last_row(rows):
+    return rows[:-1] + [[2 * x - 3 * y for x, y in zip(rows[0], rows[1])]]
+
+
+def _dependent_last_col(rows):
+    return [r[:-1] + [2 * r[0] - 3 * r[1]] for r in rows]
+
+
+@given(st.one_of(int_matrix(3, 4), int_matrix(4, 3),
+                 int_matrix(3, 4).map(_dependent_last_row),
+                 int_matrix(4, 3).map(_dependent_last_col)))
 def test_snf_properties(rows):
     m = QMat.from_rows(rows)
     d, u, v = snf(m)
     assert (u @ m @ v) == d
     assert abs(u.det()) == 1
     assert abs(v.det()) == 1
-    diag = [int(d[t, t]) for t in range(3)]
-    for t in range(3):
+    k = min(m.rows, m.cols)
+    diag = [int(d[t, t]) for t in range(k)]
+    for i in range(d.rows):
         for j in range(d.cols):
-            if j != t:
-                assert d[t, j] == 0
+            if i != j:
+                assert d[i, j] == 0
     nz = [x for x in diag if x]
-    assert diag[len(nz):] == [0] * (3 - len(nz))
+    assert all(x > 0 for x in nz)
+    assert diag[len(nz):] == [0] * (k - len(nz))
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
+    assert len(nz) == m.rank()
 
 
 @given(int_matrix(3, 3))

@@ -15,10 +15,13 @@ from gon.body import (
     ellipsoid,
     standard_simplex,
 )
-from gon.exactmath import Interval, QuadVal
+from gon.exactmath import DEFAULT_WIDTH, Interval, QuadVal, working_width
 from gon.lattice import Lattice, kernel_lattice, make_lattice, standard_lattice
 from gon.verify import (
+    _REFINE_WIDTH,
     CheckReport,
+    _Instance,
+    _refine_width,
     candidate_json,
     counterexample_candidates,
     instance_json,
@@ -535,3 +538,13 @@ def test_counterexample_flag_requires_conjecture():
     fake2 = CheckReport("bhw_upper", "theorem", F(1), F(0), "violated", F(-1), {})
     assert not fake2.is_counterexample_candidate
     assert counterexample_candidates([fake, fake2]) == [fake]
+
+
+def test_refine_is_finer_than_the_working_width():
+    inst = _Instance(standard_simplex(2), Z2)  # its hypotenuse is irrational
+    assert _refine_width() == _REFINE_WIDTH == DEFAULT_WIDTH / 2 ** 32
+    with working_width(F(1, 2 ** 128)):
+        assert _refine_width() == F(1, 2 ** 160)
+        assert 0 < inst.surface_refined().width <= F(1, 2 ** 160)
+    with working_width(F(1, 2 ** 8)):
+        assert _refine_width() == _REFINE_WIDTH
