@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import factorial
+from operator import and_
 from typing import Optional, Sequence, Union
 
 from .exactmath import (
@@ -21,6 +23,7 @@ from .exactmath import (
     QMat,
     QuadVal,
     Rat,
+    RankDeficientError,
     SURFACE_WIDTH,
     UnboundedError,
     dot,
@@ -39,6 +42,7 @@ from .exactmath import (
     _guard_vertex_enum,
     _integer_row,
     _tight_facets,
+    _unbounded_unless_empty,
     _vertex_hull,
     _vertex_rays,
     _volume_centroid,
@@ -181,14 +185,18 @@ class Body:
         elif self.kind == HPOLY:
             a, b = self.data
             _guard_vertex_enum(self.dim)
-            verts, _ = _vertex_rays(a.to_rows(), b)
-            vs = tuple(x for x, _ in verts)
-            self._cache["facets"] = _tight_facets(verts, a.rows)
+            return self._keep_hull(_vertex_rays(a.to_rows(), b)[0])
         elif self.kind == VPOLY:
             vs = self.data[0]
         else:
             raise ValueError("ellipsoids have no vertices")
         self._cache["verts"] = vs
+        return vs
+
+    def _keep_hull(self, verts) -> tuple:
+        """Cache an H-polytope's vertices and facets from its _vertex_rays vertices."""
+        self._cache["verts"] = vs = tuple(x for x, _ in verts)
+        self._cache["facets"] = _tight_facets(verts, self.data[0].rows)
         return vs
 
     # -- scalar data ---------------------------------------------------------
@@ -407,13 +415,37 @@ def cross_polytope(n: int, scale=1) -> Body:
 
 
 def hpoly(rows: Sequence[Sequence], b: Sequence) -> Body:
-    """Bounded full-dimensional {x : Ax <= b}; both conditions are verified."""
+    """Bounded full-dimensional {x : Ax <= b}; both conditions are verified.
+
+    Up to dimension 6 the double description of the system decides them, and
+    the body keeps that hull, as vpoly keeps its own.  No vertex means empty,
+    a ray of the recession cone unbounded, and a row tight on every vertex
+    flat, since then no point has Ax < b.  When A has rank below n, the set
+    holds a line unless it is empty, and one LP tells which.  Above dimension
+    6, 2n + 1 LPs bound each coordinate and look for an interior point.
+    """
     a = QMat.from_rows(rows)
     bv = vec(b)
     if a.rows != len(bv):
         raise ValueError("row/rhs length mismatch")
     n = a.cols
     arows = a.to_rows()
+    k = Body(HPOLY, (a, tuple(bv)))
+    # a system in no variables stays with the LPs, which call b < 0 flat there
+    if 0 < n <= _VERTEX_ENUM_MAX_DIM:
+        try:
+            verts, bounded = _vertex_rays(arows, bv)
+        except RankDeficientError:
+            _unbounded_unless_empty(arows, bv)
+            verts = []
+        if not verts:
+            raise ValueError("polyhedron is empty")
+        if not bounded:
+            raise UnboundedError("polyhedron is unbounded")
+        if reduce(and_, (z for _, z in verts)):
+            raise ValueError("polyhedron is not full-dimensional")
+        k._keep_hull(verts)
+        return k
     for j in range(n):
         c = [Fraction(0)] * n
         c[j] = Fraction(1)
@@ -428,7 +460,7 @@ def hpoly(rows: Sequence[Sequence], b: Sequence) -> Body:
     res = lp_exact(ext, list(bv), [Fraction(0)] * n + [Fraction(1)], sense="max")
     if res.status != "optimal" or res.optimum <= 0:
         raise ValueError("polyhedron is not full-dimensional")
-    return Body(HPOLY, (a, tuple(bv)))
+    return k
 
 
 def vpoly(points: Sequence[Sequence]) -> Body:

@@ -1026,7 +1026,7 @@ def _vertex_rays(A, b) -> tuple:
     The vertices are the rays with t > 0 of the cone of the rows (b_i, -a_i)
     and t >= 0, found by double description; rays with t = 0 are directions
     of unboundedness.  Each vertex comes sorted as (x, z), z the bitmask of
-    the rows tight on x.
+    the rows tight on x.  RankDeficientError means A has rank below n.
     """
     n = len(A[0])
     rows = [(1,) + (0,) * n] + [(bi, *(-x for x in row)) for row, bi in zip(A, b)]
@@ -1045,6 +1045,17 @@ def _tight_facets(verts, m: int) -> list:
     return _maximal(frozenset(x for x, z in verts if z >> i & 1) for i in range(m))
 
 
+def _unbounded_unless_empty(A, b) -> None:
+    """Raise UnboundedError unless {x : A x <= b} is empty, for A of rank below its column count.
+
+    Such a polyhedron has no vertex, so it holds a line unless it is empty;
+    one exact LP tells which.  The error replaces the RankDeficientError of
+    _vertex_rays that its callers handle.
+    """
+    if lp_exact(A, b, [0] * len(A[0])).status != "infeasible":
+        raise UnboundedError("polyhedron is unbounded") from None
+
+
 def vertex_enum(A, b, check_bounded: bool = True):
     """All vertices of {x : A x <= b}, sorted lexicographically; guarded to dimension 6.
 
@@ -1055,14 +1066,13 @@ def vertex_enum(A, b, check_bounded: bool = True):
     b = [rat(x) for x in b]
     if not A:
         raise ValueError("no constraints")
-    n = len(A[0])
-    _guard_vertex_enum(n)
-    if QMat.from_rows(A).rank() < n:
-        # the polyhedron holds a line unless it is empty: it has no vertex
-        if check_bounded and lp_exact(A, b, [0] * n).status != "infeasible":
-            raise UnboundedError("polyhedron is unbounded")
+    _guard_vertex_enum(len(A[0]))
+    try:
+        verts, bounded = _vertex_rays(A, b)
+    except RankDeficientError:
+        if check_bounded:
+            _unbounded_unless_empty(A, b)
         return []
-    verts, bounded = _vertex_rays(A, b)
     if check_bounded and verts and not bounded:
         raise UnboundedError("polyhedron is unbounded")
     return [x for x, _ in verts]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gon.body import (
+    HPOLY,
     Body,
     alpha_ratio,
     box,
@@ -28,11 +29,14 @@ from gon.body import (
 from gon.exactmath import (
     DimensionGuardError,
     Interval,
+    QMat,
     QuadVal,
     UnboundedError,
+    lp_exact,
     pi_interval,
     sqrt_interval,
     unit_ball_volume_interval,
+    vec,
     working_width,
 )
 
@@ -52,12 +56,127 @@ def test_box_requires_descending_positive():
 
 
 def test_hpoly_rejects_unbounded_empty_flat():
-    with pytest.raises(UnboundedError):
+    with pytest.raises(UnboundedError, match="^polyhedron is unbounded$"):
         hpoly([[1, 0]], [1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^polyhedron is empty$"):
         hpoly([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, -2, 1, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^polyhedron is not full-dimensional$"):
         hpoly([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 1, 1])
+    # rank A < n: no vertex, and one LP finds the system infeasible, not unbounded
+    with pytest.raises(ValueError, match="^polyhedron is empty$"):
+        hpoly([[1, 0], [-1, 0]], [1, -2])
+    with pytest.raises(UnboundedError, match="^polyhedron is unbounded$"):
+        hpoly([[1, 0], [-1, 0]], [1, 1])
+    # in no variables the LPs still decide, and their interior test calls b < 0 flat
+    with pytest.raises(ValueError, match="^polyhedron is not full-dimensional$"):
+        hpoly([[]], [-1])
+
+
+def test_hpoly_interval():
+    k = hpoly([[1], [-1]], [2, 1])
+    assert k.vertices() == ((F(-1),), (F(2),))
+    assert k.volume() == 3
+    with pytest.raises(UnboundedError, match="^polyhedron is unbounded$"):
+        hpoly([[1]], [1])
+    with pytest.raises(ValueError, match="^polyhedron is empty$"):
+        hpoly([[1], [-1]], [1, -2])
+    with pytest.raises(ValueError, match="^polyhedron is not full-dimensional$"):
+        hpoly([[1], [-1]], [1, -1])
+
+
+def test_hpoly_above_dimension_six_validates_by_lp(monkeypatch):
+    n = 7
+    rows = [[s * int(i == j) for j in range(n)] for i in range(n) for s in (1, -1)]
+    calls = _count_calls(monkeypatch, "lp_exact")
+    k = hpoly(rows, [1] * (2 * n))
+    assert calls and k.dim == n
+    with pytest.raises(ValueError, match="^polyhedron is empty$"):
+        hpoly(rows, [1] * (2 * n - 1) + [-2])
+    with pytest.raises(UnboundedError, match="^polyhedron is unbounded$"):
+        hpoly(rows[1:], [1] * (2 * n - 1))
+    with pytest.raises(ValueError, match="^polyhedron is not full-dimensional$"):
+        hpoly(rows, [1] * (2 * n - 2) + [0, 0])
+
+
+def reference_hpoly(rows, b):
+    """hpoly as it validated every system before it kept its hull: 2n + 1 exact LPs."""
+    a = QMat.from_rows(rows)
+    bv = vec(b)
+    if a.rows != len(bv):
+        raise ValueError("row/rhs length mismatch")
+    n = a.cols
+    arows = a.to_rows()
+    for j in range(n):
+        c = [F(0)] * n
+        c[j] = F(1)
+        for sense in ("max", "min"):
+            res = lp_exact(arows, list(bv), c, sense=sense)
+            if res.status == "unbounded":
+                raise UnboundedError("polyhedron is unbounded")
+            if res.status == "infeasible":
+                raise ValueError("polyhedron is empty")
+    # interior test: max t with Ax + t*1 <= b, t > 0 iff full-dimensional
+    ext = [list(r) + [F(1)] for r in arows]
+    res = lp_exact(ext, list(bv), [F(0)] * n + [F(1)], sense="max")
+    if res.status != "optimal" or res.optimum <= 0:
+        raise ValueError("polyhedron is not full-dimensional")
+    return Body(HPOLY, (a, tuple(bv)))
+
+
+@st.composite
+def _hpoly_system(draw):
+    """A system Ax <= b in dimension 1-4, of any verdict.
+
+    A box that may miss a side (unbounded), cut by slabs that may be closed
+    to a hyperplane (flat) or crossed (empty); in one draw of five a column
+    is zeroed (rank below n: a line, or empty).  Rows are duplicated, scaled
+    or loosened (redundant), and in one draw of four a zero row with b < 0,
+    b = 0 or b > 0 joins.
+    """
+    n = draw(st.integers(1, 4))
+    rows, rhs = [], []
+    for i in range(n):
+        for s in (1, -1):
+            if draw(st.integers(0, 5)):  # one side in six is left out
+                rows.append([s * int(i == j) for j in range(n)])
+                rhs.append(F(draw(st.integers(1, 3))))
+    for _ in range(draw(st.integers(0, 2))):
+        u = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        w = F(draw(st.integers(1, 6)), 2)
+        rows += [u, [-x for x in u]]
+        rhs += [w, draw(st.sampled_from([w, w, w + 1, -w, -w - 1]))]
+    if not draw(st.integers(0, 4)):
+        k = draw(st.integers(0, n - 1))
+        rows = [r[:k] + [0] + r[k + 1:] for r in rows]
+    for _ in range(draw(st.integers(0, 2))) if rows else ():
+        i = draw(st.integers(0, len(rows) - 1))
+        t = draw(st.sampled_from([1, 2]))
+        rows.append([t * x for x in rows[i]])
+        rhs.append(t * rhs[i] + draw(st.sampled_from([0, 1])))
+    if not draw(st.integers(0, 3)):
+        rows.append([0] * n)
+        rhs.append(F(draw(st.integers(-1, 1))))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], [rhs[i] for i in order]
+
+
+def _verdict(make, rows, b):
+    try:
+        return make(rows, b)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hpoly_system())
+def test_hpoly_verdicts_match_the_lp_reference(system):
+    rows, b = system
+    got, want = _verdict(hpoly, rows, b), _verdict(reference_hpoly, rows, b)
+    assert got == want
+    if isinstance(want, Body):
+        fresh = Body(HPOLY, want.data)
+        assert got.vertices() == fresh.vertices()
+        assert got._facets() == fresh._facets()
 
 
 def test_vpoly_filters_interior_points():
@@ -291,22 +410,43 @@ def test_vpoly_computes_its_hull_once(monkeypatch):
 
 
 def test_hpoly_reads_its_facets_off_its_hull(monkeypatch):
-    # the zero sets of the vertices give the facets: no second pass over the rows
-    h = hpoly([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1],
-               [2, 2, 2]], [2, 2, 2, 2, 2, 2, 3, 7])
+    # the hull that validates the system is kept, and the zero sets of its
+    # vertices give the facets: no second pass over the rows, and no LP
     rays = _count_calls(monkeypatch, "_cone_rays")
     tightness = _count_calls(monkeypatch, "_facet_sets")
+    lps = _count_calls(monkeypatch, "lp_exact")
+    h = hpoly([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1],
+               [2, 2, 2]], [2, 2, 2, 2, 2, 2, 3, 7])
     h.vertices()
     h.volume()
     h.surface_area()
-    assert len(rays) == 1 and tightness == []
+    assert len(rays) == 1 and tightness == [] and lps == []
+
+
+def _slab_box(c, u, w):
+    # the box prod [-c_i, c_i] cut by the slab |u . x| <= w, as an H-polytope document
+    n = len(c)
+    rows = [[s * int(i == j) for j in range(n)] for i in range(n) for s in (1, -1)]
+    rhs = [ci for ci in c for _ in (1, -1)]
+    return {"type": "hpoly", "A": [[str(x) for x in r] for r in rows + [u, [-x for x in u]]],
+            "b": [str(x) for x in rhs + [w, w]]}
+
+
+def test_hpoly_documents_validate_without_lp(monkeypatch):
+    docs = [_slab_box([2, 1], [1, -1], F(5, 2)), _slab_box([1, 3], [2, 1], F(3, 2)),
+            _slab_box([1, 2, 3], [1, 1, -2], F(7, 2)), _slab_box([3, 1, 1], [0, 2, -1], 2),
+            _slab_box([1, 1, 2, 3], [1, -1, 2, 0], F(9, 2)),
+            _slab_box([2, 3, 1, 1], [-2, 1, 1, 1], 3)]
+    calls = _count_calls(monkeypatch, "lp_exact")
+    bodies = [Body.from_json(doc) for doc in docs]
+    assert [k.dim for k in bodies] == [2, 2, 3, 3, 4, 4]
+    assert calls == []
 
 
 def test_vpoly_symmetrize_and_polar_solve_no_lp(monkeypatch):
-    # built before the patch: hpoly checks boundedness with LPs
+    calls = _count_calls(monkeypatch, "lp_exact")
     h = hpoly([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1]],
               [2, 2, 2, 2, 2, 2, 3])
-    calls = _count_calls(monkeypatch, "lp_exact")
     k = vpoly([(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3), (0, 0, 0), (1, 0, 0)])
     s = symmetrize(k)
     for body in (k, s, h, box([2, 1, 1]), cross_polytope(3)):

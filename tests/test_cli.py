@@ -241,6 +241,14 @@ def test_missing_file(files, capsys):
     expect_error(capsys, "input", "polar", "--body", "/does/not/exist.json")
 
 
+def test_empty_hpoly_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    rows = [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]]
+    path.write_text(json.dumps({"type": "hpoly", "A": rows, "b": ["1", "-2", "1", "1"]}))
+    doc = expect_error(capsys, "input", "polar", "--body", str(path))
+    assert doc["error"]["message"] == "polyhedron is empty"
+
+
 def test_malformed_json(files, capsys):
     expect_error(capsys, "bad-json", "polar", "--body", files["badjson"])
 
