@@ -15,6 +15,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from jsonschema import ValidationError
 
@@ -82,9 +83,6 @@ def _load_matrix(path: str) -> list:
     data = doc["data"]
     if len(data) != doc["rows"] or any(len(r) != doc["cols"] for r in data):
         raise CliError("schema", f"{path}: data shape disagrees with rows/cols")
-    if any(type(x) is not int for r in data for x in r):
-        # the schema's "integer" admits JSON numbers such as 1.0
-        raise CliError("schema", f"{path}: matrix entries must be integers")
     return data
 
 
@@ -558,8 +556,56 @@ _HANDLERS = {
 }
 
 
+def _write_json(x, out: list, indent: str) -> None:
+    # the text of json.dumps(x, indent=2), appended to out in pieces; a plain
+    # recursion leaves no reference cycles behind, unlike json's own encoder
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in x.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for value in x:
+            out.append(sep)
+            _write_json(value, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _json_text(doc: dict) -> str:
+    out = []
+    _write_json(doc, out, "")
+    out.append("\n")
+    return "".join(out)
+
+
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(_json_text(doc))
 
 
 def main(argv=None) -> int:
@@ -570,6 +616,8 @@ def main(argv=None) -> int:
             # --precision and GON_PRECISION hold for this call only
             with working_width(_precision(args)):
                 doc, code = _HANDLERS[args.command](args)
+            validate_output(args.command, doc)
+            text = _json_text(doc)
         except CliError:
             raise
         except DimensionGuardError as e:
@@ -581,13 +629,15 @@ def main(argv=None) -> int:
         except RuntimeError as e:
             # a self-check of the program failed: a fault here, not in the input
             raise CliError("internal", str(e))
+        except Exception as e:
+            # any other exception is a fault of the program too
+            raise CliError("internal", f"{type(e).__name__}: {e}" if str(e) else type(e).__name__)
     except CliError as e:
         err = {"schema": SCHEMA_TAG, "error": {"code": e.code, "message": e.message}}
         validate_output("error", err)
         _emit(err)
         return 3 if e.code == "internal" else 1
-    validate_output(args.command, doc)
-    _emit(doc)
+    sys.stdout.write(text)
     if args.pretty:
         sys.stderr.write(_pretty(args.command, doc))
     return code

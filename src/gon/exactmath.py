@@ -18,7 +18,10 @@ Volumes, centroids and surface areas come from one triangulation that needs
 only the vertex-facet incidences: which vertices lie on which facet.  A face
 that is a simplex is kept whole; any other is coned from its least vertex over
 its own facets that miss it.  The incidences are the zero sets that the double
-description returns, or are read off an H-representation by tightness.
+description returns, or are read off an H-representation by tightness.  With
+the vertices scaled to one denominator, every simplex and facet minor is a
+fraction-free integer determinant (Bareiss 1968), as is every starting ray of a
+double description.
 """
 
 from __future__ import annotations
@@ -703,6 +706,32 @@ def _hnf(a: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
+def _int_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    Bareiss (Math. Comp. 1968): after step k every entry left is a (k+1)-minor,
+    so dividing by the previous pivot is exact and no entry outgrows a minor.
+    """
+    a = list(rows)  # each step builds new rows, so the caller's are never written
+    sign, prev = 1, 1
+    while len(a) > 1:
+        p = next((i for i, r in enumerate(a) if r[0]), -1)
+        if p < 0:
+            return 0
+        if p:
+            a[0], a[p] = a[p], a[0]
+            sign = -sign
+        (piv, *top), rest = a[0], a[1:]
+        a = [[(piv * x - r[0] * y) // prev for x, y in zip(r[1:], top)] for r in rest]
+        prev = piv
+    return sign * a[0][0] if a else 1
+
+
+def _int_minor(rows, k) -> int:
+    # the determinant of the integer rows with column k dropped
+    return _int_det([r[:k] + r[k + 1 :] for r in rows])
+
+
 def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -934,6 +963,20 @@ def _integer_row(row: Sequence, rhs) -> tuple:
     return tuple(a), w
 
 
+def _cofactor_ray(g, basis, i) -> tuple[int, ...]:
+    """The primitive ray zero on every basis row but g[i], and positive on g[i].
+
+    Its entries are the signed (d-1)-minors of the other basis rows, the column
+    of the adjugate that the inverse of the basis would give up to a factor.
+    """
+    others = [g[j] for j in basis if j != i]
+    y = [(-1) ** k * _int_minor(others, k) for k in range(len(g[i]))]
+    c = math.gcd(*y)
+    if sum(a * b for a, b in zip(g[i], y)) < 0:
+        c = -c
+    return tuple(x // c for x in y)
+
+
 def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:
     """Extreme rays of the pointed cone {y : g . y >= 0 for every row g}.
 
@@ -947,12 +990,11 @@ def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:
     g = [_primitive(row) for row in rows]
     d = len(g[0])
     # the pivot columns of the matrix with the rows as columns pick the first independent rows
-    basis, _ = _eliminate([[Fraction(r[j]) for r in g] for j in range(d)], len(g))
+    basis = _hnf([[r[j] for r in g] for j in range(d)], len(g))
     if len(basis) < d:
         raise RankDeficientError("the rows do not span their space")
-    inv = QMat.from_rows([g[i] for i in basis]).inverse()
     full = sum(1 << i for i in basis)
-    rays = [(_primitive(inv.col(j)), full & ~(1 << i)) for j, i in enumerate(basis)]
+    rays = [(_cofactor_ray(g, basis, i), full & ~(1 << i)) for i in basis]
     for i in sorted(set(range(len(g))) - set(basis)):
         gi, bit = g[i], 1 << i
         pos, neg, kept = [], [], []
@@ -1112,7 +1154,7 @@ def extreme_points(points):
     pts = sorted(set(vec(p) for p in points))
     if len(pts) <= 1:
         return pts
-    pivots, _ = _eliminate([list(vsub(p, pts[0])) for p in pts[1:]], len(pts[0]))
+    pivots = _affine_pivots(pts)
     if len(pivots) > _VERTEX_ENUM_MAX_DIM:
         return _lp_extreme_points(pts)
     proj = {tuple(p[j] for j in pivots): p for p in pts}
@@ -1123,12 +1165,19 @@ def extreme_points(points):
 # triangulation, volume, centroid
 
 
+def _affine_pivots(pts) -> list[int]:
+    """Pivot columns of the differences p - pts[0], at least two points; an integer HNF finds them."""
+    n = len(pts[0])
+    if any(len(p) != n for p in pts):
+        raise ValueError("ragged rows")
+    return _hnf(_integer_matrix([vsub(p, pts[0]) for p in pts[1:]])[0], n)
+
+
 def affine_rank(points) -> int:
     pts = [vec(p) for p in points]
     if len(pts) <= 1:
         return 0
-    base = pts[0]
-    return QMat.from_rows([vsub(p, base) for p in pts[1:]]).rank()
+    return len(_affine_pivots(pts))
 
 
 def _maximal(sets):
@@ -1163,18 +1212,35 @@ def _pulling_simplices(face, facets, dim):
     return [(v,) + s for g in subs if v not in g for s in _pulling_simplices(g, facets, dim - 1)]
 
 
+def _scaled(vertices) -> tuple:
+    """(ints, den): each vertex maps to its integer coordinates over the common denominator den."""
+    den = math.lcm(*(x.denominator for v in vertices for x in v))
+    return {v: [x.numerator * (den // x.denominator) for x in v] for v in vertices}, den
+
+
+def _edges(pts) -> list:
+    # the edge vectors of a simplex from its first vertex
+    return [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
+
+
 def _volume_centroid(vertices, facets):
     # volume and centroid of a full-dimensional polytope from its vertex-facet
-    # incidences; a simplex weighs |det| of its edges, which is n! times its volume
+    # incidences; a simplex weighs |det| of its edges, which is n! times its
+    # volume, taken over the integers with the vertices scaled by den
     n = len(vertices[0])
-    total = Fraction(0)
-    moment = [Fraction(0)] * n
+    ints, den = _scaled(vertices)
+    total = 0
+    moment = [0] * n
     for s in _pulling_simplices(frozenset(vertices), facets, n):
-        d = abs(QMat.from_rows([vsub(p, s[0]) for p in s[1:]]).det())
+        pts = [ints[p] for p in s]
+        d = abs(_int_det(_edges(pts)))
         total += d
-        for i in range(n):
-            moment[i] += d * sum(p[i] for p in s)
-    return total / math.factorial(n), tuple(x / ((n + 1) * total) for x in moment)
+        for i, x in enumerate(map(sum, zip(*pts))):
+            moment[i] += d * x
+    return (
+        Fraction(total, math.factorial(n) * den**n),
+        tuple(Fraction(x, (n + 1) * total * den) for x in moment),
+    )
 
 
 def volume_centroid(points):
@@ -1207,18 +1273,15 @@ def facet_contents(A, b, vertices, max_width: Fraction | None = None) -> Interva
     return _facet_contents(vertices, _facet_sets(A, b, vertices), max_width)
 
 
-def _minor(rows, k):
-    # the determinant of rows with column k dropped
-    return QMat.from_rows([r[:k] + r[k + 1 :] for r in rows]).det()
-
-
 def _facet_contents(vertices, facets, max_width: Fraction | None = None) -> Interval:
     """facet_contents from the vertex-facet incidences: one square root per facet.
 
     A facet simplex whose edge matrix has (n-1)-minors a has content |a| / (n-1)!
     (Cauchy-Binet), and the simplices of one facet have parallel a.  So with a
     from the first and a_k != 0, the facet's content is |a| / |a_k| times the
-    sum of its simplices' volumes with coordinate k dropped.
+    sum of its simplices' volumes with coordinate k dropped.  The minors are
+    taken over the integers with the vertices scaled by den, which multiplies
+    each by den^(n-1).
     """
     if max_width is None:
         max_width = SURFACE_WIDTH
@@ -1227,14 +1290,17 @@ def _facet_contents(vertices, facets, max_width: Fraction | None = None) -> Inte
         return Interval.point(2)  # two endpoint facets, each a point of content 1
     if not facets:
         raise RankDeficientError("no facets found")
+    ints, den = _scaled(vertices)
+    scale = (math.factorial(n - 1) * den ** (n - 1)) ** 2
     per_facet = max_width / len(facets)
     total = Interval.point(0)
     for f in facets:
-        edges = [[vsub(p, s[0]) for p in s[1:]] for s in _pulling_simplices(f, facets, n - 1)]
-        a = [_minor(edges[0], j) for j in range(n)] if edges else [0] * n
+        edges = [_edges([ints[p] for p in s]) for s in _pulling_simplices(f, facets, n - 1)]
+        a = [_int_minor(edges[0], j) for j in range(n)] if edges else [0] * n
         if not any(a):
             raise RankDeficientError("a facet is not (n-1)-dimensional")
         k = next(j for j, x in enumerate(a) if x)
-        v_k = (abs(a[k]) + sum(abs(_minor(e, k)) for e in edges[1:])) / math.factorial(n - 1)
-        total = total + sqrt_interval(v_k * v_k * dot(a, a) / (a[k] * a[k]), per_facet)
+        v_k = abs(a[k]) + sum(abs(_int_minor(e, k)) for e in edges[1:])
+        square = Fraction(v_k * v_k * sum(x * x for x in a), a[k] * a[k] * scale)
+        total = total + sqrt_interval(square, per_facet)
     return total

@@ -4,14 +4,17 @@ Input documents (body, lattice, matrix files) are validated before any
 computation; every output document is validated again before it is printed.
 Rationals travel as strings ("3/4", "-2"), irrational values as
 {"sqrt_of": rational} and interval enclosures as {"lo": .., "hi": ..}.
+An "integer" is a JSON integer: a number such as 1.0 is not one.  A body is
+checked against the variant its "type" names, and against all of them only
+when that names none.
 """
 
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, validators
 
 SCHEMA_TAG = "gon/1"
 
 _RAT_OUT = {"type": "string", "pattern": "^-?[0-9]+(/[1-9][0-9]*)?$"}
-_RAT_IN = {"oneOf": [{"type": "integer"}, _RAT_OUT]}
+_RAT_IN = {"type": ["integer", "string"], "pattern": _RAT_OUT["pattern"]}  # the pattern binds strings only
 _QUAD = {
     "type": "object",
     "properties": {"sqrt_of": _RAT_OUT},
@@ -48,15 +51,15 @@ def _body_variant(type_name: str, fields: dict) -> dict:
     }
 
 
-BODY_SCHEMA = {
-    "oneOf": [
-        _body_variant("box", {"a": _RAT_VEC_IN}),
-        _body_variant("cross", {"dim": _POS_INT, "scale": _RAT_IN}),
-        _body_variant("hpoly", {"A": _RAT_MAT_IN, "b": _RAT_VEC_IN}),
-        _body_variant("vpoly", {"vertices": _RAT_MAT_IN}),
-        _body_variant("ellipsoid", {"Q": _RAT_MAT_IN}),
-    ]
+_BODY_VARIANTS = {
+    "box": _body_variant("box", {"a": _RAT_VEC_IN}),
+    "cross": _body_variant("cross", {"dim": _POS_INT, "scale": _RAT_IN}),
+    "hpoly": _body_variant("hpoly", {"A": _RAT_MAT_IN, "b": _RAT_VEC_IN}),
+    "vpoly": _body_variant("vpoly", {"vertices": _RAT_MAT_IN}),
+    "ellipsoid": _body_variant("ellipsoid", {"Q": _RAT_MAT_IN}),
 }
+
+BODY_SCHEMA = {"oneOf": list(_BODY_VARIANTS.values())}
 
 LATTICE_SCHEMA = {
     "type": "object",
@@ -270,12 +273,25 @@ OUTPUT_SCHEMAS = {
     },
 }
 
-_INPUT_VALIDATORS = {k: Draft202012Validator(v) for k, v in INPUT_SCHEMAS.items()}
-_OUTPUT_VALIDATORS = {k: Draft202012Validator(v) for k, v in OUTPUT_SCHEMAS.items()}
+# "integer" is a Python int, as json.load returns for a JSON integer: not a
+# float such as 1.0, and not a bool
+_Validator = validators.extend(
+    Draft202012Validator,
+    type_checker=Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda _, x: type(x) is int),
+)
+
+_INPUT_VALIDATORS = {k: _Validator(v) for k, v in INPUT_SCHEMAS.items()}
+_BODY_VALIDATORS = {k: _Validator(v) for k, v in _BODY_VARIANTS.items()}
+_OUTPUT_VALIDATORS = {k: _Validator(v) for k, v in OUTPUT_SCHEMAS.items()}
 
 
 def validate_input(kind: str, doc) -> None:
     """Raise jsonschema.ValidationError if doc is not a valid input document."""
+    if kind == "body" and isinstance(doc, dict):
+        variant = doc.get("type")
+        if isinstance(variant, str) and variant in _BODY_VALIDATORS:
+            _BODY_VALIDATORS[variant].validate(doc)
+            return
     _INPUT_VALIDATORS[kind].validate(doc)
 
 

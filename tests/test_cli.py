@@ -1,8 +1,11 @@
+import gc
 import json
 from fractions import Fraction as F
 
 import pytest
-from jsonschema import ValidationError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator, ValidationError
 
 import gon.cli as cli
 from gon.body import Body
@@ -263,7 +266,6 @@ def test_matrix_shape_mismatch(files, capsys):
 
 @pytest.mark.parametrize("entry", [1.0, True, "3"])
 def test_matrix_entries_must_be_json_integers(tmp_path, capsys, entry):
-    # 1.0 passes the schema's "integer"; true and "3" fail it
     path = tmp_path / "mat.json"
     path.write_text(json.dumps({"rows": 1, "cols": 3, "data": [[entry, 2, 5]]}))
     expect_error(capsys, "schema", "siegel", "--matrix", str(path))
@@ -354,3 +356,240 @@ def test_input_schemas_reject():
 def test_output_schema_rejects_missing_field():
     with pytest.raises(ValidationError):
         validate_output("sigma", {"schema": "gon/1", "command": "sigma", "n": 3})
+
+
+# -- one input contract: JSON integers only, and one document per call --------
+
+
+def _one_doc(out):
+    # json.loads rejects a second document after the first as extra data
+    assert out.endswith("}\n")
+    return json.loads(out)
+
+
+def run_any(capsys, *argv):
+    rc = main(list(argv))
+    return rc, _one_doc(capsys.readouterr().out)
+
+
+_BOX = {"type": "box", "a": [1, 1]}
+_Z2 = {"basis": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("body, lattice", [
+    ({"type": "box", "a": [1.0, 1]}, _Z2),
+    ({"type": "cross", "dim": 2, "scale": 1.0}, _Z2),
+    ({"type": "cross", "dim": 2.0, "scale": 1}, _Z2),
+    ({"type": "hpoly", "A": [[1.0, 0], [-1, 0], [0, 1], [0, -1]], "b": [1, 1, 1, 1]}, _Z2),
+    (_BOX, {"basis": [[1.0, 0], [0, 1]]}),
+])
+def test_integral_floats_are_schema_errors(tmp_path, capsys, body, lattice):
+    (tmp_path / "k.json").write_text(json.dumps(body))
+    (tmp_path / "l.json").write_text(json.dumps(lattice))
+    rc, doc = run_any(capsys, "count", "--body", str(tmp_path / "k.json"),
+                      "--lattice", str(tmp_path / "l.json"))
+    assert rc == 1 and doc["error"]["code"] == "schema"
+    assert "is not of type" in doc["error"]["message"]
+    validate_output("error", doc)
+
+
+@pytest.mark.parametrize("exc", [TypeError("bad operand"), KeyError("type"), IndexError("list index"),
+                                 AssertionError(), ValidationError("not a document")])
+def test_every_program_fault_is_internal(capsys, monkeypatch, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "sigma", fail)
+    rc, doc = run_any(capsys, "sigma", "--n", "3")
+    assert rc == 3 and doc["error"]["code"] == "internal"
+    assert doc["error"]["message"].startswith(type(exc).__name__)
+    validate_output("error", doc)
+
+
+def test_an_output_that_fails_its_schema_is_internal(capsys, monkeypatch):
+    monkeypatch.setitem(cli._HANDLERS, "sigma", lambda args: ({"schema": "gon/1"}, 0))
+    rc, doc = run_any(capsys, "sigma", "--n", "3")
+    assert rc == 3 and doc["error"]["code"] == "internal"
+
+
+_SQUARE = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+
+
+@pytest.mark.parametrize("body, lattice", [
+    ({"type": "hpoly", "A": [[1, 0], [-1], [0, 1], [0, -1]], "b": [1, 1, 1, 1]}, _Z2),
+    ({"type": "hpoly", "A": _SQUARE, "b": [1, 1, 1]}, _Z2),
+    ({"type": "hpoly", "A": _SQUARE, "b": [1, -2, 1, 1]}, _Z2),
+    ({"type": "hpoly", "A": _SQUARE[:3], "b": [1, 1, 1]}, _Z2),
+    ({"type": "hpoly", "A": [[1, 1], [-1, -1]], "b": [1, 1]}, _Z2),
+    ({"type": "ellipsoid", "Q": [[1, 0, 0], [0, 1, 0]]}, _Z2),
+    ({"type": "vpoly", "vertices": [[0, 0], [1], [0, 1]]}, _Z2),
+    (_BOX, {"basis": [[1, 2], [2, 4]]}),
+    (_BOX, {"basis": [[1, 2], [2]]}),
+    (_BOX, {"basis": [[1, 0, 0], [0, 1, 0]]}),
+])
+@pytest.mark.parametrize("command", ["count", "minima", "width", "polar"])
+def test_inconsistent_input_gives_one_document(tmp_path, capsys, body, lattice, command):
+    (tmp_path / "k.json").write_text(json.dumps(body))
+    (tmp_path / "l.json").write_text(json.dumps(lattice))
+    argv = [command, "--body", str(tmp_path / "k.json")]
+    if command != "polar":
+        argv += ["--lattice", str(tmp_path / "l.json")]
+    rc, doc = run_any(capsys, *argv)
+    assert rc in (0, 1, 3)
+    if rc:
+        validate_output("error", doc)
+    else:
+        assert body is _BOX and command == "polar"  # the lattice is never read
+
+
+# -- the document writer -----------------------------------------------------
+
+_json_leaf = (st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+              | st.text(st.characters(codec=None), max_size=12)
+              | st.sampled_from(["", "\x00\x1f\x7f", "é \U0001f600", '"\\/', "\t\n\r"]))
+_json_docs = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(st.dictionaries(st.text(max_size=6), _json_docs, max_size=5))
+@settings(max_examples=300)
+def test_writer_matches_json_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_writer_accepts_tuples_and_rejects_other_objects():
+    assert cli._json_text({"a": (1, ())}) == json.dumps({"a": [1, []]}, indent=2) + "\n"
+    with pytest.raises(TypeError):
+        cli._json_text({"a": F(1, 2)})
+    with pytest.raises(TypeError):
+        cli._json_text({"a": {1: 2}})
+
+
+def test_emit_leaves_no_reference_cycles(capsys):
+    doc = {"schema": "gon/1", "command": "x", "rows": [[str(i), {"k": [i, None, True]}] for i in range(20)],
+           "empty": {}, "none": []}
+    gc.collect()
+    gc.disable()
+    try:
+        cli._emit(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+# -- input schemas against the schemas they replaced -------------------------
+# the reference: every variant of a body under one oneOf, and a rational entry a
+# oneOf of an integer and a patterned string, under jsonschema's own "integer",
+# which also admits integral floats such as 1.0
+
+_REF_RAT = {"type": "string", "pattern": "^-?[0-9]+(/[1-9][0-9]*)?$"}
+_REF_RAT_IN = {"oneOf": [{"type": "integer"}, _REF_RAT]}
+_REF_VEC = {"type": "array", "items": _REF_RAT_IN, "minItems": 1}
+_REF_MAT = {"type": "array", "items": _REF_VEC, "minItems": 1}
+_REF_POS_INT = {"type": "integer", "minimum": 1}
+
+
+def _ref_variant(type_name, fields):
+    props = {"schema": {"const": "gon/1"}, "type": {"const": type_name}}
+    props.update(fields)
+    return {"type": "object", "properties": props, "required": ["type"] + list(fields),
+            "additionalProperties": False}
+
+
+_REF_VALIDATORS = {k: Draft202012Validator(v) for k, v in {
+    "body": {"oneOf": [
+        _ref_variant("box", {"a": _REF_VEC}),
+        _ref_variant("cross", {"dim": _REF_POS_INT, "scale": _REF_RAT_IN}),
+        _ref_variant("hpoly", {"A": _REF_MAT, "b": _REF_VEC}),
+        _ref_variant("vpoly", {"vertices": _REF_MAT}),
+        _ref_variant("ellipsoid", {"Q": _REF_MAT}),
+    ]},
+    "lattice": {"type": "object", "properties": {"schema": {"const": "gon/1"}, "basis": _REF_MAT},
+                "required": ["basis"], "additionalProperties": False},
+    "matrix": {"type": "object", "properties": {
+        "schema": {"const": "gon/1"}, "rows": _REF_POS_INT, "cols": _REF_POS_INT,
+        "data": {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}, "minItems": 1}},
+        "required": ["rows", "cols", "data"], "additionalProperties": False},
+}.items()}
+
+_entries = st.sampled_from([0, 1, -3, 2**70, True, False, None, 1.0, -2.0, 0.5, "3/4", "-2", "1/0",
+                            "x", " 1", "", [1], {"a": 1}])
+_rat = st.sampled_from([1, -2, "3/4", "-5", 7])
+
+
+@st.composite
+def input_documents(draw):
+    """A valid body, lattice or matrix document, then mutated: a field dropped, added or
+    retyped, a matrix entry replaced, the type changed, or the whole document replaced."""
+    kind = draw(st.sampled_from(["body", "lattice", "matrix"]))
+    vec = st.lists(_rat, min_size=1, max_size=3)
+    mat = st.lists(vec, min_size=1, max_size=3)
+    if kind == "body":
+        t = draw(st.sampled_from(["box", "cross", "hpoly", "vpoly", "ellipsoid"]))
+        fields = {"box": {"a": vec}, "cross": {"dim": st.integers(1, 4), "scale": _rat},
+                  "hpoly": {"A": mat, "b": vec}, "vpoly": {"vertices": mat}, "ellipsoid": {"Q": mat}}[t]
+        doc = {"type": t, **{k: draw(v) for k, v in fields.items()}}
+    elif kind == "lattice":
+        doc = {"basis": draw(mat)}
+    else:
+        doc = {"rows": 1, "cols": 2, "data": draw(st.lists(st.lists(st.integers(-5, 5), min_size=1,
+                                                                  max_size=3), min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        doc["schema"] = draw(st.sampled_from(["gon/1", "gon/2"]))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["drop", "add", "retype", "entry", "type", "replace"]))
+        keys = sorted(doc) if isinstance(doc, dict) else []
+        if op == "drop" and keys:
+            del doc[draw(st.sampled_from(keys))]
+        elif op == "add" and isinstance(doc, dict):
+            doc[draw(st.sampled_from(["extra", "a", "dim", "scale", "Q", "basis"]))] = draw(_entries)
+        elif op == "retype" and keys:
+            doc[draw(st.sampled_from(keys))] = draw(_entries)
+        elif op == "entry" and keys:
+            value = doc[draw(st.sampled_from(keys))]
+            if isinstance(value, list) and value:
+                row = value[draw(st.integers(0, len(value) - 1))]
+                target = row if isinstance(row, list) and row else value
+                target[draw(st.integers(0, len(target) - 1))] = draw(_entries)
+        elif op == "type" and isinstance(doc, dict):
+            doc["type"] = draw(st.sampled_from(["box", "cross", "hpoly", "ball", 3, None, ["box"]]))
+        elif op == "replace":
+            doc = draw(st.sampled_from([[], [1], "box", 3, None, {}]))
+    return kind, doc
+
+
+def _integral_floats(doc):
+    if isinstance(doc, float):
+        return doc.is_integer()
+    if isinstance(doc, dict):
+        return any(_integral_floats(v) for v in doc.values())
+    if isinstance(doc, list):
+        return any(_integral_floats(v) for v in doc)
+    return False
+
+
+def _verdict(validate):
+    try:
+        validate()
+    except ValidationError as e:
+        return e.message
+    return None
+
+
+@given(input_documents())
+@settings(max_examples=600)
+def test_input_schemas_agree_with_the_reference(case):
+    kind, doc = case
+    new = _verdict(lambda: validate_input(kind, doc))
+    old = _verdict(lambda: _REF_VALIDATORS[kind].validate(doc))
+    if _integral_floats(doc):
+        assert new is not None  # 1.0 is no longer an integer
+        return
+    assert (new is None) == (old is None)
+    if kind == "body" and not (isinstance(doc, dict) and doc.get("type") in
+                               ("box", "cross", "hpoly", "vpoly", "ellipsoid")):
+        assert new == old  # no variant named: the oneOf's message, as before

@@ -1019,3 +1019,208 @@ def test_facet_contents_of_a_flat_polytope_raise():
     vs = [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0)]
     with pytest.raises(RankDeficientError):
         facet_contents(A, [1, 1, 1, 1, 0, 0], vs)
+
+
+# ---------------------------------------------------------------------------
+# integer determinants: the Fraction elimination they replaced is the reference
+
+
+@st.composite
+def square_int_matrices(draw):
+    """Integer matrices of size 0-7, some singular: a row repeated, scaled or zeroed."""
+    n = draw(st.integers(0, 7))
+    rows = draw(int_matrix(n, n))
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i] = [draw(st.integers(-2, 2)) * x for x in rows[j]] if i != j else [0] * n
+    return draw(st.permutations(rows))
+
+
+@given(square_int_matrices())
+@settings(max_examples=200)
+def test_int_det_matches_fraction_det(rows):
+    ref = QMat.from_rows(rows).det() if rows else 1
+    assert em._int_det(rows) == ref
+
+
+def test_int_det_needs_a_row_exchange():
+    assert em._int_det([[0, 1], [1, 0]]) == -1
+    assert em._int_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert em._int_det([[0, 2], [0, 3]]) == 0
+
+
+def fraction_volume_centroid(vertices, facets):
+    """Reference: one Fraction determinant per pulled simplex."""
+    n = len(vertices[0])
+    total = Fraction(0)
+    moment = [Fraction(0)] * n
+    for s in em._pulling_simplices(frozenset(vertices), facets, n):
+        d = abs(QMat.from_rows([vsub(p, s[0]) for p in s[1:]]).det())
+        total += d
+        for i in range(n):
+            moment[i] += d * sum(p[i] for p in s)
+    return total / math.factorial(n), tuple(x / ((n + 1) * total) for x in moment)
+
+
+def _fraction_minor(rows, k):
+    return QMat.from_rows([r[:k] + r[k + 1 :] for r in rows]).det()
+
+
+def fraction_facet_contents(vertices, facets, max_width):
+    """Reference: the facet minors as Fraction determinants of the rational edges."""
+    n = len(vertices[0])
+    if n == 1:
+        return Interval.point(2)
+    per_facet = max_width / len(facets)
+    total = Interval.point(0)
+    for f in facets:
+        edges = [[vsub(p, s[0]) for p in s[1:]] for s in em._pulling_simplices(f, facets, n - 1)]
+        a = [_fraction_minor(edges[0], j) for j in range(n)]
+        k = next(j for j, x in enumerate(a) if x)
+        v_k = (abs(a[k]) + sum(abs(_fraction_minor(e, k)) for e in edges[1:])) / math.factorial(n - 1)
+        total = total + sqrt_interval(v_k * v_k * dot(a, a) / (a[k] * a[k]), per_facet)
+    return total
+
+
+def fraction_cone_rays(rows):
+    """Reference: the starting cone from a Fraction elimination and the inverse of its rows."""
+    g = [em._primitive(row) for row in rows]
+    d = len(g[0])
+    basis, _ = em._eliminate([[Fraction(r[j]) for r in g] for j in range(d)], len(g))
+    if len(basis) < d:
+        raise RankDeficientError("the rows do not span their space")
+    inv = QMat.from_rows([g[i] for i in basis]).inverse()
+    full = sum(1 << i for i in basis)
+    rays = [(em._primitive(inv.col(j)), full & ~(1 << i)) for j, i in enumerate(basis)]
+    for i in sorted(set(range(len(g))) - set(basis)):
+        gi, bit = g[i], 1 << i
+        pos, neg, kept = [], [], []
+        for y, z in rays:
+            s = sum(a * b for a, b in zip(gi, y))
+            if s > 0:
+                pos.append((y, z, s))
+                kept.append((y, z))
+            elif s < 0:
+                neg.append((y, z, s))
+            else:
+                kept.append((y, z | bit))
+        zs = [z for _, z in rays]
+        for yp, zp, sp in pos:
+            for yn, zn, sn in neg:
+                z = zp & zn
+                if z.bit_count() < d - 2 or any(w & z == z and w != zp and w != zn for w in zs):
+                    continue
+                y = [sp * b - sn * a for a, b in zip(yp, yn)]
+                c = math.gcd(*y)
+                kept.append((tuple(x // c for x in y), z | bit))
+        rays = kept
+    return rays
+
+
+@st.composite
+def rational_polytopes(draw):
+    """A random rational V- or H-polytope of dimension 1-5 with the origin inside,
+    or its dilate, its translate or its polar."""
+    from gon.body import hpoly, polar_body
+
+    n = draw(st.integers(1, 5))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if draw(st.booleans()):
+        pts = [tuple(F(-1, 2) for _ in range(n))] + [
+            tuple(F(3 * int(j == i)) for j in range(n)) for i in range(n)
+        ]
+        pts += draw(st.lists(st.tuples(*[coord] * n), max_size=4))
+        k = vpoly(pts)
+    else:
+        rows = [[s * int(j == i) for j in range(n)] for i in range(n) for s in (1, -1)]
+        rhs = [draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=5)) for _ in rows]
+        for _ in range(draw(st.integers(0, 2))):
+            rows.append(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+            rhs.append(draw(st.fractions(min_value=F(1, 2), max_value=3, max_denominator=4)))
+        k = hpoly(rows, rhs)
+    op = draw(st.sampled_from(["none", "dilate", "translate", "polar"]))
+    if op == "dilate":
+        k = k.dilate(draw(st.fractions(min_value=F(1, 5), max_value=5, max_denominator=7)))
+    elif op == "translate":
+        k = k.translate(draw(st.tuples(*[coord] * n)))
+    elif op == "polar":
+        k = polar_body(k)
+    return k
+
+
+@given(rational_polytopes(), st.sampled_from([SURFACE_WIDTH, F(1, 2**8), F(1, 2**100)]))
+@settings(max_examples=80, deadline=None)
+def test_integer_volumes_and_facet_contents_match_the_fraction_references(k, width):
+    verts, facets = k.vertices(), k._facets()
+    assert em._volume_centroid(verts, facets) == fraction_volume_centroid(verts, facets)
+    assert em._facet_contents(verts, facets, width) == fraction_facet_contents(verts, facets, width)
+
+
+@given(rational_polytopes(), st.fractions(min_value=F(1, 4), max_value=4, max_denominator=6))
+@settings(max_examples=60, deadline=None)
+def test_h_and_v_forms_agree_and_dilates_scale(k, t):
+    from gon.body import hpoly
+
+    a, b = k.hrep()
+    h, v = hpoly(a.to_rows(), b), vpoly(k.vertices())
+    assert h.vertices() == v.vertices() == k.vertices()
+    assert h.volume() == v.volume() == k.volume()
+    assert h.centroid() == v.centroid() == k.centroid()
+    assert h.surface_area() == v.surface_area()
+    kt = k.dilate(t)
+    assert kt.volume() == t**k.dim * k.volume()
+    assert kt.centroid() == tuple(t * x for x in k.centroid())
+
+
+@st.composite
+def cone_rows(draw):
+    """Integer rows (t, -a) of the cone over a system a . x <= t, some rank-deficient,
+    with repeated, scaled and zero-on-some-ray rows."""
+    d = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append([draw(st.integers(1, 3)) * x for x in draw(st.sampled_from(rows))])
+    if draw(st.booleans()):
+        rows = [[1] + [0] * (d - 1)] + rows
+    return rows
+
+
+@given(cone_rows())
+@settings(max_examples=200, deadline=None)
+def test_cone_rays_match_the_fraction_reference(rows):
+    if not any(any(r) for r in rows):
+        return
+    try:
+        ref = sorted(fraction_cone_rays(rows))
+    except RankDeficientError:
+        with pytest.raises(RankDeficientError):
+            em._cone_rays(rows)
+        return
+    assert sorted(em._cone_rays(rows)) == ref
+
+
+def test_cone_rays_build_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(em, "Fraction", no_fraction)
+    rows = [[1, 0, 0, 0], [2, -1, 0, 0], [2, 1, 0, 0], [3, 0, -1, 0], [3, 0, 1, 0], [1, 0, 0, -1],
+            [1, 0, 0, 1], [4, -1, -1, -1]]
+    assert len(em._cone_rays(rows)) == 9
+
+
+def test_hulls_and_volumes_make_no_fraction_elimination(monkeypatch):
+    from gon.body import hpoly
+
+    def no_elimination(*args):
+        raise AssertionError("a Fraction elimination was run")
+
+    monkeypatch.setattr(em, "_eliminate", no_elimination)
+    monkeypatch.setattr(QMat, "inverse", no_elimination)
+    h = hpoly([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1]],
+              [2, 1, F(3, 2), 1, 1, 1, F(5, 2)])
+    v = vpoly(h.vertices())
+    for k in (h, v):
+        assert k.volume() == h.volume() and k.centroid() == h.centroid()
+        assert k.surface_area() == h.surface_area()
+    assert extreme_points(list(h.vertices()) + [(0, 0, 0)]) == list(h.vertices())
