@@ -118,7 +118,7 @@ class Body:
         """
         if self.kind == VPOLY:
             _guard_vertex_enum(self.dim)
-            self._facets()  # the hull fills in the H-representation
+            self._hull()  # the hull fills in the H-representation
         if "hrep" in self._cache:
             return self._cache["hrep"]
         if self.kind == BOX:
@@ -151,53 +151,41 @@ class Body:
             self._cache["integer_hrep"] = tuple(_integer_row(a.row(j), b[j]) for j in range(a.rows))
         return self._cache["integer_hrep"]
 
-    def _facets(self) -> list:
-        """Vertex sets of the facets; a hull finds them with the hrep or the vertices."""
-        if "facets" not in self._cache:
-            if self.kind == VPOLY:
-                _, self._cache["hrep"], self._cache["facets"] = _vertex_hull(self.data[0])
-            elif self.kind == HPOLY:
-                self.vertices()  # the double description fills in the facets
-            else:
-                a, b = self.hrep()
-                self._cache["facets"] = _facet_sets(a.to_rows(), b, self.vertices())
-        return self._cache["facets"]
-
     def vertices(self) -> tuple:
         """Extreme points, sorted lexicographically."""
-        if "verts" in self._cache:
-            return self._cache["verts"]
         if self.kind == BOX:
-            a = self.data
-            vs = tuple(
-                sorted(tuple(s * ai for s, ai in zip(signs, a))
-                       for signs in product((1, -1), repeat=len(a)))
-            )
-        elif self.kind == CROSS:
+            return tuple(sorted(product(*((-ai, ai) for ai in self.data))))
+        if self.kind == CROSS:
             n, s = self.data
-            pts = []
-            for i in range(n):
-                for sign in (1, -1):
-                    v = [Fraction(0)] * n
-                    v[i] = sign * s
-                    pts.append(tuple(v))
-            vs = tuple(sorted(pts))
-        elif self.kind == HPOLY:
-            a, b = self.data
-            _guard_vertex_enum(self.dim)
-            return self._keep_hull(_vertex_rays(a.to_rows(), b)[0])
-        elif self.kind == VPOLY:
-            vs = self.data[0]
-        else:
-            raise ValueError("ellipsoids have no vertices")
-        self._cache["verts"] = vs
-        return vs
+            return tuple(sorted(tuple(sign * s if j == i else Fraction(0) for j in range(n))
+                                for i in range(n) for sign in (1, -1)))
+        return self.data[0] if self.kind == VPOLY else self._hull()[0]
 
-    def _keep_hull(self, verts) -> tuple:
-        """Cache an H-polytope's vertices and facets from its _vertex_rays vertices."""
-        self._cache["verts"] = vs = tuple(x for x, _ in verts)
-        self._cache["facets"] = _tight_facets(verts, self.data[0].rows)
-        return vs
+    def _hull(self, found=None) -> tuple:
+        """(vertices, facets): the sorted vertices, and each facet as a bitmask over them.
+
+        Bit j of a facet stands for vertices[j].  hpoly and vpoly hand in as
+        `found` the double description that validated the body: _vertex_rays'
+        vertices of an H-polytope, or _vertex_hull's (vertices, hrep, facets).
+        """
+        if "hull" in self._cache:
+            return self._cache["hull"]
+        if self.kind == HPOLY:
+            if found is None:
+                _guard_vertex_enum(self.dim)
+                found = _vertex_rays(self.data[0].to_rows(), self.data[1])[0]
+            hull = tuple(x for x, _ in found), _tight_facets(found, self.data[0].rows)
+        elif self.kind == VPOLY:
+            vs, self._cache["hrep"], facets = found or _vertex_hull(self.data[0])
+            hull = vs, facets
+        elif self.kind == ELLIPSOID:
+            raise ValueError("ellipsoids have no vertices")
+        else:
+            a, b = self.hrep()
+            vs = self.vertices()
+            hull = vs, _facet_sets(a.to_rows(), b, vs)
+        self._cache["hull"] = hull
+        return hull
 
     # -- scalar data ---------------------------------------------------------
 
@@ -231,7 +219,7 @@ class Body:
 
     def _polytope_volume_centroid(self) -> tuple:
         # both are sums over one pulling triangulation, so they are cached together
-        v, c = _volume_centroid(self.vertices(), self._facets())
+        v, c = _volume_centroid(*self._hull())
         self._cache["vol"], self._cache["cen"] = v, c
         return v, c
 
@@ -241,7 +229,7 @@ class Body:
             raise ValueError("surface area is implemented for polytopes only")
         if self.kind == VPOLY:
             _guard_vertex_enum(self.dim)  # as for the hrep its facets come with
-        return _facet_contents(self.vertices(), self._facets(), max_width=max_width)
+        return _facet_contents(*self._hull(), max_width=max_width)
 
     def scalars(self) -> BodyScalars:
         surf = self.surface_area() if self.is_polytope else None
@@ -256,8 +244,9 @@ class Body:
         if self.kind in (BOX, CROSS, ELLIPSOID):
             out = True
         else:
-            vs = set(self.vertices())
-            out = all(tuple(-x for x in v) in vs for v in vs)
+            # negation reverses the lexicographic order of the sorted vertices
+            vs = self.vertices()
+            out = vs == tuple(tuple(-x for x in v) for v in reversed(vs))
         self._cache["sym"] = out
         return out
 
@@ -444,7 +433,7 @@ def hpoly(rows: Sequence[Sequence], b: Sequence) -> Body:
             raise UnboundedError("polyhedron is unbounded")
         if reduce(and_, (z for _, z in verts)):
             raise ValueError("polyhedron is not full-dimensional")
-        k._keep_hull(verts)
+        k._hull(verts)
         return k
     for j in range(n):
         c = [Fraction(0)] * n
@@ -478,9 +467,9 @@ def vpoly(points: Sequence[Sequence]) -> Body:
         raise ValueError("hull is not full-dimensional")
     if n > _VERTEX_ENUM_MAX_DIM:
         return Body(VPOLY, (tuple(extreme_points(pts)),))
-    verts, h, facets = _vertex_hull(pts)
-    k = Body(VPOLY, (verts,))
-    k._cache["hrep"], k._cache["facets"] = h, facets
+    hull = _vertex_hull(pts)
+    k = Body(VPOLY, (hull[0],))
+    k._hull(hull)
     return k
 
 

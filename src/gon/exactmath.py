@@ -15,10 +15,12 @@ by one LP above dimension 6, where a hull can have exponentially many facets.
 ``lp_exact`` is an exact two-phase simplex.
 
 Volumes, centroids and surface areas come from one triangulation that needs
-only the vertex-facet incidences: which vertices lie on which facet.  A face
-that is a simplex is kept whole; any other is coned from its least vertex over
-its own facets that miss it.  The incidences are the zero sets that the double
-description returns, or are read off an H-representation by tightness.  With
+only the vertex-facet incidences: which vertices lie on which facet.  A hull
+is one record, its vertices sorted and each facet a bitmask of vertex indices,
+so no vertex is hashed.  A face that is a simplex is kept whole; any other is
+coned from its least vertex over its own facets that miss it.  The incidences
+are the zero sets that the double description returns, or are read off an
+H-representation by tightness.  With
 the vertices scaled to one denominator, every simplex and facet minor is a
 fraction-free integer determinant (Bareiss 1968), as is every starting ray of a
 double description.
@@ -1025,11 +1027,13 @@ def _vertex_hull(points) -> tuple:
 
     The inequalities u . x <= beta valid on every point are the cone of the
     rows (1, -p), whose extreme rays are the facets; a point is extreme when
-    no other point lies on every facet through it.  Each row of A x <= b is
-    scaled so that A_i . (x - c) <= 1 for c the vertex average; the rows are
-    sorted, and facets[i] is the vertex set of row i.
+    no other point lies on every facet through it.  The vertices are sorted.
+    Each row of A x <= b is scaled so that A_i . (x - c) <= 1 for c the vertex
+    average; the rows are sorted, and facets[i] is the bitmask of row i's
+    vertices, bit j for vertices[j].
     """
-    pts = sorted(set(points))
+    pts = sorted(points)
+    pts = [p for i, p in enumerate(pts) if not i or p != pts[i - 1]]
     rays = _cone_rays([(1, *(-x for x in p)) for p in pts])
     extreme = 0
     for i in range(len(pts)):
@@ -1039,13 +1043,13 @@ def _vertex_hull(points) -> tuple:
                 common &= z
         if common == 1 << i:
             extreme |= common
-    verts = tuple(p for i, p in enumerate(pts) if extreme >> i & 1)
+    kept = [i for i in range(len(pts)) if extreme >> i & 1]
+    verts = tuple(pts[i] for i in kept)
     c = vavg(verts)
     rows = []
     for (beta, *u), z in rays:
         s = beta - dot(u, c)  # positive: the vertex average is interior
-        z &= extreme
-        rows.append((tuple(x / s for x in u), frozenset(p for i, p in enumerate(pts) if z >> i & 1)))
+        rows.append((tuple(x / s for x in u), sum(1 << j for j, i in enumerate(kept) if z >> i & 1)))
     rows.sort()  # the normals are distinct
     a = [u for u, _ in rows]
     return verts, (QMat.from_rows(a), tuple(1 + dot(u, c) for u in a)), [f for _, f in rows]
@@ -1078,13 +1082,14 @@ def _vertex_rays(A, b) -> tuple:
 
 
 def _tight_facets(verts, m: int) -> list:
-    """Vertex sets of the facets, from _vertex_rays' vertices of m rows.
+    """The facets as vertex bitmasks, from _vertex_rays' vertices of m rows.
 
-    Each row is tight on the vertices of one face.  Every facet has a defining
-    row, and a redundant row is tight only on a smaller face, so the facets are
-    the inclusion-maximal tight sets, in the order of their first rows.
+    Each row is tight on the vertices of one face: bit j is set when verts[j]
+    is on it.  Every facet has a defining row, and a redundant row is tight
+    only on a smaller face, so the facets are the inclusion-maximal tight
+    sets, in the order of their first rows.
     """
-    return _maximal(frozenset(x for x, z in verts if z >> i & 1) for i in range(m))
+    return _maximal(sum(1 << j for j, (_, z) in enumerate(verts) if z >> i & 1) for i in range(m))
 
 
 def _unbounded_unless_empty(A, b) -> None:
@@ -1181,13 +1186,13 @@ def affine_rank(points) -> int:
 
 
 def _maximal(sets):
-    # the inclusion-maximal members, in first-seen order
+    # the inclusion-maximal members of vertex bitmasks, in first-seen order
     sets = list(dict.fromkeys(sets))
-    return [s for s in sets if not any(s < t for t in sets)]
+    return [s for s in sets if not any(s & t == s != t for t in sets)]
 
 
 def _facet_sets(A, b, vertices):
-    """Vertex sets of the facets of the polytope {x : A x <= b} with the given vertices.
+    """The facets of the polytope {x : A x <= b} with the given vertices, as vertex bitmasks.
 
     For vertices that come without their zero sets: the rows tight on each
     are found by substitution.
@@ -1197,25 +1202,25 @@ def _facet_sets(A, b, vertices):
 
 
 def _pulling_simplices(face, facets, dim):
-    """Simplices (tuples of dim+1 vertices) triangulating a dim-dimensional face.
+    """Simplices (tuples of dim+1 vertex indices) triangulating a dim-dimensional face.
 
-    face is the face's vertex set and facets the polytope's facet vertex sets.
-    A face with dim+1 vertices is a simplex.  Any other is pulled from its least
-    vertex v (Lee, Handbook of Discrete and Computational Geometry, ch. 17): v
-    is coned over the face's own facets that miss v; these are among the
-    inclusion-maximal proper intersections of face with the facets.
+    face and the polytope's facets are vertex bitmasks.  A face with dim+1
+    vertices is a simplex.  Any other is pulled from its lowest vertex v (Lee,
+    Handbook of Discrete and Computational Geometry, ch. 17): v is coned over
+    the face's own facets that miss v; these are among the inclusion-maximal
+    proper intersections of face with the facets.
     """
-    if len(face) == dim + 1:
-        return [tuple(face)]
-    v = min(face)
+    if face.bit_count() == dim + 1:
+        return [tuple(j for j in range(face.bit_length()) if face >> j & 1)]
+    v = (face & -face).bit_length() - 1
     subs = _maximal(g for g in (face & f for f in facets) if g != face)
-    return [(v,) + s for g in subs if v not in g for s in _pulling_simplices(g, facets, dim - 1)]
+    return [(v,) + s for g in subs if not g >> v & 1 for s in _pulling_simplices(g, facets, dim - 1)]
 
 
 def _scaled(vertices) -> tuple:
-    """(ints, den): each vertex maps to its integer coordinates over the common denominator den."""
+    """(ints, den): ints[j] is vertices[j] in integer coordinates over the common denominator den."""
     den = math.lcm(*(x.denominator for v in vertices for x in v))
-    return {v: [x.numerator * (den // x.denominator) for x in v] for v in vertices}, den
+    return [[x.numerator * (den // x.denominator) for x in v] for v in vertices], den
 
 
 def _edges(pts) -> list:
@@ -1231,8 +1236,8 @@ def _volume_centroid(vertices, facets):
     ints, den = _scaled(vertices)
     total = 0
     moment = [0] * n
-    for s in _pulling_simplices(frozenset(vertices), facets, n):
-        pts = [ints[p] for p in s]
+    for s in _pulling_simplices((1 << len(vertices)) - 1, facets, n):
+        pts = [ints[j] for j in s]
         d = abs(_int_det(_edges(pts)))
         total += d
         for i, x in enumerate(map(sum, zip(*pts))):
@@ -1295,7 +1300,7 @@ def _facet_contents(vertices, facets, max_width: Fraction | None = None) -> Inte
     per_facet = max_width / len(facets)
     total = Interval.point(0)
     for f in facets:
-        edges = [_edges([ints[p] for p in s]) for s in _pulling_simplices(f, facets, n - 1)]
+        edges = [_edges([ints[j] for j in s]) for s in _pulling_simplices(f, facets, n - 1)]
         a = [_int_minor(edges[0], j) for j in range(n)] if edges else [0] * n
         if not any(a):
             raise RankDeficientError("a facet is not (n-1)-dimensional")

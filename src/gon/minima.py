@@ -39,6 +39,7 @@ from typing import Optional, Sequence, Union
 
 from .body import Body, ELLIPSOID, polar_body, symmetrize
 from .exactmath import (
+    DimensionGuardError,
     QMat,
     QuadVal,
     UnboundedError,
@@ -186,12 +187,27 @@ def _interval(level: Optional[tuple], rows: list, prefix: list) -> Optional[tupl
     return lo, hi
 
 
-def _walk(levels: list, rows: list, prefix: list, out: Optional[list], half: bool = False) -> int:
+# the most nodes one walk may visit above its last level, whose points are
+# counted in closed form: on a shared 2-core machine, about 3 s of polytope walk
+# (3 us a node) or 33 s of ellipsoid walk (33 us a node); the largest walks of
+# the tests and the benchmark visit under 6000
+_WALK_MAX_NODES = 10**6
+
+
+def _spend(budget: list, lo: int, hi: int) -> None:
+    """Charge the nodes lo..hi of one level to the walk's budget [nodes left]."""
+    budget[0] -= max(0, hi - lo + 1)
+    if budget[0] < 0:
+        raise DimensionGuardError(f"the walk would visit more than {_WALK_MAX_NODES} nodes")
+
+
+def _walk(levels: list, rows: list, prefix: list, out: Optional[list], half: bool, budget: list) -> int:
     """Number of integer points of the region extending `prefix`, appended to `out` unless None.
 
     With `half`, the prefix is all zeros and only the points whose first
     nonzero coordinate is positive are walked: the level starts at 0, and at 1
-    when it is the last.
+    when it is the last.  The nodes of every level above the last are charged
+    to `budget`.
     """
     bounds = _interval(levels[len(prefix)], rows, prefix)
     if bounds is None:
@@ -204,10 +220,11 @@ def _walk(levels: list, rows: list, prefix: list, out: Optional[list], half: boo
         if out is not None:
             out.extend((*prefix, z) for z in range(lo, hi + 1))
         return max(0, hi - lo + 1)
+    _spend(budget, lo, hi)
     n = 0
     for z in range(lo, hi + 1):
         prefix.append(z)
-        n += _walk(levels, rows, prefix, out, half and not z)
+        n += _walk(levels, rows, prefix, out, half and not z, budget)
         prefix.pop()
     return n
 
@@ -256,7 +273,7 @@ def _polytope_walk(rows: list, out: Optional[list], half: bool = False) -> int:
         return 1
     ints = list(ints)
     levels = _prefix_projections(ints, m)
-    return 0 if levels is None else _walk(levels, ints, [], out, half)
+    return 0 if levels is None else _walk(levels, ints, [], out, half, [_WALK_MAX_NODES])
 
 
 def _floor_center_plus_sqrt(c: Fraction, q: Fraction) -> int:
@@ -285,11 +302,12 @@ def _quadratic_walk(q: QMat, bound: Fraction, out: Optional[list], half: bool = 
     """
     # Q = L D L^T, so c^T Q c = sum_i d_i (c_i + sum_{j>i} L_ji c_j)^2
     low, d = q.ldl()
-    return _quadratic_level([low.col(i) for i in range(q.rows)], d, [], bound, out, half)
+    return _quadratic_level([low.col(i) for i in range(q.rows)], d, [], bound, out, half,
+                            [_WALK_MAX_NODES])
 
 
 def _quadratic_level(u: list, d: tuple, suffix: list, rem: Fraction, out: Optional[list],
-                     half: bool) -> int:
+                     half: bool, budget: list) -> int:
     # suffix holds coordinates i+1..m-1; rem = bound - sum of settled terms;
     # half: the suffix is all zeros, so c_i starts at 0, or at 1 when it is c_0
     m = len(d)
@@ -304,9 +322,10 @@ def _quadratic_level(u: list, d: tuple, suffix: list, rem: Fraction, out: Option
         if out is not None:
             out.extend((z, *suffix) for z in range(lo, hi + 1))
         return max(0, hi - lo + 1)
+    _spend(budget, lo, hi)
     # the bounds are exact, so every z in them leaves rem - d_i (z - center)^2 >= 0
     return sum(_quadratic_level(u, d, [z] + suffix, rem - d[i] * (z - center) ** 2, out,
-                                half and not z)
+                                half and not z, budget)
                for z in range(lo, hi + 1))
 
 

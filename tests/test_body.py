@@ -1,3 +1,4 @@
+import random
 import sys
 import time
 from fractions import Fraction as F
@@ -39,6 +40,7 @@ from gon.exactmath import (
     vec,
     working_width,
 )
+from gon.verify import random_instance
 
 rational = st.fractions(min_value=-4, max_value=4)
 
@@ -175,8 +177,7 @@ def test_hpoly_verdicts_match_the_lp_reference(system):
     assert got == want
     if isinstance(want, Body):
         fresh = Body(HPOLY, want.data)
-        assert got.vertices() == fresh.vertices()
-        assert got._facets() == fresh._facets()
+        assert got._hull() == fresh._hull()
 
 
 def test_vpoly_filters_interior_points():
@@ -661,6 +662,29 @@ def test_translate_dilate_negate():
     )
     c2 = cube(2)
     assert c2.negate() is c2
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dilates_translates_and_negations_keep_the_incidences(seed):
+    # a positive dilate and a translate keep the sorted order of the vertices
+    # and negation reverses it, so the facets of -K are K's with the bits reversed
+    rng = random.Random(seed)
+    k = random_instance(rng)[0]
+    verts, facets = k._hull()
+    t = F(rng.randint(1, 7), rng.randint(1, 5))
+    v = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(k.dim)]
+    assert k.dilate(t)._hull()[1] == facets
+    assert k.translate(v)._hull()[1] == facets
+    flipped = {int(format(f, f"0{len(verts)}b")[::-1], 2) for f in facets}
+    assert set(k.negate()._hull()[1]) == flipped
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_symmetry_matches_the_vertex_set_reference(seed):
+    k = random_instance(random.Random(seed))[0]
+    for body in (k, symmetrize(k)):
+        vs = set(body.vertices())
+        assert body.is_symmetric() == all(tuple(-x for x in v) in vs for v in vs)
 
 
 def test_support_values():

@@ -1,5 +1,6 @@
 import gc
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -78,6 +79,15 @@ def test_count_of_a_large_box(files, tmp_path, capsys):
     assert rc == 0 and doc["count"] == 71 ** 3
     rc, doc, _ = run(capsys, *args, "--interior")
     assert rc == 0 and doc["count"] == 69 ** 3 and doc["interior"] is True
+
+
+def test_count_of_a_huge_box_is_guarded(files, tmp_path, capsys):
+    # about 8e18 points, whose counting walk would visit about 4e12 nodes
+    body = tmp_path / "box.json"
+    body.write_text(json.dumps({"type": "box", "a": [1000000, 1000000, 1000000]}))
+    start = time.perf_counter()
+    expect_error(capsys, "guard", "count", "--body", str(body), "--lattice", files["z3"])
+    assert time.perf_counter() - start < 10
 
 
 def test_ehrhart_output(files, capsys):

@@ -19,7 +19,7 @@ from gon.body import (
     vpoly,
 )
 from gon.counting import EhrhartPoly, count_points, count_ratio_bounds, ehrhart
-from gon.exactmath import QMat, dot
+from gon.exactmath import DimensionGuardError, QMat, dot
 from gon.lattice import kernel_lattice, make_lattice, standard_lattice
 from gon.minima import polytope_integer_points, quadratic_integer_points
 
@@ -252,6 +252,19 @@ def test_count_builds_no_point_list():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("body, nodes, count", [
+    (box([2, 2, 2]), 5 + 25, 125),
+    (ellipsoid([[F(1, 4), 0, 0], [0, F(1, 4), 0], [0, 0, F(1, 4)]]), 5 + 13, 33),
+])
+def test_walks_charge_the_levels_above_the_last_to_one_budget(monkeypatch, body, nodes, count):
+    # 5 values of the first coordinate, and for each the values of the second
+    monkeypatch.setattr(minima, "_WALK_MAX_NODES", nodes)
+    assert count_points(body, standard_lattice(3)) == count
+    monkeypatch.setattr(minima, "_WALK_MAX_NODES", nodes - 1)
+    with pytest.raises(DimensionGuardError):
+        count_points(body, standard_lattice(3))
 
 
 # -- Ehrhart ------------------------------------------------------------------

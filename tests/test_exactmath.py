@@ -854,6 +854,151 @@ def test_facet_contents_duplicate_rows_collapse():
 
 
 # ---------------------------------------------------------------------------
+# facets as vertex bitmasks, against the vertex sets they replaced
+#
+# The routines below are the earlier set-based hull and pulling code, kept
+# verbatim as the reference: a facet is a frozenset of vertex tuples.
+
+
+def _facet_vertex_sets(vertices, facets):
+    """The bitmask facets over vertices as the frozensets of vertices they stand for."""
+    return [frozenset(v for j, v in enumerate(vertices) if f >> j & 1) for f in facets]
+
+
+def set_maximal(sets):
+    # the inclusion-maximal members, in first-seen order
+    sets = list(dict.fromkeys(sets))
+    return [s for s in sets if not any(s < t for t in sets)]
+
+
+def set_tight_facets(verts, m: int) -> list:
+    """Vertex sets of the facets, from _vertex_rays' vertices of m rows."""
+    return set_maximal(frozenset(x for x, z in verts if z >> i & 1) for i in range(m))
+
+
+def set_facet_sets(A, b, vertices):
+    """Vertex sets of the facets of the polytope {x : A x <= b} with the given vertices."""
+    zs = [sum(1 << i for i, (row, bi) in enumerate(zip(A, b)) if dot(row, v) == bi) for v in vertices]
+    return set_tight_facets(list(zip(vertices, zs)), len(A))
+
+
+def set_vertex_hull(points) -> tuple:
+    """Hull of points that affinely span their space: (vertices, (A, b), facets as vertex sets)."""
+    pts = sorted(set(points))
+    rays = em._cone_rays([(1, *(-x for x in p)) for p in pts])
+    extreme = 0
+    for i in range(len(pts)):
+        common = -1  # every bit: an interior point lies on no facet
+        for _, z in rays:
+            if z >> i & 1:
+                common &= z
+        if common == 1 << i:
+            extreme |= common
+    verts = tuple(p for i, p in enumerate(pts) if extreme >> i & 1)
+    c = vavg(verts)
+    rows = []
+    for (beta, *u), z in rays:
+        s = beta - dot(u, c)  # positive: the vertex average is interior
+        z &= extreme
+        rows.append((tuple(x / s for x in u), frozenset(p for i, p in enumerate(pts) if z >> i & 1)))
+    rows.sort()  # the normals are distinct
+    a = [u for u, _ in rows]
+    return verts, (QMat.from_rows(a), tuple(1 + dot(u, c) for u in a)), [f for _, f in rows]
+
+
+def set_pulling_simplices(face, facets, dim):
+    """Simplices (tuples of dim+1 vertices) triangulating a dim-dimensional face, pulled from
+    its least vertex; face and facets are vertex sets."""
+    if len(face) == dim + 1:
+        return [tuple(face)]
+    v = min(face)
+    subs = set_maximal(g for g in (face & f for f in facets) if g != face)
+    return [(v,) + s for g in subs if v not in g for s in set_pulling_simplices(g, facets, dim - 1)]
+
+
+@st.composite
+def hull_polytopes(draw):
+    """(kind, body, points): a box, cross-polytope, H- or V-polytope of dimension 1-6, with the
+    points a V-polytope was built from."""
+    from gon.body import hpoly
+
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["box", "cross", "hpoly", "vpoly"]))
+    half = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=5)
+    if kind == "box":
+        return kind, box(sorted((draw(half) for _ in range(n)), reverse=True)), None
+    if kind == "cross":
+        return kind, cross_polytope(n, draw(half)), None
+    if kind == "hpoly":
+        rows = [[s * int(j == i) for j in range(n)] for i in range(n) for s in (1, -1)]
+        rhs = [draw(half) for _ in rows]
+        for _ in range(draw(st.integers(0, 3))):
+            rows.append(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+            rhs.append(draw(st.fractions(min_value=F(1, 2), max_value=3, max_denominator=4)))
+        return kind, hpoly(rows, rhs), None
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    pts = [tuple(F(-1) for _ in range(n))] + [tuple(F(2 * int(j == i)) for j in range(n)) for i in range(n)]
+    pts += draw(st.lists(st.tuples(*[coord] * n), max_size=4))
+    pts = draw(st.permutations(pts + pts[:draw(st.integers(0, 2))]))
+    return kind, vpoly(pts), pts
+
+
+@given(hull_polytopes())
+@settings(max_examples=120, deadline=None)
+def test_bitmask_facets_match_the_vertex_set_references(poly):
+    kind, k, pts = poly
+    verts, facets = k._hull()
+    sets = _facet_vertex_sets(verts, facets)
+    a, b = k.hrep()
+    rows = a.to_rows()
+    assert _facet_vertex_sets(verts, em._facet_sets(rows, b, verts)) == set_facet_sets(rows, b, verts)
+    if kind == "hpoly":
+        found = em._vertex_rays(rows, b)[0]
+        assert sets == set_tight_facets(found, len(rows))
+        assert _facet_vertex_sets(verts, em._tight_facets(found, len(rows))) == sets
+    elif kind == "vpoly":
+        ref_verts, ref_h, ref_facets = set_vertex_hull(pts)
+        new_verts, new_h, new_facets = em._vertex_hull(pts)
+        assert new_verts == ref_verts == verts and new_h == ref_h
+        assert _facet_vertex_sets(verts, new_facets) == ref_facets == sets
+    else:
+        assert sets == set_facet_sets(rows, b, verts)
+    n = k.dim
+    faces = [((1 << len(verts)) - 1, frozenset(verts), n)]
+    faces += [(f, g, n - 1) for f, g in zip(facets, sets)] if n > 1 else []
+    for mask, face, dim in faces:
+        new = em._pulling_simplices(mask, facets, dim)
+        ref = set_pulling_simplices(face, sets, dim)
+        assert [frozenset(verts[j] for j in s) for s in new] == [frozenset(s) for s in ref]
+
+
+class _NoHash(Fraction):
+    """A coordinate that fails the test when it is hashed."""
+
+    def __hash__(self):
+        raise AssertionError("a vertex coordinate was hashed")
+
+
+def test_hull_and_triangulation_hash_no_coordinate():
+    rows = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1]]
+    rhs = [1, 1, 2, 1, 1, F(1, 2), 2]
+    found = em._vertex_rays(rows, rhs)[0]
+    plain = tuple(x for x, _ in found)
+    verts = [(tuple(_NoHash(c) for c in x), z) for x, z in found]
+    vs = tuple(x for x, _ in verts)
+    facets = em._tight_facets(verts, len(rows))
+    assert facets == em._tight_facets(found, len(rows))
+    assert em._facet_sets(rows, rhs, vs) == facets
+    hull = em._vertex_hull(vs)
+    assert hull[0] == vs and hull[2] == em._vertex_hull(plain)[2]
+    assert len(em._pulling_simplices((1 << len(vs)) - 1, facets, 3)) == 7
+    assert em._volume_centroid(vs, facets) == em._volume_centroid(plain, facets)
+    assert em._facet_contents(vs, facets) == em._facet_contents(plain, facets)
+    k = vpoly(vs)
+    assert not k.is_symmetric() and k.volume() == em._volume_centroid(plain, facets)[0]
+
+
+# ---------------------------------------------------------------------------
 # pulling triangulation from a vertex, against the centroid coning it replaced
 #
 # The routines below are the earlier triangulation, kept verbatim as the
@@ -943,7 +1088,7 @@ def _random_polytopes(draw):
 @given(_random_polytopes())
 def test_vertex_pulling_keeps_volume_and_centroid(poly):
     verts, facets = poly
-    assert em._volume_centroid(verts, facets) == _volume_centroid(verts, facets)
+    assert em._volume_centroid(verts, facets) == _volume_centroid(verts, _facet_vertex_sets(verts, facets))
 
 
 @settings(max_examples=40)
@@ -951,7 +1096,7 @@ def test_vertex_pulling_keeps_volume_and_centroid(poly):
 def test_facet_contents_overlap_the_gram_enclosures(poly, width):
     verts, facets = poly
     new = em._facet_contents(verts, facets, width)
-    old = _facet_contents(verts, facets, width)
+    old = _facet_contents(verts, _facet_vertex_sets(verts, facets), width)
     assert new.lo <= old.hi and old.lo <= new.hi
     assert new.width <= width
 
@@ -967,18 +1112,18 @@ def test_box_closed_forms(n):
     a = [F(n - i, 2) for i in range(n)]
     k = box(a)
     sides = [2 * x for x in a]
-    assert em._volume_centroid(k.vertices(), k._facets()) == (math.prod(sides), (0,) * n)
+    assert em._volume_centroid(*k._hull()) == (math.prod(sides), (0,) * n)
     faces = sum(math.prod(sides[:i] + sides[i + 1 :]) for i in range(n))
-    assert em._facet_contents(k.vertices(), k._facets()) == Interval.point(2 * faces)
+    assert em._facet_contents(*k._hull()) == Interval.point(2 * faces)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_standard_simplex_closed_forms(n):
     # n facets on the coordinate hyperplanes of content 1/(n-1)!, and one of content sqrt(n)/(n-1)!
     k = standard_simplex(n)
-    vol, cen = em._volume_centroid(k.vertices(), k._facets())
+    vol, cen = em._volume_centroid(*k._hull())
     assert vol == F(1, math.factorial(n)) and cen == (F(1, n + 1),) * n
-    s = em._facet_contents(k.vertices(), k._facets())
+    s = em._facet_contents(*k._hull())
     assert _encloses(s, F(n, math.factorial(n - 1)), F(1, math.factorial(n - 1)), n)
     assert s.width <= SURFACE_WIDTH
 
@@ -988,14 +1133,15 @@ def test_cross_polytope_closed_forms(n):
     # 2^n facets, each a regular simplex on s e_i of content s^(n-1) sqrt(n)/(n-1)!
     s = F(3, 2)
     k = cross_polytope(n, s)
-    assert em._volume_centroid(k.vertices(), k._facets()) == (2**n * s**n / math.factorial(n), (0,) * n)
-    area = em._facet_contents(k.vertices(), k._facets())
+    assert em._volume_centroid(*k._hull()) == (2**n * s**n / math.factorial(n), (0,) * n)
+    area = em._facet_contents(*k._hull())
     assert _encloses(area, 0, 2**n * s ** (n - 1) / math.factorial(n - 1), n)
     assert area.width <= SURFACE_WIDTH
 
 
 def _simplex_count(k):
-    return len(em._pulling_simplices(frozenset(k.vertices()), k._facets(), k.dim))
+    verts, facets = k._hull()
+    return len(em._pulling_simplices((1 << len(verts)) - 1, facets, k.dim))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -1054,7 +1200,7 @@ def fraction_volume_centroid(vertices, facets):
     n = len(vertices[0])
     total = Fraction(0)
     moment = [Fraction(0)] * n
-    for s in em._pulling_simplices(frozenset(vertices), facets, n):
+    for s in set_pulling_simplices(frozenset(vertices), facets, n):
         d = abs(QMat.from_rows([vsub(p, s[0]) for p in s[1:]]).det())
         total += d
         for i in range(n):
@@ -1074,7 +1220,7 @@ def fraction_facet_contents(vertices, facets, max_width):
     per_facet = max_width / len(facets)
     total = Interval.point(0)
     for f in facets:
-        edges = [[vsub(p, s[0]) for p in s[1:]] for s in em._pulling_simplices(f, facets, n - 1)]
+        edges = [[vsub(p, s[0]) for p in s[1:]] for s in set_pulling_simplices(f, facets, n - 1)]
         a = [_fraction_minor(edges[0], j) for j in range(n)]
         k = next(j for j, x in enumerate(a) if x)
         v_k = (abs(a[k]) + sum(abs(_fraction_minor(e, k)) for e in edges[1:])) / math.factorial(n - 1)
@@ -1151,9 +1297,10 @@ def rational_polytopes(draw):
 @given(rational_polytopes(), st.sampled_from([SURFACE_WIDTH, F(1, 2**8), F(1, 2**100)]))
 @settings(max_examples=80, deadline=None)
 def test_integer_volumes_and_facet_contents_match_the_fraction_references(k, width):
-    verts, facets = k.vertices(), k._facets()
-    assert em._volume_centroid(verts, facets) == fraction_volume_centroid(verts, facets)
-    assert em._facet_contents(verts, facets, width) == fraction_facet_contents(verts, facets, width)
+    verts, facets = k._hull()
+    sets = _facet_vertex_sets(verts, facets)
+    assert em._volume_centroid(verts, facets) == fraction_volume_centroid(verts, sets)
+    assert em._facet_contents(verts, facets, width) == fraction_facet_contents(verts, sets, width)
 
 
 @given(rational_polytopes(), st.fractions(min_value=F(1, 4), max_value=4, max_denominator=6))
