@@ -17,8 +17,6 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from jsonschema import ValidationError
-
 from .body import Body, centered_simplex, cross_polytope, cube, dual_centered_simplex, \
     generalized_hexagon, polar_body
 from .counting import count_points, ehrhart
@@ -26,6 +24,7 @@ from .exactmath import DimensionGuardError, ExactGeometryError, current_width, r
     working_width
 from .lattice import Lattice, kernel_lattice, make_lattice, standard_lattice
 from .minima import lattice_width, successive_minima
+from . import schemas
 from .schemas import SCHEMA_TAG, validate_input, validate_output
 from .siegel import hexagon_delta2, scan_constants, siegel_solve, sinc_sigma, whitworth_delta
 from .verify import _jsonify, candidate_json, counterexample_candidates, instance_json, \
@@ -65,7 +64,7 @@ def _validated(kind: str, path: str):
     doc = _load_json(path)
     try:
         validate_input(kind, doc)
-    except ValidationError as e:
+    except schemas.ValidationError as e:  # looked up, and jsonschema imported, only on a raise
         raise CliError("schema", f"{path}: {e.message}")
     return doc
 

@@ -22,6 +22,7 @@ from .exactmath import (
     rat_str,
     vec,
     _hnf,
+    _int_det,
     _integer_matrix,
 )
 
@@ -75,12 +76,12 @@ class Lattice:
         return b @ b.transpose()
 
     def det_squared(self) -> Fraction:
-        return self.gram().det()
+        return Fraction(_gram_det(self._rows), self._den ** (2 * self.rank))
 
     def det(self):
         """Covolume.  Rational for full-rank lattices, else a QuadVal."""
         if self.is_full_rank():
-            return abs(self.basis.det())
+            return Fraction(abs(_int_det(self._rows)), self._den**self.dim)
         return quad_or_rat(self.det_squared())
 
     def coefficients(self, x) -> tuple[Fraction, ...] | None:
@@ -173,6 +174,11 @@ def polar_lattice(lat: Lattice) -> Lattice:
     if not lat.is_full_rank():
         raise RankDeficientError("polar lattice needs a full-rank lattice")
     return lat.dual()
+
+
+def _gram_det(rows) -> int:
+    """det(R R^T) of independent integer rows R: the squared covolume of their lattice."""
+    return _int_det([[sum(map(mul, a, b)) for b in rows] for a in rows])
 
 
 def _integer_rows(a_rows, what: str) -> list:

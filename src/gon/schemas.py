@@ -7,9 +7,16 @@ Rationals travel as strings ("3/4", "-2"), irrational values as
 An "integer" is a JSON integer: a number such as 1.0 is not one.  A body is
 checked against the variant its "type" names, and against all of them only
 when that names none.
+
+The schemas are plain JSON Schema (2020-12) dicts.  A document is accepted by
+one walk over them (``_accepts``), which reads the few keywords they use;
+jsonschema is imported only when that walk rejects a document, to raise its
+ValidationError with the message it has always given.
 """
 
-from jsonschema import Draft202012Validator, validators
+import re
+from functools import cache
+from numbers import Number
 
 SCHEMA_TAG = "gon/1"
 
@@ -275,26 +282,93 @@ OUTPUT_SCHEMAS = {
 
 # "integer" is a Python int, as json.load returns for a JSON integer: not a
 # float such as 1.0, and not a bool
-_Validator = validators.extend(
-    Draft202012Validator,
-    type_checker=Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda _, x: type(x) is int),
-)
+_PY_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
 
-_INPUT_VALIDATORS = {k: _Validator(v) for k, v in INPUT_SCHEMAS.items()}
-_BODY_VALIDATORS = {k: _Validator(v) for k, v in _BODY_VARIANTS.items()}
-_OUTPUT_VALIDATORS = {k: _Validator(v) for k, v in OUTPUT_SCHEMAS.items()}
+
+def _has_type(doc, name: str) -> bool:
+    return type(doc) is int if name == "integer" else isinstance(doc, _PY_TYPES[name])
+
+
+def _accepts(schema: dict, doc) -> bool:
+    """Whether doc is valid under schema, read straight off the dicts above.
+
+    Reads only the keywords those dicts use, each with its JSON Schema meaning:
+    a keyword binds only the JSON type it is about, so "pattern" passes a
+    non-string and "required" a non-object.  "const" and "enum" values are
+    strings, for which == is JSON Schema's equality.
+    """
+    t = schema.get("type")
+    if t is not None and not (_has_type(doc, t) if type(t) is str
+                              else any(_has_type(doc, x) for x in t)):
+        return False
+    if "const" in schema and doc != schema["const"]:
+        return False
+    if "enum" in schema and doc not in schema["enum"]:
+        return False
+    if "oneOf" in schema and sum(_accepts(s, doc) for s in schema["oneOf"]) != 1:
+        return False
+    if isinstance(doc, dict):
+        props = schema.get("properties", {})
+        closed = schema.get("additionalProperties") is False
+        for key, value in doc.items():
+            sub = props.get(key)
+            if sub is None:
+                if closed:
+                    return False
+            elif not _accepts(sub, value):
+                return False
+        return all(key in doc for key in schema.get("required", ()))
+    if isinstance(doc, list):
+        items = schema.get("items")
+        return len(doc) >= schema.get("minItems", 0) and (
+            items is None or all(_accepts(items, x) for x in doc))
+    if isinstance(doc, str):
+        return "pattern" not in schema or re.search(schema["pattern"], doc) is not None
+    if "minimum" in schema and isinstance(doc, Number) and not isinstance(doc, bool):
+        return doc >= schema["minimum"]
+    return True
+
+
+@cache
+def _validator_class():
+    # jsonschema's 2020-12 validator under the "integer" above; imported only
+    # to word a rejection, since _accepts decides every accepted document
+    from jsonschema import Draft202012Validator, validators
+
+    return validators.extend(
+        Draft202012Validator,
+        type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
+            "integer", lambda _, x: _has_type(x, "integer")),
+    )
+
+
+def __getattr__(name: str):
+    # jsonschema's ValidationError, the error validate_input and validate_output
+    # raise, without importing jsonschema before a caller asks for it
+    if name == "ValidationError":
+        from jsonschema import ValidationError
+
+        return ValidationError
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _check(schema: dict, doc) -> None:
+    if _accepts(schema, doc):
+        return
+    _validator_class()(schema).validate(doc)
+    raise RuntimeError("schema check rejected a document that jsonschema accepts")
 
 
 def validate_input(kind: str, doc) -> None:
     """Raise jsonschema.ValidationError if doc is not a valid input document."""
     if kind == "body" and isinstance(doc, dict):
         variant = doc.get("type")
-        if isinstance(variant, str) and variant in _BODY_VALIDATORS:
-            _BODY_VALIDATORS[variant].validate(doc)
+        if isinstance(variant, str) and variant in _BODY_VARIANTS:
+            _check(_BODY_VARIANTS[variant], doc)
             return
-    _INPUT_VALIDATORS[kind].validate(doc)
+    _check(INPUT_SCHEMAS[kind], doc)
 
 
 def validate_output(command: str, doc) -> None:
     """Raise jsonschema.ValidationError if doc is not a valid output document."""
-    _OUTPUT_VALIDATORS[command].validate(doc)
+    _check(OUTPUT_SCHEMAS[command], doc)

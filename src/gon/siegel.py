@@ -33,7 +33,7 @@ from .exactmath import (
     rat,
     root_interval,
 )
-from .lattice import Lattice, _integer_rows, kernel_lattice, make_lattice, minors_gcd
+from .lattice import Lattice, _gram_det, _integer_rows, kernel_lattice, make_lattice, minors_gcd
 from .body import HPOLY, Body, _hexagon_coefficients, cube, generalized_hexagon
 from .minima import MinimaResult, first_minimum, successive_minima
 
@@ -149,8 +149,7 @@ def siegel_solve(a) -> SiegelSolution:
             raise RuntimeError("witness escapes the kernel")
 
     g = minors_gcd([list(r) for r in rows])
-    qa = QMat.from_rows([[rat(x) for x in r] for r in rows])
-    gram_det = int((qa @ qa.transpose()).det())
+    gram_det = _gram_det(rows)
     if section.lattice.det_squared() * g * g != gram_det:
         raise RuntimeError("kernel determinant identity failed")
 
@@ -349,9 +348,15 @@ def _scan_record(a: tuple, lams: tuple) -> ScanRecord:
     bv_ok = product**2 * g * g <= sum(x * x for x in a)
     hex_bound = hex_ok = None
     if n <= 4:
-        # the slab-cut projection only depends on the direction of a
-        prim = tuple(x // g for x in a)
-        hex_bound = Fraction(an, g) / delta_lower_bound(project_body(prim))
+        # delta_lower_bound(project_body(a / g)), read off the ascending row:
+        # the smaller section of a 3-d projection is the hexagon (a_1/a_2, 1, 1)
+        if n == 2:
+            delta = Fraction(1)
+        elif n == 3:
+            delta = hexagon_delta2()
+        else:
+            delta = whitworth_delta(Fraction(a[0], a[1]))
+        hex_bound = Fraction(an, g) / delta
         hex_ok = product <= hex_bound
     return ScanRecord(a, lams, product, ratio_single, ratio_product, bv_ok, hex_bound, hex_ok)
 

@@ -1,17 +1,26 @@
+import ast
+import copy
 import gc
+import inspect
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from jsonschema import Draft202012Validator, ValidationError
+from jsonschema import Draft202012Validator, ValidationError, validators
 
 import gon.cli as cli
 from gon.body import Body
 from gon.cli import main
 from gon.exactmath import current_width, working_width
+from gon import schemas
 from gon.schemas import validate_input, validate_output
 from gon.verify import CheckReport
 
@@ -603,3 +612,196 @@ def test_input_schemas_agree_with_the_reference(case):
     if kind == "body" and not (isinstance(doc, dict) and doc.get("type") in
                                ("box", "cross", "hpoly", "vpoly", "ellipsoid")):
         assert new == old  # no variant named: the oneOf's message, as before
+
+
+# -- the dict walk against jsonschema -----------------------------------------
+# jsonschema's 2020-12 validator under the program's "integer", a Python int
+
+_EXTENDED = validators.extend(
+    Draft202012Validator,
+    type_checker=Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda _, x: type(x) is int),
+)
+
+
+@given(input_documents())
+@example(("lattice", {"basis": []}))  # input_documents draws no empty array
+@example(("body", {"type": "hpoly", "A": [[]], "b": [1]}))
+@example(("matrix", {"rows": 1, "cols": 1, "data": []}))
+@settings(max_examples=600)
+def test_accepts_agrees_with_jsonschema_on_inputs(case):
+    kind, doc = case
+    variants = list(schemas._BODY_VARIANTS.values()) if kind == "body" else []
+    for schema in [schemas.INPUT_SCHEMAS[kind]] + variants:
+        assert schemas._accepts(schema, doc) == _EXTENDED(schema).is_valid(doc)
+
+
+_REPORT = {"check_id": "mink2", "kind": "theorem", "lhs": "1", "rhs": {"sqrt_of": "2"},
+           "status": "holds", "margin": None, "witnesses": {}, "reason": None}
+_COUNTS = {"holds": 1, "equality": 0, "violated": 0, "skipped": 0, "undecided": 0}
+_HEAD = {"schema": "gon/1"}
+
+# one valid document per output schema
+_VALID_OUTPUTS = {
+    "minima": {"n": 2, "rank": 2, "count": 2, "minima": ["1", {"sqrt_of": "2"}, {"lo": "1", "hi": "2"}],
+               "witnesses": [["1", "0"], ["0", "1/2"]]},
+    "count": {"n": 2, "interior": False, "dilate": "1", "count": 9},
+    "ehrhart": {"n": 2, "degree": 2, "coefficients": ["1", "2", "4"], "eval_at": 2, "eval_value": "25"},
+    "polar": {"n": 2, "body": {"type": "box", "a": ["1", "1"]}},
+    "width": {"n": 2, "width": "2", "direction": ["1", "0"]},
+    "siegel": {"m": 1, "n": 3, "vectors": [[1, -2, 1], [2, -1, 0]], "norms": [2, 2], "product_norm": 4,
+               "gram_det": 14, "minor_gcd": 1, "bv_bound": {"sqrt_of": "14"},
+               "classical_bound": {"lo": "1", "hi": "10"}, "bv_satisfied": False,
+               "classical_satisfied": True},
+    "scan": {"n": 2, "a_max": 4, "dedupe": True, "record_count": 1, "empirical_c": "1/2",
+             "empirical_s": "1/2", "witness_c": [1, 2], "witness_s": [1, 2],
+             "bound_sqrt_n": {"sqrt_of": "2"}, "bound_sigma_inv": "1", "exact_value": "1",
+             "within_sqrt_n": True, "within_sigma_inv": True, "within_exact": True,
+             "sigma_inv_below_sqrt_n": True,
+             "records": [{"a": [1, 2], "minima": [1], "minima_product": 1, "ratio_single": "1/2",
+                          "ratio_product": "1/2", "bv_satisfied": True, "hexagon_bound": "2",
+                          "hexagon_satisfied": True}]},
+    "sigma": {"n": 3, "sigma": "3/4"},
+    "whitworth": {"variant": "slab", "beta": "1/2", "delta": "3/4"},
+    "verify": {"n": 2, "checks_run": 1, "status_counts": _COUNTS, "reports": [_REPORT],
+               "violations": [], "candidates": [{"candidate": _REPORT, "body": {}, "lattice": {}}]},
+    "corpus": {"seed": 0, "fixed": [{"name": "cube", "status_counts": _COUNTS, "violations": ["x"],
+                                     "candidates": []}],
+               "random": {"instances": 1, "status_counts": _COUNTS, "violations": [{}],
+                          "candidates": [{"candidate": _REPORT, "body": {}, "lattice": {}}]},
+               "status_counts": _COUNTS, "check_status_counts": {}, "all_hold": True},
+}
+_VALID_OUTPUTS = {k: {**_HEAD, "command": k, **v} for k, v in _VALID_OUTPUTS.items()}
+_VALID_OUTPUTS["error"] = {**_HEAD, "error": {"code": "input", "message": "x"}}
+
+_OUTPUT_ENTRIES = st.sampled_from([1.0, True, None, "1/0", (1, 2), {"k": 1}, 0, -1, 3, "3/4", "x",
+                                   [], ["1"], {"sqrt_of": "2"}, {"lo": "0", "hi": "1"}])
+
+
+def _containers(doc, out):
+    # every dict and list reachable from doc, doc first
+    if isinstance(doc, (dict, list)):
+        out.append(doc)
+        for v in doc.values() if isinstance(doc, dict) else doc:
+            _containers(v, out)
+    return out
+
+
+@st.composite
+def output_documents(draw):
+    """A valid output document, then mutated anywhere inside: a field or entry dropped,
+    added or retyped."""
+    command = draw(st.sampled_from(sorted(_VALID_OUTPUTS)))
+    doc = copy.deepcopy(_VALID_OUTPUTS[command])
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(_containers(doc, [])))
+        op = draw(st.sampled_from(["drop", "add", "set"]))
+        entry = copy.deepcopy(draw(_OUTPUT_ENTRIES))
+        if isinstance(target, dict):
+            keys = sorted(target)
+            if op == "drop" and keys:
+                del target[draw(st.sampled_from(keys))]
+            elif op == "add":
+                target[draw(st.sampled_from(["extra", "n", "hi", "sqrt_of", "reason"]))] = entry
+            elif keys:
+                target[draw(st.sampled_from(keys))] = entry
+        elif op == "add" or not target:
+            target.append(entry)
+        else:
+            i = draw(st.integers(0, len(target) - 1))
+            if op == "drop":
+                del target[i]
+            else:
+                target[i] = entry
+    return command, doc
+
+
+def test_valid_outputs_are_valid():
+    for command, doc in _VALID_OUTPUTS.items():
+        validate_output(command, doc)
+        assert _EXTENDED(schemas.OUTPUT_SCHEMAS[command]).is_valid(doc)
+
+
+@given(output_documents())
+@settings(max_examples=600)
+def test_accepts_agrees_with_jsonschema_on_outputs(case):
+    command, doc = case
+    schema = schemas.OUTPUT_SCHEMAS[command]
+    assert schemas._accepts(schema, doc) == _EXTENDED(schema).is_valid(doc)
+
+
+def _keywords_read():
+    """The keywords _accepts reads: schema.get("k"), schema["k"] and "k" in schema."""
+    found = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(schemas._accepts)))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and ast.unparse(node.func.value) == "schema"):
+            found.add(node.args[0].value)
+        elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "schema":
+            found.add(node.slice.value)
+        elif (isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn))
+              and ast.unparse(node.comparators[0]) == "schema"):
+            found.add(node.left.value)
+    return found
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+    for sub in schema.get("oneOf", ()):
+        yield from _subschemas(sub)
+
+
+def test_every_schema_keyword_is_read():
+    read = _keywords_read()
+    assert read == {"type", "const", "enum", "minimum", "minItems", "items", "properties",
+                    "required", "additionalProperties", "pattern", "oneOf"}
+    tops = [*schemas.INPUT_SCHEMAS.values(), *schemas._BODY_VARIANTS.values(),
+            *schemas.OUTPUT_SCHEMAS.values()]
+    for schema in (sub for top in tops for sub in _subschemas(top)):
+        assert set(schema) <= read, schema
+        # the shapes _accepts assumes: a closed object, string constants, known type names
+        assert schema.get("additionalProperties", False) is False
+        assert all(type(v) is str for v in [schema.get("const", "")] + schema.get("enum", []))
+        types = schema.get("type", [])
+        assert set([types] if type(types) is str else types) <= {
+            "object", "array", "string", "integer", "boolean", "null"}
+
+
+# -- a fresh interpreter: jsonschema is imported only to word a rejection ------
+
+_SRC = str(Path(schemas.__file__).parents[1])
+
+
+def _fresh(code, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [_SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_importing_the_cli_leaves_jsonschema_unloaded():
+    out = _fresh("import sys, gon, gon.cli; print('jsonschema' in sys.modules)")
+    assert out.returncode == 0 and out.stdout == "False\n", out.stderr
+
+
+def test_fresh_rejection_is_a_schema_error(tmp_path):
+    (tmp_path / "k.json").write_text(json.dumps({"type": "box", "a": [1.0, 1]}))
+    out = _fresh("import sys, gon.cli; sys.exit(gon.cli.main(sys.argv[1:]))",
+                 "polar", "--body", str(tmp_path / "k.json"))
+    assert out.returncode == 1, out.stderr
+    doc = _one_doc(out.stdout)
+    assert doc["error"]["code"] == "schema" and "is not of type" in doc["error"]["message"]
+
+
+def test_a_walk_that_rejects_a_valid_document_is_internal(tmp_path):
+    (tmp_path / "k.json").write_text(json.dumps(_BOX))
+    out = _fresh("import sys, gon.cli, gon.schemas as s\n"
+                 "walk, box = s._accepts, s._BODY_VARIANTS['box']\n"
+                 "s._accepts = lambda schema, doc: schema is not box and walk(schema, doc)\n"
+                 "sys.exit(gon.cli.main(sys.argv[1:]))",
+                 "polar", "--body", str(tmp_path / "k.json"))
+    assert out.returncode == 3, out.stderr
+    assert _one_doc(out.stdout)["error"]["code"] == "internal"

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gon.exactmath import QMat, QuadVal, RankDeficientError, dot, hnf, rat, vec
+from gon.exactmath import QMat, QuadVal, RankDeficientError, dot, hnf, quad_or_rat, rat, vec
 from gon.lattice import (
     Lattice,
+    _gram_det,
     kernel_lattice,
     lll_reduce,
     make_lattice,
@@ -533,3 +534,25 @@ def test_same_lattice_across_denominators(rows, data):
         assert lat.same_lattice(other) == ref_same_lattice(lat, other)
         assert other.same_lattice(lat) == ref_same_lattice(other, lat)
     assert lat.same_lattice(others[0]) and lat.same_lattice(others[1])
+
+
+@given(rational_bases())
+@example([[F(1, 2), F(1, 3), 0]])  # den 6, rank 1 < dim 3
+@example([[F(1, 2), 0], [F(1, 4), F(3, 2)]])  # den 4 at full rank
+@settings(max_examples=200, deadline=None)
+def test_integer_determinants_match_the_rational_gram(rows):
+    lat = Lattice(QMat.from_rows(rows))
+    ref = lat.gram().det()  # the Fraction reference the integer determinants replaced
+    assert lat.det_squared() == ref and type(lat.det_squared()) is F
+    if lat.is_full_rank():
+        assert lat.det() == abs(lat.basis.det()) and type(lat.det()) is F
+    else:
+        assert lat.det() == quad_or_rat(ref)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=1, max_size=n)))
+@settings(max_examples=200, deadline=None)
+def test_gram_det_matches_the_rational_gram(rows):
+    q = QMat.from_rows(rows)
+    assert _gram_det(rows) == (q @ q.transpose()).det()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from gon.siegel import (
     GeneralizedHexagon,
     ScanRecord,
     SiegelSolution,
+    _scan_record,
     delta_lower_bound,
     hexagon_contains,
     hexagon_delta2,
@@ -439,3 +441,16 @@ def test_scan_hexagon_bound_uses_whitworth():
     assert rec.minima == (1, 1, 3)
     assert rec.hexagon_bound == F(5) / F(361, 486)
     assert rec.hexagon_satisfied
+
+
+# the benchmark's scan sweep: n = 2 up to height 40, n = 3 up to 12, n = 4 up to 5
+@pytest.mark.parametrize("n, a_max", [(2, 40), (3, 12), (4, 5)])
+@pytest.mark.parametrize("dedupe", [True, False])
+def test_scan_hexagon_bound_read_off_the_row(n, a_max, dedupe):
+    rows = [a for a in itertools.combinations_with_replacement(range(1, a_max + 1), n)
+            if not (dedupe and math.gcd(*a) > 1)]
+    for a in rows:
+        g = math.gcd(*a)
+        ref = F(a[-1], g) / delta_lower_bound(project_body(tuple(x // g for x in a)))
+        # the bound does not depend on the minima; ones keep the record's own checks quiet
+        assert _scan_record(a, (1,) * (n - 1)).hexagon_bound == ref
