@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 from math import factorial
 from operator import and_
@@ -37,13 +37,22 @@ from .exactmath import (
     unit_ball_volume_interval,
     vec,
     _VERTEX_ENUM_MAX_DIM,
+    _Hull,
+    _centered_hrep,
+    _dilated,
     _facet_contents,
     _facet_sets,
+    _fractions,
     _guard_vertex_enum,
+    _integer_matrix,
     _integer_row,
-    _tight_facets,
+    _negated,
+    _polar,
+    _tight_hull,
+    _translated,
     _unbounded_unless_empty,
     _vertex_hull,
+    _vertex_order,
     _vertex_rays,
     _volume_centroid,
 )
@@ -116,9 +125,6 @@ class Body:
         Boxes and cross-polytopes expand to explicit inequalities; a
         V-polytope reads its facets off its hull, guarded to dimension 6.
         """
-        if self.kind == VPOLY:
-            _guard_vertex_enum(self.dim)
-            self._hull()  # the hull fills in the H-representation
         if "hrep" in self._cache:
             return self._cache["hrep"]
         if self.kind == BOX:
@@ -139,6 +145,9 @@ class Body:
             out = (QMat.from_rows(rows), (s,) * len(rows))
         elif self.kind == HPOLY:
             out = (self.data[0], self.data[1])
+        elif self.kind == VPOLY:
+            _guard_vertex_enum(self.dim)
+            out = _centered_hrep(self._hull())
         else:
             raise ValueError("ellipsoids have no facet description")
         self._cache["hrep"] = out
@@ -147,8 +156,13 @@ class Body:
     def _integer_hrep(self) -> tuple:
         """The rows (a, w) of hrep() scaled to primitive integer rows, a . x <= w."""
         if "integer_hrep" not in self._cache:
-            a, b = self.hrep()
-            self._cache["integer_hrep"] = tuple(_integer_row(a.row(j), b[j]) for j in range(a.rows))
+            if self.kind == VPOLY:
+                _guard_vertex_enum(self.dim)
+                rows = self._hull().rows  # the facets, in the order of hrep()
+            else:
+                a, b = self.hrep()
+                rows = tuple(_integer_row(a.row(j), b[j]) for j in range(a.rows))
+            self._cache["integer_hrep"] = rows
         return self._cache["integer_hrep"]
 
     def vertices(self) -> tuple:
@@ -159,33 +173,44 @@ class Body:
             n, s = self.data
             return tuple(sorted(tuple(sign * s if j == i else Fraction(0) for j in range(n))
                                 for i in range(n) for sign in (1, -1)))
-        return self.data[0] if self.kind == VPOLY else self._hull()[0]
+        if self.kind == VPOLY:
+            return self.data[0]
+        if "vertices" not in self._cache:
+            self._cache["vertices"] = _fractions(self._hull())
+        return self._cache["vertices"]
 
-    def _hull(self, found=None) -> tuple:
-        """(vertices, facets): the sorted vertices, and each facet as a bitmask over them.
+    def _hull(self, found=None):
+        """The hull record: integer vertices over one denominator, facet rows and bitmasks.
 
-        Bit j of a facet stands for vertices[j].  hpoly and vpoly hand in as
-        `found` the double description that validated the body: _vertex_rays'
-        vertices of an H-polytope, or _vertex_hull's (vertices, hrep, facets).
+        Vertex j is points[j] / den, the points sorted; facet i is the
+        primitive row rows[i] = (u, beta), u . x <= beta, and the bitmask
+        facets[i] of its vertices.  The record is computed once per body, and
+        only integers go into it.  hpoly and vpoly hand in as `found` the
+        record of the double description that validated the body, and a
+        dilate, negation, translate or polar the record it maps from its
+        parent's, so none of them runs a double description of its own.
         """
         if "hull" in self._cache:
             return self._cache["hull"]
-        if self.kind == HPOLY:
-            if found is None:
+        if found is None:
+            if self.kind == HPOLY:
                 _guard_vertex_enum(self.dim)
-                found = _vertex_rays(self.data[0].to_rows(), self.data[1])[0]
-            hull = tuple(x for x, _ in found), _tight_facets(found, self.data[0].rows)
-        elif self.kind == VPOLY:
-            vs, self._cache["hrep"], facets = found or _vertex_hull(self.data[0])
-            hull = vs, facets
-        elif self.kind == ELLIPSOID:
-            raise ValueError("ellipsoids have no vertices")
-        else:
-            a, b = self.hrep()
-            vs = self.vertices()
-            hull = vs, _facet_sets(a.to_rows(), b, vs)
-        self._cache["hull"] = hull
-        return hull
+                rows = self._integer_hrep()
+                found = _tight_hull(rows, *_vertex_rays(rows)[:2])
+            elif self.kind == VPOLY:
+                found = _vertex_hull(*_integer_matrix(self.data[0]))[1]
+            elif self.kind == BOX:
+                (a,), den = _integer_matrix([self.data])
+                found = _facet_sets(self._integer_hrep(), den, list(product(*((-x, x) for x in a))))
+            elif self.kind == CROSS:
+                n, s = self.data
+                pts = sorted(tuple(sign * s.numerator if j == i else 0 for j in range(n))
+                             for i in range(n) for sign in (1, -1))
+                found = _facet_sets(self._integer_hrep(), s.denominator, pts)
+            else:
+                raise ValueError("ellipsoids have no vertices")
+        self._cache["hull"] = found
+        return found
 
     # -- scalar data ---------------------------------------------------------
 
@@ -219,7 +244,7 @@ class Body:
 
     def _polytope_volume_centroid(self) -> tuple:
         # both are sums over one pulling triangulation, so they are cached together
-        v, c = _volume_centroid(*self._hull())
+        v, c = _volume_centroid(self._hull())
         self._cache["vol"], self._cache["cen"] = v, c
         return v, c
 
@@ -229,7 +254,7 @@ class Body:
             raise ValueError("surface area is implemented for polytopes only")
         if self.kind == VPOLY:
             _guard_vertex_enum(self.dim)  # as for the hrep its facets come with
-        return _facet_contents(*self._hull(), max_width=max_width)
+        return _facet_contents(self._hull(), max_width=max_width)
 
     def scalars(self) -> BodyScalars:
         surf = self.surface_area() if self.is_polytope else None
@@ -245,8 +270,11 @@ class Body:
             out = True
         else:
             # negation reverses the lexicographic order of the sorted vertices
-            vs = self.vertices()
-            out = vs == tuple(tuple(-x for x in v) for v in reversed(vs))
+            if self.kind == HPOLY:
+                pts = [list(p) for p in self._hull().points]
+            else:
+                pts = _integer_matrix(self.data[0])[0]
+            out = pts == [[-x for x in p] for p in reversed(pts)]
         self._cache["sym"] = out
         return out
 
@@ -306,15 +334,16 @@ class Body:
         t = rat(t)
         if t <= 0:
             raise ValueError("dilation factor must be positive")
+        image = partial(_dilated, t=t)
         if self.kind == BOX:
-            return Body(BOX, tuple(t * ai for ai in self.data))
+            return self._carry(Body(BOX, tuple(t * ai for ai in self.data)), image)
         if self.kind == CROSS:
-            return Body(CROSS, (self.data[0], t * self.data[1]))
+            return self._carry(Body(CROSS, (self.data[0], t * self.data[1])), image)
         if self.kind == HPOLY:
             a, b = self.data
-            return Body(HPOLY, (a, tuple(t * bi for bi in b)))
+            return self._carry(Body(HPOLY, (a, tuple(t * bi for bi in b))), image)
         if self.kind == VPOLY:
-            return Body(VPOLY, (tuple(tuple(t * xi for xi in v) for v in self.data[0]),))
+            return self._vertex_image(image)
         q = self.data
         scaled = QMat.from_rows([[x / (t * t) for x in q.row(i)] for i in range(q.rows)])
         return Body(ELLIPSOID, scaled)
@@ -322,23 +351,41 @@ class Body:
     def negate(self) -> Body:
         if self.kind in (BOX, CROSS, ELLIPSOID):
             return self
-        if self.kind == HPOLY:
-            a, b = self.data
-            neg = QMat.from_rows([[-x for x in a.row(i)] for i in range(a.rows)])
-            return Body(HPOLY, (neg, b))
-        vs = tuple(sorted(tuple(-x for x in v) for v in self.data[0]))
-        return Body(VPOLY, (vs,))
+        if self.kind == VPOLY:
+            def image(hull):
+                # the facet rows of -K sort in the reverse of K's order
+                hull = _negated(hull)
+                return hull._replace(rows=hull.rows[::-1], facets=hull.facets[::-1])
+            return self._vertex_image(image)
+        a, b = self.data
+        neg = QMat.from_rows([[-x for x in a.row(i)] for i in range(a.rows)])
+        return self._carry(Body(HPOLY, (neg, b)), _negated)
 
     def translate(self, t: Sequence) -> Body:
         t = vec(t)
         if self.kind == ELLIPSOID:
             raise ValueError("translation is implemented for polytopes only")
+        image = partial(_translated, t=t)
         if self.kind == VPOLY:
-            vs = tuple(sorted(tuple(x + d for x, d in zip(v, t)) for v in self.data[0]))
-            return Body(VPOLY, (vs,))
+            return self._vertex_image(image)
         a, b = self.hrep()
         shift = a.mul_vec(t)
-        return Body(HPOLY, (a, tuple(bi + si for bi, si in zip(b, shift))))
+        return self._carry(Body(HPOLY, (a, tuple(bi + si for bi, si in zip(b, shift)))), image)
+
+    def _carry(self, out: Body, image) -> Body:
+        # hand `out` the image of this body's hull record, when it has one
+        if "hull" in self._cache:
+            out._hull(image(self._cache["hull"]))
+        return out
+
+    def _vertex_image(self, image) -> Body:
+        # the image of a V-polytope under a map that keeps or reverses the
+        # vertex order; without a hull record (above dimension 6) the map is
+        # applied to the bare integer vertices
+        if "hull" in self._cache:
+            return _vpoly_of(image(self._cache["hull"]))
+        pts, den = _integer_matrix(self.data[0])
+        return Body(VPOLY, (_fractions(image(_Hull(den, pts, (), ()))),))
 
     # -- serialization -----------------------------------------------------------
 
@@ -422,8 +469,9 @@ def hpoly(rows: Sequence[Sequence], b: Sequence) -> Body:
     k = Body(HPOLY, (a, tuple(bv)))
     # a system in no variables stays with the LPs, which call b < 0 flat there
     if 0 < n <= _VERTEX_ENUM_MAX_DIM:
+        irows = k._integer_hrep()
         try:
-            verts, bounded = _vertex_rays(arows, bv)
+            den, verts, bounded = _vertex_rays(irows)
         except RankDeficientError:
             _unbounded_unless_empty(arows, bv)
             verts = []
@@ -433,7 +481,7 @@ def hpoly(rows: Sequence[Sequence], b: Sequence) -> Body:
             raise UnboundedError("polyhedron is unbounded")
         if reduce(and_, (z for _, z in verts)):
             raise ValueError("polyhedron is not full-dimensional")
-        k._hull(verts)
+        k._hull(_tight_hull(irows, den, verts))
         return k
     for j in range(n):
         c = [Fraction(0)] * n
@@ -463,12 +511,26 @@ def vpoly(points: Sequence[Sequence]) -> Body:
     if not pts:
         raise ValueError("empty point set")
     n = len(pts[0])
-    if affine_rank(pts) < n:
-        raise ValueError("hull is not full-dimensional")
+    if n == 0:
+        raise ValueError("zero-dimensional ambient space")
+    if any(len(p) != n for p in pts):
+        raise ValueError("ragged rows")
     if n > _VERTEX_ENUM_MAX_DIM:
+        if affine_rank(pts) < n:
+            raise ValueError("hull is not full-dimensional")
         return Body(VPOLY, (tuple(extreme_points(pts)),))
-    hull = _vertex_hull(pts)
-    k = Body(VPOLY, (hull[0],))
+    try:
+        kept, hull = _vertex_hull(*_integer_matrix(pts))
+    except RankDeficientError:
+        raise ValueError("hull is not full-dimensional") from None
+    k = Body(VPOLY, (tuple(pts[i] for i in kept),))
+    k._hull(hull)
+    return k
+
+
+def _vpoly_of(hull) -> Body:
+    # the V-polytope of a hull record, its vertices read off the record
+    k = Body(VPOLY, (_fractions(hull),))
     k._hull(hull)
     return k
 
@@ -552,29 +614,28 @@ def generalized_hexagon(alphas: Sequence) -> Body:
 
 
 def polar_body(k: Body) -> Body:
-    """Polar {y : <x,y> <= 1 on K}; requires the origin strictly inside K."""
+    """Polar {y : <x,y> <= 1 on K}; requires the origin strictly inside K.
+
+    The origin is strictly inside K when every right-hand side of its facet
+    description is positive.  Up to dimension 6 the polar takes K's hull
+    record transposed, and runs no double description.
+    """
     if k.kind == ELLIPSOID:
         return Body(ELLIPSOID, k.data.inverse())
-    if not k.contains([0] * k.dim, strict=True):
+    if not all(w > 0 for _, w in k._integer_hrep()):
         raise ValueError("polar body requires the origin in the interior")
-    if k.kind == BOX:
-        verts = []
-        for i, ai in enumerate(k.data):
-            for s in (1, -1):
-                v = [Fraction(0)] * k.dim
-                v[i] = Fraction(s, 1) / ai
-                verts.append(v)
-        return vpoly(verts)
     if k.kind == CROSS:
         n, s = k.data
         return cube(n, 1 / s)
     if k.kind == VPOLY:
-        # bounded and full-dimensional, since the origin is strictly inside K
+        # bounded and full-dimensional, since the origin is strictly inside K;
+        # its rows are K's vertices, each a facet, in the order of the record
         vs = k.vertices()
-        return Body(HPOLY, (QMat.from_rows(vs), (Fraction(1),) * len(vs)))
-    a, b = k.hrep()
-    pts = [[x / b[i] for x in a.row(i)] for i in range(a.rows)]
-    return vpoly(pts)
+        return k._carry(Body(HPOLY, (QMat.from_rows(vs), (Fraction(1),) * len(vs))), _polar)
+    if k.dim > _VERTEX_ENUM_MAX_DIM:
+        a, b = k.hrep()
+        return vpoly([[x / b[i] for x in a.row(i)] for i in range(a.rows)])
+    return _vpoly_of(_vertex_order(_polar(k._hull())))
 
 
 def symmetrize(k: Body) -> Body:

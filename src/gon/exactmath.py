@@ -16,14 +16,17 @@ by one LP above dimension 6, where a hull can have exponentially many facets.
 
 Volumes, centroids and surface areas come from one triangulation that needs
 only the vertex-facet incidences: which vertices lie on which facet.  A hull
-is one record, its vertices sorted and each facet a bitmask of vertex indices,
-so no vertex is hashed.  A face that is a simplex is kept whole; any other is
-coned from its least vertex over its own facets that miss it.  The incidences
-are the zero sets that the double description returns, or are read off an
-H-representation by tightness.  With
-the vertices scaled to one denominator, every simplex and facet minor is a
-fraction-free integer determinant (Bareiss 1968), as is every starting ray of a
-double description.
+is one record of integers (``_Hull``): the vertices as sorted integer rows over
+one denominator, and each facet as a primitive integer row beside the bitmask
+of its vertex indices, so no vertex is hashed and no ``Fraction`` is built
+until a caller asks for rational vertices or an H-representation.  A face that
+is a simplex is kept whole; any other is coned from its least vertex over its
+own facets that miss it.  The incidences are the zero sets that the double
+description returns, or are read off an H-representation by tightness.  Every
+simplex and facet minor is a fraction-free integer determinant of the integer
+vertices (Bareiss 1968), as is every starting ray of a double description.  A
+dilate, negation or translate maps its parent's record, and a polar transposes
+it, so none of them runs a double description.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
 Rat = Fraction
 
@@ -433,15 +437,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vavg(points):
-    n = len(points)
-    acc = [Fraction(0)] * len(points[0])
-    for p in points:
-        for i, x in enumerate(p):
-            acc[i] += x
-    return tuple(a / n for a in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,37 +1017,143 @@ def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:
     return rays
 
 
-def _vertex_hull(points) -> tuple:
-    """Hull of points that affinely span their space: (vertices, (A, b), facets).
+class _Hull(NamedTuple):
+    """A polytope's hull as integers: its vertices over one denominator, and its facets.
+
+    Vertex j is points[j] / den, with den the least common denominator; the
+    points are sorted, which is the order of the rational vertices.  Facet i
+    is the primitive integer row rows[i] = (u, beta), meaning u . x <= beta,
+    and facets[i] is the bitmask of its vertices, bit j for points[j].
+    """
+
+    den: int
+    points: tuple
+    rows: tuple
+    facets: tuple
+
+
+def _coprime(a: Sequence[int], w: int) -> tuple:
+    """(a, w) of the integer constraint a . x <= w divided by the gcd of its entries."""
+    g = math.gcd(w, *a)
+    if g > 1:
+        return tuple(x // g for x in a), w // g
+    return tuple(a), w
+
+
+def _least(points, den) -> tuple:
+    # (points, den) with the factor common to den and every coordinate divided out
+    g = math.gcd(den, *(x for p in points for x in p))
+    if g > 1:
+        return tuple(tuple(x // g for x in p) for p in points), den // g
+    return tuple(map(tuple, points)), den
+
+
+def _fractions(hull) -> tuple:
+    """The vertices of a hull record as rational tuples."""
+    den = hull.den
+    return tuple(tuple(Fraction(x, den) for x in p) for p in hull.points)
+
+
+def _centered_rows(hull) -> tuple:
+    """(N den, S) for the facet rows A_i . (x - c) <= 1 of a hull record, c the vertex average.
+
+    With N vertices P_j over den, S_i = beta_i N den - u_i . sum P_j is
+    positive, since c is interior.  Then A_i = u_i N den / S_i and
+    b_i = 1 + A_i . c = beta_i N den / S_i.
+    """
+    nd = len(hull.points) * hull.den
+    total = [sum(c) for c in zip(*hull.points)]
+    return nd, [beta * nd - sum(map(mul, u, total)) for u, beta in hull.rows]
+
+
+def _vertex_order(hull) -> _Hull:
+    """hull with its facets in the order of a V-polytope's hrep(), which sorts the rows A_i.
+
+    The A_i of _centered_rows sort as the integer keys u_i L / S_i, L = lcm(S_i).
+    """
+    s = _centered_rows(hull)[1]
+    m = math.lcm(*s)
+    order = sorted(range(len(s)), key=lambda i: [x * (m // s[i]) for x in hull.rows[i][0]])
+    return hull._replace(rows=tuple(hull.rows[i] for i in order),
+                         facets=tuple(hull.facets[i] for i in order))
+
+
+def _centered_hrep(hull) -> tuple:
+    """(A, b) of a hull record's facets, the rows A_i . (x - c) <= 1 of _centered_rows."""
+    nd, s = _centered_rows(hull)
+    a = [[Fraction(x * nd, si) for x in u] for (u, _), si in zip(hull.rows, s)]
+    return QMat.from_rows(a), tuple(Fraction(beta * nd, si) for (_, beta), si in zip(hull.rows, s))
+
+
+def _vertex_hull(points, den) -> tuple:
+    """Hull of the integer points over den, which must affinely span their space: (kept, hull).
 
     The inequalities u . x <= beta valid on every point are the cone of the
-    rows (1, -p), whose extreme rays are the facets; a point is extreme when
-    no other point lies on every facet through it.  The vertices are sorted.
-    Each row of A x <= b is scaled so that A_i . (x - c) <= 1 for c the vertex
-    average; the rows are sorted, and facets[i] is the bitmask of row i's
-    vertices, bit j for vertices[j].
+    rows (den, -p), whose extreme rays are the facets; a point is extreme when
+    no other point lies on every facet through it.  kept lists the indices of
+    the extreme points in sorted order, and hull is their record with the
+    facets in _vertex_order.  RankDeficientError means the points are flat.
     """
-    pts = sorted(points)
-    pts = [p for i, p in enumerate(pts) if not i or p != pts[i - 1]]
-    rays = _cone_rays([(1, *(-x for x in p)) for p in pts])
+    order = sorted(range(len(points)), key=points.__getitem__)
+    order = [i for k, i in enumerate(order) if not k or points[i] != points[order[k - 1]]]
+    rays = _cone_rays([(den, *(-x for x in points[i])) for i in order])
     extreme = 0
-    for i in range(len(pts)):
+    for i in range(len(order)):
         common = -1  # every bit: an interior point lies on no facet
         for _, z in rays:
             if z >> i & 1:
                 common &= z
         if common == 1 << i:
             extreme |= common
-    kept = [i for i in range(len(pts)) if extreme >> i & 1]
-    verts = tuple(pts[i] for i in kept)
-    c = vavg(verts)
-    rows = []
-    for (beta, *u), z in rays:
-        s = beta - dot(u, c)  # positive: the vertex average is interior
-        rows.append((tuple(x / s for x in u), sum(1 << j for j, i in enumerate(kept) if z >> i & 1)))
-    rows.sort()  # the normals are distinct
-    a = [u for u, _ in rows]
-    return verts, (QMat.from_rows(a), tuple(1 + dot(u, c) for u in a)), [f for _, f in rows]
+    kept = [i for i in range(len(order)) if extreme >> i & 1]
+    pts, d = _least([points[order[i]] for i in kept], den)
+    rows = tuple((tuple(u), beta) for (beta, *u), _ in rays)
+    facets = tuple(sum(1 << j for j, i in enumerate(kept) if z >> i & 1) for _, z in rays)
+    return [order[i] for i in kept], _vertex_order(_Hull(d, pts, rows, facets))
+
+
+def _polar(hull) -> _Hull:
+    """The hull record of the polar of a polytope whose facets all have beta > 0.
+
+    Vertices and facets swap (Ziegler, Lectures on Polytopes, ch. 2): each
+    facet u . x <= beta gives the vertex u / beta, and each vertex p / den the
+    facet p . y <= den, in the order of the vertices.  The incidences
+    transpose.
+    """
+    den = math.lcm(*(beta for _, beta in hull.rows))
+    pts = [tuple(x * (den // beta) for x in u) for u, beta in hull.rows]
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    rows = tuple(_coprime(p, hull.den) for p in hull.points)
+    fs = [hull.facets[i] for i in order]
+    facets = tuple(sum(1 << k for k, f in enumerate(fs) if f >> j & 1) for j in range(len(rows)))
+    return _Hull(den, tuple(pts[i] for i in order), rows, facets)
+
+
+def _dilated(hull, t) -> _Hull:
+    """The hull record of tK for rational t > 0: the same incidences."""
+    p, q = t.numerator, t.denominator
+    pts, den = _least([[x * p for x in v] for v in hull.points], hull.den * q)
+    return hull._replace(den=den, points=pts,
+                         rows=tuple(_coprime([x * q for x in u], beta * p) for u, beta in hull.rows))
+
+
+def _negated(hull) -> _Hull:
+    """The hull record of -K, facets in K's order: the vertex order and every facet's bits reverse."""
+    n = len(hull.points)
+    return _Hull(hull.den, tuple(tuple(-x for x in p) for p in reversed(hull.points)),
+                 tuple((tuple(-x for x in u), beta) for u, beta in hull.rows),
+                 tuple(int(f"{f:0{n}b}"[::-1], 2) for f in hull.facets))
+
+
+def _translated(hull, t) -> _Hull:
+    """The hull record of K + t: the same incidences, and u . x <= beta + u . t."""
+    (v,), dt = _integer_matrix([t])
+    den = math.lcm(hull.den, dt)
+    a, b = den // hull.den, den // dt
+    pts, den = _least([[x * a + y * b for x, y in zip(p, v)] for p in hull.points], den)
+    rows = tuple(_coprime([x * dt for x in u], beta * dt + sum(map(mul, u, v)))
+                 for u, beta in hull.rows)
+    return hull._replace(den=den, points=pts, rows=rows)
 
 
 # above this dimension vertex enumeration is refused and extreme_points
@@ -1066,30 +1167,37 @@ def _guard_vertex_enum(n: int) -> None:
         raise DimensionGuardError(f"vertex enumeration guarded to dimension {_VERTEX_ENUM_MAX_DIM}")
 
 
-def _vertex_rays(A, b) -> tuple:
-    """Vertices of {x : A x <= b}, A of full column rank, and whether it is bounded.
+def _vertex_rays(rows) -> tuple:
+    """Vertices of {x : a . x <= w for the integer rows (a, w)}, the a of rank n, and whether it is bounded.
 
-    The vertices are the rays with t > 0 of the cone of the rows (b_i, -a_i)
-    and t >= 0, found by double description; rays with t = 0 are directions
-    of unboundedness.  Each vertex comes sorted as (x, z), z the bitmask of
-    the rows tight on x.  RankDeficientError means A has rank below n.
+    The vertices are the rays with t > 0 of the cone of the rows (w, -a) and
+    t >= 0, found by double description; rays with t = 0 are directions of
+    unboundedness.  Returns (den, verts, bounded): each vertex is (p, z), the
+    point p / den with den the lcm of the t, and z the bitmask of the rows
+    tight on it; verts is sorted by p.  RankDeficientError means the a have
+    rank below n.
     """
-    n = len(A[0])
-    rows = [(1,) + (0,) * n] + [(bi, *(-x for x in row)) for row, bi in zip(A, b)]
-    rays = _cone_rays(rows)
-    verts = sorted((tuple(Fraction(x, y[0]) for x in y[1:]), z >> 1) for y, z in rays if y[0] > 0)
-    return verts, len(verts) == len(rays)
+    n = len(rows[0][0])
+    rays = _cone_rays([(1,) + (0,) * n] + [(w, *(-x for x in a)) for a, w in rows])
+    found = [(y, z >> 1) for y, z in rays if y[0] > 0]
+    den = math.lcm(*(y[0] for y, _ in found))
+    verts = sorted((tuple(x * (den // y[0]) for x in y[1:]), z) for y, z in found)
+    return den, verts, len(found) == len(rays)
 
 
-def _tight_facets(verts, m: int) -> list:
-    """The facets as vertex bitmasks, from _vertex_rays' vertices of m rows.
+def _tight_hull(rows, den, verts) -> _Hull:
+    """The hull record of {x : a . x <= w for (a, w) in rows} from its vertices.
 
-    Each row is tight on the vertices of one face: bit j is set when verts[j]
-    is on it.  Every facet has a defining row, and a redundant row is tight
-    only on a smaller face, so the facets are the inclusion-maximal tight
-    sets, in the order of their first rows.
+    verts are the sorted (p, z) of _vertex_rays over den.  Each row is tight
+    on the vertices of one face.  Every facet has a defining row, and a
+    redundant row is tight only on a smaller face, so the facets are the
+    inclusion-maximal tight sets, in the order of their first rows, and each
+    keeps its first row.
     """
-    return _maximal(sum(1 << j for j, (_, z) in enumerate(verts) if z >> i & 1) for i in range(m))
+    tight = [sum(1 << j for j, (_, z) in enumerate(verts) if z >> i & 1) for i in range(len(rows))]
+    facets = _maximal(tight)
+    return _Hull(den, tuple(p for p, _ in verts), tuple(rows[tight.index(f)] for f in facets),
+                 tuple(facets))
 
 
 def _unbounded_unless_empty(A, b) -> None:
@@ -1115,14 +1223,14 @@ def vertex_enum(A, b, check_bounded: bool = True):
         raise ValueError("no constraints")
     _guard_vertex_enum(len(A[0]))
     try:
-        verts, bounded = _vertex_rays(A, b)
+        den, verts, bounded = _vertex_rays([_integer_row(row, bi) for row, bi in zip(A, b)])
     except RankDeficientError:
         if check_bounded:
             _unbounded_unless_empty(A, b)
         return []
     if check_bounded and verts and not bounded:
         raise UnboundedError("polyhedron is unbounded")
-    return [x for x, _ in verts]
+    return [tuple(Fraction(x, den) for x in p) for p, _ in verts]
 
 
 def _lp_extreme_points(pts):
@@ -1162,8 +1270,8 @@ def extreme_points(points):
     pivots = _affine_pivots(pts)
     if len(pivots) > _VERTEX_ENUM_MAX_DIM:
         return _lp_extreme_points(pts)
-    proj = {tuple(p[j] for j in pivots): p for p in pts}
-    return sorted(proj[v] for v in _vertex_hull(proj)[0])
+    kept, _ = _vertex_hull(*_integer_matrix([[p[j] for j in pivots] for p in pts]))
+    return [pts[i] for i in sorted(kept)]
 
 
 # ---------------------------------------------------------------------------
@@ -1191,14 +1299,15 @@ def _maximal(sets):
     return [s for s in sets if not any(s & t == s != t for t in sets)]
 
 
-def _facet_sets(A, b, vertices):
-    """The facets of the polytope {x : A x <= b} with the given vertices, as vertex bitmasks.
+def _facet_sets(rows, den, points) -> _Hull:
+    """The hull record of the polytope {x : a . x <= w for (a, w) in rows} with vertices points / den.
 
     For vertices that come without their zero sets: the rows tight on each
-    are found by substitution.
+    are found by integer substitution.
     """
-    zs = [sum(1 << i for i, (row, bi) in enumerate(zip(A, b)) if dot(row, v) == bi) for v in vertices]
-    return _tight_facets(list(zip(vertices, zs)), len(A))
+    zs = [sum(1 << i for i, (a, w) in enumerate(rows) if sum(map(mul, a, p)) == w * den)
+          for p in points]
+    return _tight_hull(rows, den, list(zip(points, zs)))
 
 
 def _pulling_simplices(face, facets, dim):
@@ -1217,26 +1326,20 @@ def _pulling_simplices(face, facets, dim):
     return [(v,) + s for g in subs if not g >> v & 1 for s in _pulling_simplices(g, facets, dim - 1)]
 
 
-def _scaled(vertices) -> tuple:
-    """(ints, den): ints[j] is vertices[j] in integer coordinates over the common denominator den."""
-    den = math.lcm(*(x.denominator for v in vertices for x in v))
-    return [[x.numerator * (den // x.denominator) for x in v] for v in vertices], den
-
-
 def _edges(pts) -> list:
     # the edge vectors of a simplex from its first vertex
     return [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
 
 
-def _volume_centroid(vertices, facets):
-    # volume and centroid of a full-dimensional polytope from its vertex-facet
-    # incidences; a simplex weighs |det| of its edges, which is n! times its
-    # volume, taken over the integers with the vertices scaled by den
-    n = len(vertices[0])
-    ints, den = _scaled(vertices)
+def _volume_centroid(hull):
+    # volume and centroid of a full-dimensional polytope from its hull record;
+    # a simplex weighs |det| of its integer edges, which is n! den^n times its
+    # volume
+    ints, den = hull.points, hull.den
+    n = len(ints[0])
     total = 0
     moment = [0] * n
-    for s in _pulling_simplices((1 << len(vertices)) - 1, facets, n):
+    for s in _pulling_simplices((1 << len(ints)) - 1, hull.facets, n):
         pts = [ints[j] for j in s]
         d = abs(_int_det(_edges(pts)))
         total += d
@@ -1262,10 +1365,15 @@ def volume_centroid(points):
     n = len(pts[0])
     if n == 0:
         raise ValueError("zero-dimensional ambient space")
-    if affine_rank(pts) < n:
+    if any(len(p) != n for p in pts):
+        raise ValueError("ragged rows")
+    if n > _VERTEX_ENUM_MAX_DIM and affine_rank(pts) < n:
         raise RankDeficientError("hull is not full-dimensional")
-    verts, _, facets = _vertex_hull(pts)
-    return _volume_centroid(verts, facets)
+    try:
+        hull = _vertex_hull(*_integer_matrix(pts))[1]
+    except RankDeficientError:
+        raise RankDeficientError("hull is not full-dimensional") from None
+    return _volume_centroid(hull)
 
 
 def facet_contents(A, b, vertices, max_width: Fraction | None = None) -> Interval:
@@ -1275,27 +1383,29 @@ def facet_contents(A, b, vertices, max_width: Fraction | None = None) -> Interva
     vertex-facet incidences, is triangulated like a volume one dimension down,
     and the interval width is split evenly over the facets.
     """
-    return _facet_contents(vertices, _facet_sets(A, b, vertices), max_width)
+    ints, den = _integer_matrix([vec(v) for v in vertices])
+    rows = [_integer_row(vec(row), rat(bi)) for row, bi in zip(A, b)]
+    return _facet_contents(_facet_sets(rows, den, ints), max_width)
 
 
-def _facet_contents(vertices, facets, max_width: Fraction | None = None) -> Interval:
-    """facet_contents from the vertex-facet incidences: one square root per facet.
+def _facet_contents(hull, max_width: Fraction | None = None) -> Interval:
+    """facet_contents from a hull record: one square root per facet.
 
     A facet simplex whose edge matrix has (n-1)-minors a has content |a| / (n-1)!
     (Cauchy-Binet), and the simplices of one facet have parallel a.  So with a
     from the first and a_k != 0, the facet's content is |a| / |a_k| times the
     sum of its simplices' volumes with coordinate k dropped.  The minors are
-    taken over the integers with the vertices scaled by den, which multiplies
-    each by den^(n-1).
+    taken over the integer vertices, which are den times the rational ones, so
+    each is den^(n-1) times the rational minor.
     """
     if max_width is None:
         max_width = SURFACE_WIDTH
-    n = len(vertices[0])
+    ints, den, facets = hull.points, hull.den, hull.facets
+    n = len(ints[0])
     if n == 1:
         return Interval.point(2)  # two endpoint facets, each a point of content 1
     if not facets:
         raise RankDeficientError("no facets found")
-    ints, den = _scaled(vertices)
     scale = (math.factorial(n - 1) * den ** (n - 1)) ** 2
     per_facet = max_width / len(facets)
     total = Interval.point(0)

@@ -47,6 +47,7 @@ from .exactmath import (
     quad_or_rat,
     rat,
     vec,
+    _coprime,
     _integer_matrix,
     _integer_row,
 )
@@ -64,14 +65,6 @@ class MinimaResult:
 
 
 # -- integer point walks -------------------------------------------------------
-
-
-def _coprime(a: Sequence[int], w: int) -> tuple:
-    """(a, w) of the integer constraint a . c <= w divided by the gcd of its entries."""
-    g = gcd(w, *a)
-    if g > 1:
-        return tuple(x // g for x in a), w // g
-    return tuple(a), w
 
 
 # An elimination step that would leave more rows than this stops the projection.

@@ -670,13 +670,13 @@ def test_dilates_translates_and_negations_keep_the_incidences(seed):
     # and negation reverses it, so the facets of -K are K's with the bits reversed
     rng = random.Random(seed)
     k = random_instance(rng)[0]
-    verts, facets = k._hull()
+    facets = k._hull().facets
     t = F(rng.randint(1, 7), rng.randint(1, 5))
     v = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(k.dim)]
-    assert k.dilate(t)._hull()[1] == facets
-    assert k.translate(v)._hull()[1] == facets
-    flipped = {int(format(f, f"0{len(verts)}b")[::-1], 2) for f in facets}
-    assert set(k.negate()._hull()[1]) == flipped
+    assert k.dilate(t)._hull().facets == facets
+    assert k.translate(v)._hull().facets == facets
+    flipped = {int(format(f, f"0{len(k.vertices())}b")[::-1], 2) for f in facets}
+    assert set(k.negate()._hull().facets) == flipped
 
 
 @pytest.mark.parametrize("seed", range(40))

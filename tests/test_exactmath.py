@@ -41,18 +41,28 @@ from gon.exactmath import (
     unit_ball_volume_interval,
     vertex_enum,
     volume_centroid,
-    vavg,
     vsub,
     working_width,
     _lp_extreme_points,
+    _integer_matrix,
+    _integer_row,
     _maximal,
-    _tight_facets,
     _vertex_hull,
     _vertex_rays,
 )
 from gon.lattice import minors_gcd
 
 small_int = st.integers(-9, 9)
+
+
+def vavg(points):
+    """The average of rational points, for the Fraction references below."""
+    n = len(points)
+    acc = [Fraction(0)] * len(points[0])
+    for p in points:
+        for i, x in enumerate(p):
+            acc[i] += x
+    return tuple(a / n for a in acc)
 
 
 def int_matrix(rows, cols):
@@ -872,7 +882,7 @@ def set_maximal(sets):
 
 
 def set_tight_facets(verts, m: int) -> list:
-    """Vertex sets of the facets, from _vertex_rays' vertices of m rows."""
+    """Vertex sets of the facets, from rational vertices (x, z) of m rows, z the rows tight on x."""
     return set_maximal(frozenset(x for x, z in verts if z >> i & 1) for i in range(m))
 
 
@@ -947,21 +957,27 @@ def hull_polytopes(draw):
 @settings(max_examples=120, deadline=None)
 def test_bitmask_facets_match_the_vertex_set_references(poly):
     kind, k, pts = poly
-    verts, facets = k._hull()
+    hull = k._hull()
+    verts, facets = k.vertices(), hull.facets
     sets = _facet_vertex_sets(verts, facets)
     a, b = k.hrep()
     rows = a.to_rows()
-    assert _facet_vertex_sets(verts, em._facet_sets(rows, b, verts)) == set_facet_sets(rows, b, verts)
+    irows = k._integer_hrep()
+    found = em._facet_sets(irows, hull.den, hull.points)
+    assert _facet_vertex_sets(verts, found.facets) == set_facet_sets(rows, b, verts)
     if kind == "hpoly":
-        found = em._vertex_rays(rows, b)[0]
-        assert sets == set_tight_facets(found, len(rows))
-        assert _facet_vertex_sets(verts, em._tight_facets(found, len(rows))) == sets
+        den, found, _ = em._vertex_rays(irows)
+        rational = [(tuple(F(x, den) for x in p), z) for p, z in found]
+        assert sets == set_tight_facets(rational, len(rows))
+        assert em._tight_hull(irows, den, found) == hull
     elif kind == "vpoly":
         ref_verts, ref_h, ref_facets = set_vertex_hull(pts)
-        new_verts, new_h, new_facets = em._vertex_hull(pts)
-        assert new_verts == ref_verts == verts and new_h == ref_h
-        assert _facet_vertex_sets(verts, new_facets) == ref_facets == sets
+        kept, new = em._vertex_hull(*_integer_matrix(pts))
+        assert tuple(pts[i] for i in kept) == ref_verts == verts and new == hull
+        assert em._centered_hrep(new) == ref_h
+        assert _facet_vertex_sets(verts, new.facets) == ref_facets == sets
     else:
+        assert found == hull
         assert sets == set_facet_sets(rows, b, verts)
     n = k.dim
     faces = [((1 << len(verts)) - 1, frozenset(verts), n)]
@@ -982,20 +998,21 @@ class _NoHash(Fraction):
 def test_hull_and_triangulation_hash_no_coordinate():
     rows = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1]]
     rhs = [1, 1, 2, 1, 1, F(1, 2), 2]
-    found = em._vertex_rays(rows, rhs)[0]
-    plain = tuple(x for x, _ in found)
-    verts = [(tuple(_NoHash(c) for c in x), z) for x, z in found]
-    vs = tuple(x for x, _ in verts)
-    facets = em._tight_facets(verts, len(rows))
-    assert facets == em._tight_facets(found, len(rows))
-    assert em._facet_sets(rows, rhs, vs) == facets
-    hull = em._vertex_hull(vs)
-    assert hull[0] == vs and hull[2] == em._vertex_hull(plain)[2]
-    assert len(em._pulling_simplices((1 << len(vs)) - 1, facets, 3)) == 7
-    assert em._volume_centroid(vs, facets) == em._volume_centroid(plain, facets)
-    assert em._facet_contents(vs, facets) == em._facet_contents(plain, facets)
+    irows = [_integer_row(r, w) for r, w in zip(rows, rhs)]
+    den, found, _ = em._vertex_rays(irows)
+    plain = tuple(tuple(F(x, den) for x in p) for p, _ in found)
+    vs = tuple(tuple(_NoHash(c) for c in x) for x in plain)
+    hull = em._tight_hull(irows, den, found)
+    ints, d = _integer_matrix(vs)
+    assert d == den and [tuple(p) for p in ints] == list(hull.points)
+    assert em._facet_sets(irows, den, hull.points) == hull
+    kept, vhull = em._vertex_hull(ints, d)
+    assert kept == list(range(len(vs))) and vhull == em._vertex_hull(*_integer_matrix(plain))[1]
+    assert len(em._pulling_simplices((1 << len(vs)) - 1, hull.facets, 3)) == 7
     k = vpoly(vs)
-    assert not k.is_symmetric() and k.volume() == em._volume_centroid(plain, facets)[0]
+    assert k.vertices() == vs and k._hull() == vhull
+    assert not k.is_symmetric() and k.volume() == em._volume_centroid(hull)[0]
+    assert k.surface_area() == em._facet_contents(hull)
 
 
 # ---------------------------------------------------------------------------
@@ -1072,31 +1089,30 @@ def _random_polytopes(draw):
         # a simplex around the origin and a few more integer points
         pts = [tuple(-1 for _ in range(n))] + [tuple(3 * int(j == i) for j in range(n)) for i in range(n)]
         pts += draw(st.lists(st.tuples(*[coord] * n), max_size=3))
-        verts, _, facets = _vertex_hull(pts)
-        return verts, facets
+        return _vertex_hull(*_integer_matrix(pts))[1]
     # a box cut by rows that keep the origin interior
     rows = [[s * int(j == i) for j in range(n)] for i in range(n) for s in (1, -1)]
     rhs = [draw(st.integers(1, 3)) for _ in rows]
     for _ in range(draw(st.integers(0, 2))):
         rows.append(draw(st.lists(coord, min_size=n, max_size=n)))
         rhs.append(draw(st.fractions(min_value=F(1, 2), max_value=3, max_denominator=4)))
-    verts, _ = _vertex_rays(rows, rhs)
-    return tuple(x for x, _ in verts), _tight_facets(verts, len(rows))
+    irows = [_integer_row(r, w) for r, w in zip(rows, rhs)]
+    return em._tight_hull(irows, *_vertex_rays(irows)[:2])
 
 
 @settings(max_examples=40)
 @given(_random_polytopes())
-def test_vertex_pulling_keeps_volume_and_centroid(poly):
-    verts, facets = poly
-    assert em._volume_centroid(verts, facets) == _volume_centroid(verts, _facet_vertex_sets(verts, facets))
+def test_vertex_pulling_keeps_volume_and_centroid(hull):
+    verts = em._fractions(hull)
+    assert em._volume_centroid(hull) == _volume_centroid(verts, _facet_vertex_sets(verts, hull.facets))
 
 
 @settings(max_examples=40)
 @given(_random_polytopes(), st.sampled_from([SURFACE_WIDTH, F(1, 2**8), F(1, 2**100)]))
-def test_facet_contents_overlap_the_gram_enclosures(poly, width):
-    verts, facets = poly
-    new = em._facet_contents(verts, facets, width)
-    old = _facet_contents(verts, _facet_vertex_sets(verts, facets), width)
+def test_facet_contents_overlap_the_gram_enclosures(hull, width):
+    verts = em._fractions(hull)
+    new = em._facet_contents(hull, width)
+    old = _facet_contents(verts, _facet_vertex_sets(verts, hull.facets), width)
     assert new.lo <= old.hi and old.lo <= new.hi
     assert new.width <= width
 
@@ -1112,18 +1128,18 @@ def test_box_closed_forms(n):
     a = [F(n - i, 2) for i in range(n)]
     k = box(a)
     sides = [2 * x for x in a]
-    assert em._volume_centroid(*k._hull()) == (math.prod(sides), (0,) * n)
+    assert em._volume_centroid(k._hull()) == (math.prod(sides), (0,) * n)
     faces = sum(math.prod(sides[:i] + sides[i + 1 :]) for i in range(n))
-    assert em._facet_contents(*k._hull()) == Interval.point(2 * faces)
+    assert em._facet_contents(k._hull()) == Interval.point(2 * faces)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_standard_simplex_closed_forms(n):
     # n facets on the coordinate hyperplanes of content 1/(n-1)!, and one of content sqrt(n)/(n-1)!
     k = standard_simplex(n)
-    vol, cen = em._volume_centroid(*k._hull())
+    vol, cen = em._volume_centroid(k._hull())
     assert vol == F(1, math.factorial(n)) and cen == (F(1, n + 1),) * n
-    s = em._facet_contents(*k._hull())
+    s = em._facet_contents(k._hull())
     assert _encloses(s, F(n, math.factorial(n - 1)), F(1, math.factorial(n - 1)), n)
     assert s.width <= SURFACE_WIDTH
 
@@ -1133,15 +1149,15 @@ def test_cross_polytope_closed_forms(n):
     # 2^n facets, each a regular simplex on s e_i of content s^(n-1) sqrt(n)/(n-1)!
     s = F(3, 2)
     k = cross_polytope(n, s)
-    assert em._volume_centroid(*k._hull()) == (2**n * s**n / math.factorial(n), (0,) * n)
-    area = em._facet_contents(*k._hull())
+    assert em._volume_centroid(k._hull()) == (2**n * s**n / math.factorial(n), (0,) * n)
+    area = em._facet_contents(k._hull())
     assert _encloses(area, 0, 2**n * s ** (n - 1) / math.factorial(n - 1), n)
     assert area.width <= SURFACE_WIDTH
 
 
 def _simplex_count(k):
-    verts, facets = k._hull()
-    return len(em._pulling_simplices((1 << len(verts)) - 1, facets, k.dim))
+    hull = k._hull()
+    return len(em._pulling_simplices((1 << len(hull.points)) - 1, hull.facets, k.dim))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -1297,10 +1313,10 @@ def rational_polytopes(draw):
 @given(rational_polytopes(), st.sampled_from([SURFACE_WIDTH, F(1, 2**8), F(1, 2**100)]))
 @settings(max_examples=80, deadline=None)
 def test_integer_volumes_and_facet_contents_match_the_fraction_references(k, width):
-    verts, facets = k._hull()
-    sets = _facet_vertex_sets(verts, facets)
-    assert em._volume_centroid(verts, facets) == fraction_volume_centroid(verts, sets)
-    assert em._facet_contents(verts, facets, width) == fraction_facet_contents(verts, sets, width)
+    hull, verts = k._hull(), k.vertices()
+    sets = _facet_vertex_sets(verts, hull.facets)
+    assert em._volume_centroid(hull) == fraction_volume_centroid(verts, sets)
+    assert em._facet_contents(hull, width) == fraction_facet_contents(verts, sets, width)
 
 
 @given(rational_polytopes(), st.fractions(min_value=F(1, 4), max_value=4, max_denominator=6))
