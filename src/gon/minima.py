@@ -473,6 +473,35 @@ def enumerate_points(k: Body, lat: Lattice, radius, allow_asymmetric: bool = Fal
     return pts
 
 
+def _minima_core(chart: _Chart, count: int, half: bool) -> tuple:
+    """(keys, coeffs): the integer keys and coefficient vectors of the first `count` minima.
+
+    Every candidate with key up to the count-th smallest basis-vector key is
+    walked, with `half` only the canonical half of a symmetric body, and
+    witnesses are picked greedily by (key, lexicographic coefficient) with
+    exact rank tests.
+    """
+    cap = sorted(chart.basis_keys())[count - 1]
+    # an asymmetric body's walk keeps the origin, which reduces to zero and is never picked
+    cands = sorted((chart.key(c), c) for c in chart.points(cap, half))
+    picked = []  # (row, pivot): the witnesses' coefficients in echelon form
+    keys = []
+    coeffs = []
+    for key, c in cands:
+        r = list(c)  # reduced to zero exactly when it depends on the picked rows
+        for e, p in picked:
+            if r[p]:
+                r = [e[p] * x - r[p] * y for x, y in zip(r, e)]
+        p = next((i for i, x in enumerate(r) if x), -1)
+        if p >= 0:
+            picked.append((r, p))
+            keys.append(key)
+            coeffs.append(c)
+            if len(picked) == count:
+                return keys, coeffs
+    raise RuntimeError("enumeration cap failed to reach enough independent points")
+
+
 def successive_minima(
     k: Body,
     lat: Lattice,
@@ -497,27 +526,8 @@ def successive_minima(
         raise ValueError("count must lie between 1 and the lattice rank")
     red = lll_reduce(lat)
     chart = _require_gauge_body(k, red, allow_asymmetric)
-    cap = sorted(chart.basis_keys())[count - 1]
-    # an asymmetric body's walk keeps the origin, which reduces to zero and is never picked
-    cands = sorted((chart.key(c), c) for c in chart.points(cap, half=k.is_symmetric()))
-    picked = []  # (row, pivot): the witnesses' coefficients in echelon form
-    values = []
-    witnesses = []
-    for key, c in cands:
-        r = list(c)  # reduced to zero exactly when it depends on the picked rows
-        for e, p in picked:
-            if r[p]:
-                r = [e[p] * x - r[p] * y for x, y in zip(r, e)]
-        p = next((i for i, x in enumerate(r) if x), -1)
-        if p >= 0:
-            picked.append((r, p))
-            values.append(chart.value(key))
-            witnesses.append(red.point(c))
-            if len(picked) == count:
-                break
-    if len(picked) < count:
-        raise RuntimeError("enumeration cap failed to reach enough independent points")
-    return MinimaResult(tuple(values), tuple(witnesses))
+    keys, coeffs = _minima_core(chart, count, k.is_symmetric())
+    return MinimaResult(tuple(map(chart.value, keys)), tuple(map(red.point, coeffs)))
 
 
 def first_minimum(k: Body, lat: Lattice, allow_asymmetric: bool = False):

@@ -33,9 +33,11 @@ from .exactmath import (
     rat,
     root_interval,
 )
-from .lattice import Lattice, _gram_det, _integer_rows, kernel_lattice, make_lattice, minors_gcd
+from .lattice import (Lattice, _gram_det, _integer_rows, kernel_lattice, lll_reduce,
+                      make_lattice, minors_gcd)
 from .body import HPOLY, Body, _hexagon_coefficients, cube, generalized_hexagon
-from .minima import MinimaResult, first_minimum, successive_minima
+from .minima import (MinimaResult, _minima_core, _require_gauge_body, first_minimum,
+                     successive_minima)
 
 __all__ = [
     "SiegelSolution",
@@ -330,10 +332,21 @@ _SCAN_GUARD = 200_000
 
 
 def _scan_minima(vectors: list) -> list:
-    """Successive minima of the unit cube on the kernel lattice of each row, one cube for all."""
+    """Successive minima of the unit cube on the kernel lattice of each row, one cube for all.
+
+    The cube's chart keys a point by its sup-norm times the chart's lcm, so
+    each minimum is read off its key by exact division.
+    """
     k = cube(len(vectors[0]))
-    return [tuple(int(v) for v in successive_minima(k, kernel_lattice([list(a)])).values)
-            for a in vectors]
+    out = []
+    for a in vectors:
+        red = lll_reduce(kernel_lattice([list(a)]))
+        chart = _require_gauge_body(k, red, False)
+        keys, _ = _minima_core(chart, red.rank, True)
+        if any(key % chart.lcm for key in keys):
+            raise RuntimeError("a kernel minimum of the cube is not an integer")
+        out.append(tuple(key // chart.lcm for key in keys))
+    return out
 
 
 def _scan_record(a: tuple, lams: tuple) -> ScanRecord:
@@ -341,9 +354,8 @@ def _scan_record(a: tuple, lams: tuple) -> ScanRecord:
     an = a[-1]
     g = gcd(*a)
     product = prod(lams)
-    ratio_single = Fraction(lams[0] ** (n - 1), an)
-    ratio_product = Fraction(product, an)
-    if ratio_single > ratio_product:
+    single = lams[0] ** (n - 1)
+    if single > product:
         raise RuntimeError("single-vector ratio escapes the product ratio")
     bv_ok = product**2 * g * g <= sum(x * x for x in a)
     hex_bound = hex_ok = None
@@ -356,9 +368,12 @@ def _scan_record(a: tuple, lams: tuple) -> ScanRecord:
             delta = hexagon_delta2()
         else:
             delta = whitworth_delta(Fraction(a[0], a[1]))
-        hex_bound = Fraction(an, g) / delta
-        hex_ok = product <= hex_bound
-    return ScanRecord(a, lams, product, ratio_single, ratio_product, bv_ok, hex_bound, hex_ok)
+        # the bound is (a_n / g) / delta = p / q, and product <= p / q reads product q <= p
+        p, q = an * delta.denominator, g * delta.numerator
+        hex_bound = Fraction(p, q)
+        hex_ok = product * q <= p
+    return ScanRecord(a, lams, product, Fraction(single, an), Fraction(product, an), bv_ok,
+                      hex_bound, hex_ok)
 
 
 def scan_constants(n: int, a_max: int, dedupe: bool = True, jobs: int = 1) -> ScanReport:

@@ -291,7 +291,9 @@ class _Instance:
 
     @cached_property
     def origin_interior(self) -> bool:
-        return self.k.contains([0] * self.n, strict=True)
+        # an ellipsoid x^T Q x <= 1 holds the origin inside; a polytope does when
+        # every facet row a . x <= w has w > 0
+        return not self.k.is_polytope or all(w > 0 for _, w in self.k._integer_hrep())
 
     @cached_property
     def is_zn(self) -> bool:

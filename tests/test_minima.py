@@ -802,6 +802,129 @@ def test_minima_match_the_routine_they_replaced(instance):
         assert list(got.values) == brute_minima(k, lat, lat.rank, span)
 
 
+# -- the integer minima core against the routine it was split from -------------------
+
+
+def reference_successive_minima(
+    k,
+    lat,
+    count=None,
+    allow_asymmetric=False,
+):
+    """successive_minima before its walk and pick moved into minima._minima_core, verbatim."""
+    m = lat.rank
+    if count is None:
+        count = m
+    if not 1 <= count <= m:
+        raise ValueError("count must lie between 1 and the lattice rank")
+    red = lll_reduce(lat)
+    chart = minima._require_gauge_body(k, red, allow_asymmetric)
+    cap = sorted(chart.basis_keys())[count - 1]
+    # an asymmetric body's walk keeps the origin, which reduces to zero and is never picked
+    cands = sorted((chart.key(c), c) for c in chart.points(cap, half=k.is_symmetric()))
+    picked = []  # (row, pivot): the witnesses' coefficients in echelon form
+    values = []
+    witnesses = []
+    for key, c in cands:
+        r = list(c)  # reduced to zero exactly when it depends on the picked rows
+        for e, p in picked:
+            if r[p]:
+                r = [e[p] * x - r[p] * y for x, y in zip(r, e)]
+        p = next((i for i, x in enumerate(r) if x), -1)
+        if p >= 0:
+            picked.append((r, p))
+            values.append(chart.value(key))
+            witnesses.append(red.point(c))
+            if len(picked) == count:
+                break
+    if len(picked) < count:
+        raise RuntimeError("enumeration cap failed to reach enough independent points")
+    return MinimaResult(tuple(values), tuple(witnesses))
+
+
+@st.composite
+def core_instances(draw):
+    """(k, lat): a box, cross-polytope, H-polytope, V-polytope or ellipsoid in dimension 2-4,
+    symmetric or not, on a sheared full-rank lattice or an embedded kernel lattice.
+
+    Asymmetric bodies include translates whose origin is on the boundary or outside.
+    """
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["box", "cross", "hpoly", "vpoly", "ellipsoid"]))
+    side = st.fractions(min_value=F(1, 3), max_value=3, max_denominator=6)
+    if kind == "box":
+        k = box(sorted(draw(st.lists(side, min_size=n, max_size=n)), reverse=True))
+    elif kind == "cross":
+        k = cross_polytope(n, draw(side))
+    elif kind == "hpoly":
+        rows, rhs = [], []
+        for i in range(n):
+            e = [0] * n
+            e[i] = 1
+            rows += [e, [-x for x in e]]
+            rhs += [draw(side), draw(side)]
+        for _ in range(draw(st.integers(0, 2))):
+            u = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any))
+            rows.append(u)
+            rhs.append(draw(side))
+        k = hpoly(rows, rhs)
+    elif kind == "vpoly":
+        # the points +-s_i e_i keep the origin interior; extra points may break the symmetry
+        pts = []
+        for i in range(n):
+            for sign in (1, -1):
+                pts.append([sign * draw(side) if j == i else 0 for j in range(n)])
+        extra = draw(st.lists(st.lists(side.map(lambda x: x - 1), min_size=n, max_size=n),
+                              max_size=3))
+        if draw(st.booleans()):
+            extra += [[-x for x in p] for p in extra]
+        k = vpoly(pts + extra)
+    else:
+        t = draw(side)
+        k = ellipsoid([[t * x for x in r] for r in draw(gram_forms(n)).to_rows()])
+    if k.is_polytope and draw(st.integers(0, 3)) == 0:
+        k = k.translate([draw(st.integers(-1, 1)) * draw(side) for _ in range(n)])
+    if draw(st.booleans()):
+        b, u = draw(lattices_and_unimodular(n))
+        lat = make_lattice((u @ b).to_rows())
+    else:
+        m = draw(st.integers(1, 2 if n == 4 else 1))
+        rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                             min_size=m, max_size=m).filter(lambda r: QMat.from_rows(r).rank() == m))
+        lat = kernel_lattice(rows)
+    return k, lat
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the error is part of the contract compared
+        return type(exc), str(exc)
+
+
+@given(core_instances(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_minima_core_matches_the_reference(instance, allow_asymmetric):
+    k, lat = instance
+    for count in [None, 0, lat.rank + 1, *range(1, lat.rank + 1)]:
+        got = outcome(successive_minima, k, lat, count, allow_asymmetric=allow_asymmetric)
+        ref = outcome(reference_successive_minima, k, lat, count,
+                      allow_asymmetric=allow_asymmetric)
+        assert got == ref and repr(got) == repr(ref)
+
+
+def test_minima_core_returns_keys_and_coefficients():
+    # the lattice of (2, 1) and (0, 3) has sup-norm minima 2, 2: (2, 1) and (2, -2)
+    red = lll_reduce(make_lattice([[2, 1], [0, 3]]))
+    chart = minima._require_gauge_body(cube(2), red, False)
+    keys, coeffs = minima._minima_core(chart, 2, True)
+    res = successive_minima(cube(2), red)
+    assert [F(key, chart.lcm) for key in keys] == list(res.values) == [2, 2]
+    assert [red.point(c) for c in coeffs] == list(res.witnesses)
+    assert all(next(filter(None, c)) > 0 for c in coeffs)
+
+
 # -- width and covering bracket --------------------------------------------------
 
 

@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gon.body import cube
 from gon.exactmath import Interval, QMat, QuadVal, RankDeficientError
 from gon.lattice import kernel_lattice
+from gon.minima import successive_minima
+from gon import siegel
 from gon.siegel import (
     CubeSection,
     GeneralizedHexagon,
     ScanRecord,
     SiegelSolution,
+    _scan_minima,
     _scan_record,
     delta_lower_bound,
     hexagon_contains,
@@ -454,3 +458,63 @@ def test_scan_hexagon_bound_read_off_the_row(n, a_max, dedupe):
         ref = F(a[-1], g) / delta_lower_bound(project_body(tuple(x // g for x in a)))
         # the bound does not depend on the minima; ones keep the record's own checks quiet
         assert _scan_record(a, (1,) * (n - 1)).hexagon_bound == ref
+
+
+def fraction_scan_record(a, lams):
+    """_scan_record as it was, deciding both comparisons on Fractions."""
+    n = len(a)
+    an = a[-1]
+    g = math.gcd(*a)
+    product = math.prod(lams)
+    ratio_single = Fraction(lams[0] ** (n - 1), an)
+    ratio_product = Fraction(product, an)
+    if ratio_single > ratio_product:
+        raise RuntimeError("single-vector ratio escapes the product ratio")
+    bv_ok = product**2 * g * g <= sum(x * x for x in a)
+    hex_bound = hex_ok = None
+    if n <= 4:
+        if n == 2:
+            delta = Fraction(1)
+        elif n == 3:
+            delta = hexagon_delta2()
+        else:
+            delta = whitworth_delta(Fraction(a[0], a[1]))
+        hex_bound = Fraction(an, g) / delta
+        hex_ok = product <= hex_bound
+    return ScanRecord(a, lams, product, ratio_single, ratio_product, bv_ok, hex_bound, hex_ok)
+
+
+def record_or_error(fn, a, lams):
+    try:
+        return fn(a, lams)
+    except RuntimeError as exc:
+        return RuntimeError, str(exc)
+
+
+def sweep_rows(n, a_max, dedupe):
+    return [a for a in itertools.combinations_with_replacement(range(1, a_max + 1), n)
+            if not (dedupe and math.gcd(*a) > 1)]
+
+
+@pytest.mark.parametrize("n, a_max", [(2, 40), (3, 12), (4, 5)])
+@pytest.mark.parametrize("dedupe", [True, False])
+def test_scan_minima_and_records_match_the_fraction_routines(n, a_max, dedupe):
+    rows = sweep_rows(n, a_max, dedupe)
+    k = cube(n)
+    lams_of = _scan_minima(rows)
+    assert lams_of == [tuple(int(v) for v in successive_minima(k, kernel_lattice([list(a)])).values)
+                       for a in rows]
+    for a, lams in zip(rows, lams_of):
+        assert _scan_record(a, lams) == fraction_scan_record(a, lams)
+        # minima that break the ratio check, and minima past the hexagon bound
+        for fake in [(lams[-1] + 1,) + lams[1:], tuple(x * a[-1] for x in lams)]:
+            assert (record_or_error(_scan_record, a, fake)
+                    == record_or_error(fraction_scan_record, a, fake))
+
+
+def test_scan_minima_refuse_a_fractional_key(monkeypatch):
+    # the unit cube's keys are integer sup-norms; the cube of half-side 2 keys a point of
+    # sup-norm 1 at 1 over an lcm of 2, a minimum of 1/2 that the scan must not floor to 0
+    monkeypatch.setattr(siegel, "cube", lambda n: cube(n, 2))
+    with pytest.raises(RuntimeError, match="not an integer"):
+        _scan_minima([(1, 2, 3)])

@@ -13,9 +13,14 @@ from gon.body import (
     cube,
     dual_centered_simplex,
     ellipsoid,
+    hpoly,
+    polar_body,
     standard_simplex,
+    symmetrize,
+    vpoly,
 )
-from gon.exactmath import DEFAULT_WIDTH, Interval, QuadVal, working_width
+from gon.cli import _fixed_instances
+from gon.exactmath import DEFAULT_WIDTH, DimensionGuardError, Interval, QuadVal, working_width
 from gon.lattice import Lattice, kernel_lattice, make_lattice, standard_lattice
 from gon.verify import (
     _REFINE_WIDTH,
@@ -548,3 +553,34 @@ def test_refine_is_finer_than_the_working_width():
         assert 0 < inst.surface_refined().width <= F(1, 2 ** 160)
     with working_width(F(1, 2 ** 8)):
         assert _refine_width() == _REFINE_WIDTH
+
+
+def _origin_interior_bodies():
+    """The named corpus bodies, random_instance draws 0-159, their symmetrals and polars."""
+    bodies = [k for _, k, _ in _fixed_instances()]
+    bodies += [random_instance(random.Random(idx))[0] for idx in range(160)]
+    bodies += [symmetrize(k) for k in bodies if k.is_polytope]
+    bodies += [polar_body(k) for k in bodies if k.contains([0] * k.dim, strict=True)]
+    # the origin on a vertex, on a facet and outside, and two ellipsoids
+    bodies += [standard_simplex(2), box([2, 1]).translate([2, 0]), cube(3).translate([0, 0, 2]),
+               vpoly([[0, -1], [2, 1], [-1, 1]]).translate([F(1, 2), 0]),
+               hpoly([[1, 0], [-1, 0], [0, 1], [0, -1]], [1, 0, 1, 1]),
+               ellipsoid([[2, 1], [1, 3]]), ellipsoid([[1, 0, 0], [0, 4, 0], [0, 0, F(1, 9)]])]
+    return bodies
+
+
+def test_origin_interior_matches_the_strict_containment():
+    seen = {True: 0, False: 0}
+    for k in _origin_interior_bodies():
+        want = k.contains([0] * k.dim, strict=True)
+        assert _Instance(k, standard_lattice(k.dim)).origin_interior is want
+        seen[want] += 1
+    assert seen[False] >= 5
+
+
+def test_origin_interior_keeps_the_vertex_guard():
+    k = vpoly([[int(i == j) * s for j in range(7)] for i in range(7) for s in (1, -1)])
+    with pytest.raises(DimensionGuardError):
+        k.contains([0] * 7, strict=True)
+    with pytest.raises(DimensionGuardError):
+        _Instance(k, standard_lattice(7)).origin_interior
