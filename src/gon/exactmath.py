@@ -14,6 +14,12 @@ one are the vertices.  ``vertex_enum``, ``extreme_points`` and
 by one LP above dimension 6, where a hull can have exponentially many facets.
 ``lp_exact`` is an exact two-phase simplex.
 
+Linear algebra has one elimination: fraction-free Gaussian elimination of
+integer rows (Bareiss 1968), with a fraction-free back-substitution for
+solutions.  ``QMat`` scales its rows to integers over one denominator, runs
+it, and builds ``Fraction``s only for its results: determinant, rank,
+solutions, inverse and LDL^T.
+
 Volumes, centroids and surface areas come from one triangulation that needs
 only the vertex-facet incidences: which vertices lie on which facet.  A hull
 is one record of integers (``_Hull``): the vertices as sorted integer rows over
@@ -444,7 +450,11 @@ def vsub(u, v):
 
 
 class QMat:
-    """Dense matrix over Fraction.  Small sizes only; no pivot tricks."""
+    """Dense matrix over Fraction, for small sizes.
+
+    det, rank, solve, inverse and ldl scale the rows to integers over their
+    least common denominator and run the fraction-free core :func:`_bareiss`.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
@@ -530,18 +540,11 @@ class QMat:
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        a = self.to_rows()
-        pivots, swaps = _eliminate(a, self.cols)
-        if len(pivots) < self.rows:
-            return Fraction(0)
-        det = Fraction(-1 if swaps % 2 else 1)
-        for i in range(self.rows):
-            det *= a[i][i]
-        return det
+        a, den = _integer_matrix(self.to_rows())
+        return Fraction(_int_det(a), den**self.rows)
 
     def rank(self) -> int:
-        pivots, _ = _eliminate(self.to_rows(), self.cols)
-        return len(pivots)
+        return sum(row is not None for row, _ in _bareiss(_integer_matrix(self.to_rows())[0]))
 
     def solve(self, rhs: Sequence) -> tuple[Fraction, ...] | None:
         """One exact solution of self @ x = rhs, or None if inconsistent.
@@ -551,21 +554,21 @@ class QMat:
         rhs = vec(rhs)
         if len(rhs) != self.rows:
             raise ValueError("rhs length mismatch")
-        a = [list(self.row(i)) + [rhs[i]] for i in range(self.rows)]
-        pivots, _ = _eliminate(a, self.cols)
-        if any(a[i][-1] for i in range(len(pivots), self.rows)):
-            return None
-        return tuple(x[0] for x in _back_substitute(a, pivots, self.cols))
+        return _solve_rows([(*self.row(i), rhs[i]) for i in range(self.rows)], self.cols)
 
     def inverse(self) -> "QMat":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        a = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        pivots, _ = _eliminate(a, n)
-        if len(pivots) < n:
+        # M / den is self, so M X = den I gives X = self^-1
+        a, den = _integer_matrix(self.to_rows())
+        for i, r in enumerate(a):
+            r += [den * (i == j) for j in range(n)]
+        solved = _bareiss_solve(a, n)
+        if solved is None:
             raise RankDeficientError("matrix is singular")
-        return QMat(n, n, [x for row in _back_substitute(a, pivots, n) for x in row])
+        d, y = solved
+        return QMat(n, n, [Fraction(x, d) for r in y for x in r])
 
     def ldl(self) -> tuple["QMat", tuple[Fraction, ...]]:
         """(L, d) with self = L diag(d) L^T and L unit lower triangular.
@@ -573,88 +576,113 @@ class QMat:
         For a symmetric matrix.  The elimination must use every diagonal entry
         as its pivot and find it positive, which by Sylvester's criterion holds
         exactly when the matrix is positive definite; ValueError otherwise.
+        The Bareiss pivots P_k of M = den * self are its leading principal
+        minors, so d_k = P_k / (P_{k-1} den) and L_jk = a_kj / P_k.
         """
         if self.rows != self.cols:
             raise ValueError("LDL decomposition of a non-square matrix")
         n = self.rows
-        a = self.to_rows()
-        pivots, swaps = _eliminate(a, n)
-        if swaps or len(pivots) < n or any(a[i][i] <= 0 for i in range(n)):
-            raise ValueError("matrix is not positive definite")
-        d = tuple(a[i][i] for i in range(n))
-        return QMat(n, n, [a[j][i] / d[j] for i in range(n) for j in range(n)]), d
+        a, den = _integer_matrix(self.to_rows())
+        echelon = []
+        for row, swaps in _bareiss(a):
+            if row is None or swaps or row[0] <= 0:
+                raise ValueError("matrix is not positive definite")
+            echelon.append(row)
+        p = [row[0] for row in echelon]
+        d = tuple(Fraction(pk, prev * den) for pk, prev in zip(p, [1] + p))
+        zero = Fraction(0)
+        return QMat(n, n, [Fraction(echelon[j][i - j], p[j]) if i >= j else zero
+                           for i in range(n) for j in range(n)]), d
 
 
-def _eliminate(a: list[list[Fraction]], ncols: int) -> tuple[list[int], int]:
-    """Forward Gaussian elimination of the rows ``a`` in place, to echelon form.
+def _bareiss(rows):
+    """Fraction-free elimination of integer rows to echelon form (Bareiss, Math. Comp. 1968).
 
-    Pivots are sought in the first ncols columns only; any further columns
-    (right-hand sides) are carried along.  Each pivot is the first nonzero
-    entry at or below the current row.  Returns the pivot column of each
-    leading row and the number of row exchanges made.
+    Runs one column at a time while rows and columns are left, and yields
+    (row, swaps) for each column: row is the pivot row from that column on,
+    or None when the column has no pivot, and swaps counts the row exchanges
+    so far.  Each pivot is the first nonzero entry at or below the current
+    row.  After the k-th pivot every entry left below it is a (k+1)-minor of
+    the rows, so dividing by the previous pivot is exact and no entry
+    outgrows a minor; the k-th pivot P_k itself is the minor of the first k+1
+    rows, after the exchanges, on the first k+1 pivot columns.  Each step
+    builds the rows below anew without the pivot column, so the caller's rows
+    are never written, and a caller that has what it needs leaves the loop
+    and saves the rest of the elimination.
     """
-    m = len(a)
-    pivots = []
-    swaps = 0
-    for c in range(ncols):
-        r = len(pivots)
-        if r == m:
-            break
-        p = next((i for i in range(r, m) if a[i][c]), -1)
-        if p < 0:
+    a = rows
+    swaps, prev = 0, 1
+    while a and a[0]:
+        for p, row in enumerate(a):
+            if row[0]:
+                break
+        else:  # no pivot in this column
+            yield None, swaps
+            a = [r[1:] for r in a]
             continue
-        if p != r:
-            a[r], a[p] = a[p], a[r]
+        if p:
+            a = list(a)
+            a[0], a[p] = row, a[0]
             swaps += 1
-        prow = a[r][c:]
-        inv = 1 / prow[0]
-        for i in range(r + 1, m):
-            row = a[i]
-            if row[c]:
-                f = row[c] * inv
-                row[c:] = [x - f * y for x, y in zip(row[c:], prow)]
-        pivots.append(c)
-    return pivots, swaps
+        yield row, swaps
+        if len(a) == 1:
+            return
+        piv, *top = row
+        a = [[(piv * x - r[0] * y) // prev for x, y in zip(r[1:], top)] for r in a[1:]]
+        prev = piv
 
 
-def _back_substitute(a: list[list[Fraction]], pivots: list[int], ncols: int) -> list[list[Fraction]]:
-    """Solve the echelon rows left by :func:`_eliminate` for every column past ncols.
+def _int_det(rows) -> int:
+    """Determinant of a square integer matrix: the last pivot of :func:`_bareiss`, signed."""
+    d, swaps = 1, 0
+    for row, swaps in _bareiss(rows):
+        if row is None:
+            return 0
+        d = row[0]
+    return -d if swaps % 2 else d
 
-    Returns one row per unknown holding its value for each right-hand side;
-    free variables are zero.
+
+def _int_minor(rows, k) -> int:
+    # the determinant of the integer rows with column k dropped
+    return _int_det([r[:k] + r[k + 1 :] for r in rows])
+
+
+def _bareiss_solve(rows, ncols: int) -> tuple[int, list] | None:
+    """(D, y) for integer rows [A | B]: y[j][t] = D x_j for one solution x of A x = column t of B.
+
+    D is the last pivot of :func:`_bareiss`, and free variables are zero.  The
+    columns of B are eliminated too: some column of B is inconsistent exactly
+    when a pivot falls in B, and then the result is None.  Row k of the
+    echelon form reads P_k x_{c_k} + sum_{j > c_k} a_kj x_j = b_k.  D is the
+    determinant of the pivot rows on the pivot columns, so D x is integral
+    there by Cramer's rule and each division by P_k is exact (fraction-free
+    back-substitution: Nakos, Turner & Williams, SIGSAM Bull. 1997).
     """
-    nrhs = len(a[0]) - ncols
-    x = [[Fraction(0)] * nrhs for _ in range(ncols)]
-    for i in reversed(range(len(pivots))):
-        row, c = a[i], pivots[i]
-        inv = 1 / row[c]
-        later = pivots[i + 1 :]
-        for t in range(nrhs):
-            s = row[ncols + t]
-            for j in later:
-                s -= row[j] * x[j][t]
-            x[c][t] = s * inv
-    return x
-
-
-def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> tuple[Fraction, ...] | None:
-    """Unique solution of a square system, or None when singular."""
-    n = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots, _ = _eliminate(a, n)
-    if len(pivots) < n:
+    echelon = [(c, row) for c, (row, _) in enumerate(_bareiss(rows)) if row is not None]
+    if echelon and echelon[-1][0] >= ncols:
         return None
-    return tuple(x[0] for x in _back_substitute(a, pivots, n))
+    nrhs = len(rows[0]) - ncols
+    d = echelon[-1][1][0] if echelon else 1
+    y = [[0] * nrhs for _ in range(ncols)]
+    for k in reversed(range(len(echelon))):
+        c, row = echelon[k]
+        later = [(row[j - c], y[j]) for j, _ in echelon[k + 1 :]]
+        b = row[ncols - c :]
+        y[c] = [(d * b[t] - sum(a * yj[t] for a, yj in later)) // row[0] for t in range(nrhs)]
+    return d, y
+
+
+def _solve_rows(rows, ncols: int) -> tuple[Fraction, ...] | None:
+    """A solution of rational rows [A | b], free variables zero, or None if inconsistent."""
+    solved = _bareiss_solve(_integer_matrix(rows)[0], ncols)
+    if solved is None:
+        return None
+    d, y = solved
+    return tuple(Fraction(r[0], d) for r in y)
 
 
 # ---------------------------------------------------------------------------
 # integer normal forms
-
-
-def _int_rows(m: QMat):
-    if not m.is_integer():
-        raise ValueError("normal forms require an integer matrix")
-    return [[int(x) for x in m.row(i)] for i in range(m.rows)]
 
 
 def _hnf(a: list[list[int]], ncols: int) -> list[int]:
@@ -703,92 +731,18 @@ def _hnf(a: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _int_det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination.
-
-    Bareiss (Math. Comp. 1968): after step k every entry left is a (k+1)-minor,
-    so dividing by the previous pivot is exact and no entry outgrows a minor.
-    """
-    a = list(rows)  # each step builds new rows, so the caller's are never written
-    sign, prev = 1, 1
-    while len(a) > 1:
-        p = next((i for i, r in enumerate(a) if r[0]), -1)
-        if p < 0:
-            return 0
-        if p:
-            a[0], a[p] = a[p], a[0]
-            sign = -sign
-        (piv, *top), rest = a[0], a[1:]
-        a = [[(piv * x - r[0] * y) // prev for x, y in zip(r[1:], top)] for r in rest]
-        prev = piv
-    return sign * a[0][0] if a else 1
-
-
-def _int_minor(rows, k) -> int:
-    # the determinant of the integer rows with column k dropped
-    return _int_det([r[:k] + r[k + 1 :] for r in rows])
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _hnf_carry(a: list[list[int]], u: list[list[int]]) -> tuple[list, list]:
-    """Row HNF of ``[a | u]``, split back into the form of a and the carried rows of u."""
-    nc = len(a[0])
-    au = [ra + ru for ra, ru in zip(a, u)]
-    _hnf(au, nc)
-    return [r[:nc] for r in au], [r[nc:] for r in au]
-
-
-def _transpose(a: list[list[int]]) -> list[list[int]]:
-    return [list(c) for c in zip(*a)]
-
-
 def hnf(m: QMat) -> tuple[QMat, QMat]:
     """Row Hermite normal form.  Returns (H, U) with H = U @ m, |det U| = 1.
 
     H is in row-echelon form, pivots positive, entries above a pivot reduced
-    into [0, pivot).
+    into [0, pivot).  The HNF of [m | I] is [H | U].
     """
-    h, u = _hnf_carry(_int_rows(m), _identity(m.rows))
-    return QMat.from_rows(h), QMat.from_rows(u)
-
-
-def snf(m: QMat) -> tuple[QMat, QMat, QMat]:
-    """Smith normal form.  Returns (D, U, V) with D = U @ m @ V.
-
-    The diagonal of D is nonnegative and each entry divides the next.  Row
-    Hermite forms of [A | U] and of [A^T | V^T] alternate until A is diagonal;
-    where d_t does not divide d_{t+1}, column t+1 is added into column t and
-    the alternation goes on (Cohen, A Course in Computational Algebraic Number
-    Theory, 1993, ch. 2).
-    """
-    a, u, vt = _int_rows(m), _identity(m.rows), _identity(m.cols)
-    while True:
-        a, u = _hnf_carry(a, u)
-        at, vt = _hnf_carry(_transpose(a), vt)
-        a = _transpose(at)
-        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
-            continue
-        # A^T is in echelon form, so the zeros of the diagonal come last
-        d = [a[t][t] for t in range(min(m.rows, m.cols))]
-        t = next((t for t in range(len(d) - 1) if d[t] and d[t + 1] % d[t]), None)
-        if t is None:
-            return QMat.from_rows(a), QMat.from_rows(u), QMat.from_rows(_transpose(vt))
-        for row in a:
-            row[t] += row[t + 1]
-        vt[t] = [x + y for x, y in zip(vt[t], vt[t + 1])]
-
-
-def invariant_factors(m: QMat) -> list[int]:
-    d, _, _ = snf(m)
-    out = []
-    for t in range(min(d.rows, d.cols)):
-        x = int(d[t, t])
-        if x:
-            out.append(x)
-    return out
+    if not m.is_integer():
+        raise ValueError("normal forms require an integer matrix")
+    n = m.cols
+    au = [[int(x) for x in m.row(i)] + [int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    _hnf(au, n)
+    return QMat.from_rows([r[:n] for r in au]), QMat.from_rows([r[n:] for r in au])
 
 
 # ---------------------------------------------------------------------------
@@ -1376,20 +1330,11 @@ def volume_centroid(points):
     return _volume_centroid(hull)
 
 
-def facet_contents(A, b, vertices, max_width: Fraction | None = None) -> Interval:
-    """Certified total (n-1)-content of the boundary of {x : A x <= b}.
-
-    vertices must be the polytope's vertex set.  Each facet, read off the
-    vertex-facet incidences, is triangulated like a volume one dimension down,
-    and the interval width is split evenly over the facets.
-    """
-    ints, den = _integer_matrix([vec(v) for v in vertices])
-    rows = [_integer_row(vec(row), rat(bi)) for row, bi in zip(A, b)]
-    return _facet_contents(_facet_sets(rows, den, ints), max_width)
-
-
 def _facet_contents(hull, max_width: Fraction | None = None) -> Interval:
-    """facet_contents from a hull record: one square root per facet.
+    """Certified total (n-1)-content of a polytope's boundary from its hull record.
+
+    Each facet is triangulated like a volume one dimension down, and the
+    interval width is split evenly over the facets: one square root per facet.
 
     A facet simplex whose edge matrix has (n-1)-minors a has content |a| / (n-1)!
     (Cauchy-Binet), and the simplices of one facet have parallel a.  So with a

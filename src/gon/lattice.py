@@ -4,14 +4,16 @@ A lattice is an m-by-n basis matrix whose rows are independent; m < n gives a
 lattice embedded in a proper subspace.  It is stored as integer rows over the
 least common denominator of its entries, and the rational basis is a view
 built on first use.  Determinants of non-full-rank lattices are square roots
-of rationals and come back as QuadVal unless the root is exact.
+of rationals and come back as QuadVal unless the root is exact.  Duals and
+coefficients are solved on the integer rows by the fraction-free core of
+``exactmath``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 from .exactmath import (
@@ -21,9 +23,11 @@ from .exactmath import (
     rat,
     rat_str,
     vec,
+    _bareiss_solve,
     _hnf,
     _int_det,
     _integer_matrix,
+    _solve_rows,
 )
 
 
@@ -86,8 +90,12 @@ class Lattice:
 
     def coefficients(self, x) -> tuple[Fraction, ...] | None:
         """c with c @ basis = x, or None when x is outside the span."""
-        c = self.basis.transpose().solve(vec(x))
-        return c
+        x = vec(x)
+        if len(x) != self.dim:
+            raise ValueError("rhs length mismatch")
+        # c @ basis = x reads R^T c = den x on the integer rows R
+        return _solve_rows([(*col, self._den * xi) for col, xi in zip(zip(*self._rows), x)],
+                           self.rank)
 
     def contains(self, x) -> bool:
         c = self.coefficients(x)
@@ -103,10 +111,17 @@ class Lattice:
         """Dual lattice within the span of this one.
 
         Pairings between dual and primal basis rows form the identity; for
-        full-rank lattices this is the classical polar lattice.
+        full-rank lattices this is the classical polar lattice.  With the
+        basis R / den, the dual rows are X = G^-1 (R / den) for the Gram matrix
+        G = R R^T / den^2, that is the solution of R R^T X = den R.
         """
-        g = self.gram()
-        return Lattice(g.inverse() @ self.basis)
+        rows, den = self._rows, self._den
+        d, y = _bareiss_solve([g + [den * x for x in r] for g, r in zip(_gram(rows), rows)],
+                              self.rank)
+        # X = y / d with d > 0, a leading minor of the positive definite R R^T,
+        # brought to its least common denominator
+        c = gcd(d, *(x for r in y for x in r))
+        return Lattice._of_rows([[x // c for x in r] for r in y], d // c)
 
     def scale(self, t) -> "Lattice":
         t = rat(t)
@@ -176,9 +191,14 @@ def polar_lattice(lat: Lattice) -> Lattice:
     return lat.dual()
 
 
+def _gram(rows) -> list:
+    """The integer Gram matrix R R^T of integer rows R."""
+    return [[sum(map(mul, a, b)) for b in rows] for a in rows]
+
+
 def _gram_det(rows) -> int:
     """det(R R^T) of independent integer rows R: the squared covolume of their lattice."""
-    return _int_det([[sum(map(mul, a, b)) for b in rows] for a in rows])
+    return _int_det(_gram(rows))
 
 
 def _integer_rows(a_rows, what: str) -> list:
@@ -221,9 +241,14 @@ def kernel_lattice(a_rows) -> Lattice:
     with U A^T = H; the rows of U beside the zero rows of H span the kernel.
     """
     a = _integer_rows(a_rows, "kernel lattice")
-    m, n = len(a), len(a[0])
-    if m >= n:
+    if len(a) >= len(a[0]):
         raise ValueError("kernel lattice needs fewer rows than columns")
+    return _kernel_lattice(a)
+
+
+def _kernel_lattice(a) -> Lattice:
+    """kernel_lattice of rows already known to be ints and fewer than their columns."""
+    m, n = len(a), len(a[0])
     aug = [[r[j] for r in a] + [int(i == j) for i in range(n)] for j in range(n)]
     pivots = _hnf(aug, m + n)
     if sum(c < m for c in pivots) < m:

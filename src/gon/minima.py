@@ -360,8 +360,14 @@ class _Chart:
         self.span_boundary = False
         if body.kind == ELLIPSOID:
             self.kind = "quad"
-            self.q = (lat.basis @ body.data) @ lat.basis.transpose()
-            self.qint, self.qden = _integer_matrix(self.q.to_rows())
+            # Q = Qi / qd and the basis is R / den, so the form R Q R^T is R Qi R^T / (den^2 qd)
+            qi, qd = _integer_matrix(body.data.to_rows())
+            rq = [[sum(map(mul, r, col)) for col in zip(*qi)] for r in lat._rows]
+            form = [[sum(map(mul, a, r)) for r in lat._rows] for a in rq]
+            den = lat._den**2 * qd
+            g = gcd(den, *(x for r in form for x in r))
+            self.qint, self.qden = [[x // g for x in r] for r in form], den // g
+            self.q = QMat(self.m, self.m, [Fraction(x, self.qden) for r in self.qint for x in r])
             return
         self.kind = "hpoly"
         rows = []

@@ -33,8 +33,8 @@ from .exactmath import (
     rat,
     root_interval,
 )
-from .lattice import (Lattice, _gram_det, _integer_rows, kernel_lattice, lll_reduce,
-                      make_lattice, minors_gcd)
+from .lattice import (Lattice, _gram_det, _integer_rows, _kernel_lattice, kernel_lattice,
+                      lll_reduce, make_lattice, minors_gcd)
 from .body import HPOLY, Body, _hexagon_coefficients, cube, generalized_hexagon
 from .minima import (MinimaResult, _minima_core, _require_gauge_body, first_minimum,
                      successive_minima)
@@ -340,7 +340,7 @@ def _scan_minima(vectors: list) -> list:
     k = cube(len(vectors[0]))
     out = []
     for a in vectors:
-        red = lll_reduce(kernel_lattice([list(a)]))
+        red = lll_reduce(_kernel_lattice([a]))
         chart = _require_gauge_body(k, red, False)
         keys, _ = _minima_core(chart, red.rank, True)
         if any(key % chart.lcm for key in keys):

@@ -535,8 +535,10 @@ _REF_VALIDATORS = {k: Draft202012Validator(v) for k, v in {
         "required": ["rows", "cols", "data"], "additionalProperties": False},
 }.items()}
 
+# each draw is a fresh copy: an "entry" mutation writes into the drawn list or dict, and a
+# shared one would carry the write into later draws, or into itself
 _entries = st.sampled_from([0, 1, -3, 2**70, True, False, None, 1.0, -2.0, 0.5, "3/4", "-2", "1/0",
-                            "x", " 1", "", [1], {"a": 1}])
+                            "x", " 1", "", [1], {"a": 1}]).map(copy.deepcopy)
 _rat = st.sampled_from([1, -2, "3/4", "-5", 7])
 
 
@@ -575,9 +577,10 @@ def input_documents(draw):
                 target = row if isinstance(row, list) and row else value
                 target[draw(st.integers(0, len(target) - 1))] = draw(_entries)
         elif op == "type" and isinstance(doc, dict):
-            doc["type"] = draw(st.sampled_from(["box", "cross", "hpoly", "ball", 3, None, ["box"]]))
+            doc["type"] = draw(st.sampled_from(["box", "cross", "hpoly", "ball", 3, None, ["box"]])
+                               .map(copy.deepcopy))
         elif op == "replace":
-            doc = draw(st.sampled_from([[], [1], "box", 3, None, {}]))
+            doc = draw(st.sampled_from([[], [1], "box", 3, None, {}]).map(copy.deepcopy))
     return kind, doc
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gon import exactmath as em
@@ -25,9 +25,7 @@ from gon.exactmath import (
     dot,
     e_interval,
     extreme_points,
-    facet_contents,
     hnf,
-    invariant_factors,
     iroot,
     lp_exact,
     pi_interval,
@@ -35,8 +33,6 @@ from gon.exactmath import (
     rat,
     rat_str,
     root_interval,
-    snf,
-    solve_square,
     sqrt_interval,
     unit_ball_volume_interval,
     vertex_enum,
@@ -339,6 +335,196 @@ def test_ldl_follows_sylvester(a):
 
 
 # ---------------------------------------------------------------------------
+# the Fraction Gauss elimination that QMat ran before the Bareiss core, kept as
+# the reference for det, rank, solve, inverse and ldl
+
+
+def ref_eliminate(a, ncols):
+    """Forward Gaussian elimination of the rows ``a`` in place, to echelon form.
+
+    Pivots are sought in the first ncols columns only; any further columns
+    (right-hand sides) are carried along.  Each pivot is the first nonzero
+    entry at or below the current row.  Returns the pivot column of each
+    leading row and the number of row exchanges made.
+    """
+    m = len(a)
+    pivots = []
+    swaps = 0
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if a[i][c]), -1)
+        if p < 0:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            swaps += 1
+        prow = a[r][c:]
+        inv = 1 / prow[0]
+        for i in range(r + 1, m):
+            row = a[i]
+            if row[c]:
+                f = row[c] * inv
+                row[c:] = [x - f * y for x, y in zip(row[c:], prow)]
+        pivots.append(c)
+    return pivots, swaps
+
+
+def ref_back_substitute(a, pivots, ncols):
+    """Solve the echelon rows left by ref_eliminate for every column past ncols.
+
+    Returns one row per unknown holding its value for each right-hand side;
+    free variables are zero.
+    """
+    nrhs = len(a[0]) - ncols
+    x = [[Fraction(0)] * nrhs for _ in range(ncols)]
+    for i in reversed(range(len(pivots))):
+        row, c = a[i], pivots[i]
+        inv = 1 / row[c]
+        later = pivots[i + 1 :]
+        for t in range(nrhs):
+            s = row[ncols + t]
+            for j in later:
+                s -= row[j] * x[j][t]
+            x[c][t] = s * inv
+    return x
+
+
+def ref_det(rows):
+    a = [[F(x) for x in r] for r in rows]
+    pivots, swaps = ref_eliminate(a, len(a))
+    if len(pivots) < len(a):
+        return F(0)
+    det = F(-1 if swaps % 2 else 1)
+    for i in range(len(a)):
+        det *= a[i][i]
+    return det
+
+
+def ref_rank(rows):
+    return len(ref_eliminate([[F(x) for x in r] for r in rows], len(rows[0]))[0])
+
+
+def ref_solve(rows, rhs):
+    n = len(rows[0])
+    a = [[F(x) for x in r] + [F(y)] for r, y in zip(rows, rhs)]
+    pivots, _ = ref_eliminate(a, n)
+    if any(a[i][-1] for i in range(len(pivots), len(a))):
+        return None
+    return tuple(x[0] for x in ref_back_substitute(a, pivots, n))
+
+
+def ref_inverse(rows):
+    n = len(rows)
+    a = [[F(x) for x in r] + [F(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    pivots, _ = ref_eliminate(a, n)
+    if len(pivots) < n:
+        raise RankDeficientError("matrix is singular")
+    return ref_back_substitute(a, pivots, n)
+
+
+def ref_ldl(rows):
+    n = len(rows)
+    a = [[F(x) for x in r] for r in rows]
+    pivots, swaps = ref_eliminate(a, n)
+    if swaps or len(pivots) < n or any(a[i][i] <= 0 for i in range(n)):
+        raise ValueError("matrix is not positive definite")
+    d = tuple(a[i][i] for i in range(n))
+    return [[a[j][i] / d[j] for j in range(n)] for i in range(n)], d
+
+
+small_rational = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4]))
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Rational m x n matrices with 1 <= m, n <= 6, many of deficient rank: a row made a
+    combination of two others, or a column zeroed."""
+    m = draw(st.integers(1, 6))
+    n = m if square else draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m >= 2 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+        s, t = draw(small_rational), draw(small_rational)
+        rows[i] = [s * x + t * y for x, y in zip(rows[j], rows[k])]
+    if draw(st.booleans()):
+        c = draw(st.integers(0, n - 1))
+        for r in rows:
+            r[c] = F(0)
+    return rows
+
+
+@given(rational_matrices(square=True))
+@settings(max_examples=300)
+def test_bareiss_det_and_rank_match_the_fraction_reference(rows):
+    m = QMat.from_rows(rows)
+    assert m.det() == ref_det(rows)
+    assert m.rank() == ref_rank(rows)
+
+
+@given(rational_matrices(), st.data())
+@settings(max_examples=300)
+def test_bareiss_solve_matches_the_fraction_reference(rows, data):
+    # a consistent right-hand side is the image of a drawn x; a drawn one is often inconsistent
+    m = QMat.from_rows(rows)
+    if data.draw(st.booleans()):
+        rhs = m.mul_vec(data.draw(st.lists(small_rational, min_size=m.cols, max_size=m.cols)))
+    else:
+        rhs = data.draw(st.lists(small_rational, min_size=m.rows, max_size=m.rows))
+    x = m.solve(rhs)
+    assert x == ref_solve(rows, rhs)
+    assert x is None or m.mul_vec(x) == tuple(rhs)
+
+
+@given(rational_matrices(square=True))
+@settings(max_examples=300)
+def test_bareiss_inverse_matches_the_fraction_reference(rows):
+    m = QMat.from_rows(rows)
+    try:
+        ref = ref_inverse(rows)
+    except RankDeficientError:
+        with pytest.raises(RankDeficientError):
+            m.inverse()
+        return
+    assert m.inverse().to_rows() == ref
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices up to 6 x 6: indefinite (A + A^T), positive semidefinite
+    (B B^T with B of deficient rank) or definite (B B^T + I), and some with a zero leading
+    entry, which the elimination can only pass by a row exchange."""
+    rows = draw(rational_matrices(square=True))
+    n = len(rows)
+    kind = draw(st.sampled_from(["sum", "gram", "gram+I", "swap"]))
+    if kind == "sum":
+        return [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
+    gram = [[dot(rows[i], rows[j]) + (kind == "gram+I" and i == j) for j in range(n)]
+            for i in range(n)]
+    if kind == "swap":
+        gram[0][0] = F(0)
+    return gram
+
+
+@given(symmetric_matrices())
+@example([[0, 1], [1, 0]])
+@example([[1, 1], [1, 1]])
+@example([[1, 2], [2, 1]])
+@example([[2, 1], [1, F(3, 2)]])
+@settings(max_examples=300)
+def test_bareiss_ldl_matches_the_fraction_reference(rows):
+    try:
+        ref = ref_ldl(rows)
+    except ValueError:
+        with pytest.raises(ValueError):
+            QMat.from_rows(rows).ldl()
+        return
+    low, d = QMat.from_rows(rows).ldl()
+    assert (low.to_rows(), d) == ref
+
+
+# ---------------------------------------------------------------------------
 # normal forms
 
 
@@ -404,57 +590,6 @@ def test_hnf_canonical_for_row_lattice(rows):
     m = QMat.from_rows(rows)
     p = QMat.from_rows([rows[2], rows[0], rows[1]])
     assert hnf(m)[0] == hnf(p)[0]
-
-
-def test_snf_frozen():
-    m = QMat.from_rows([[2, 4], [4, 8]])
-    d, u, v = snf(m)
-    assert d == QMat.from_rows([[2, 0], [0, 0]])
-    assert (u @ m @ v) == d
-
-
-def _dependent_last_row(rows):
-    return rows[:-1] + [[2 * x - 3 * y for x, y in zip(rows[0], rows[1])]]
-
-
-def _dependent_last_col(rows):
-    return [r[:-1] + [2 * r[0] - 3 * r[1]] for r in rows]
-
-
-@given(st.one_of(int_matrix(3, 4), int_matrix(4, 3),
-                 int_matrix(3, 4).map(_dependent_last_row),
-                 int_matrix(4, 3).map(_dependent_last_col)))
-def test_snf_properties(rows):
-    m = QMat.from_rows(rows)
-    d, u, v = snf(m)
-    assert (u @ m @ v) == d
-    assert abs(u.det()) == 1
-    assert abs(v.det()) == 1
-    k = min(m.rows, m.cols)
-    diag = [int(d[t, t]) for t in range(k)]
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j:
-                assert d[i, j] == 0
-    nz = [x for x in diag if x]
-    assert all(x > 0 for x in nz)
-    assert diag[len(nz):] == [0] * (k - len(nz))
-    for a, b in zip(nz, nz[1:]):
-        assert b % a == 0
-    assert len(nz) == m.rank()
-
-
-@given(int_matrix(3, 3))
-@settings(max_examples=40)
-def test_invariant_factors_match_minor_gcds(rows):
-    m = QMat.from_rows(rows)
-    fac = invariant_factors(m)
-    prod = 1
-    for k, f in enumerate(fac, start=1):
-        prod *= f
-        assert prod == brute_minors_gcd(m, k)
-    if len(fac) < 3:
-        assert brute_minors_gcd(m, len(fac) + 1) == 0
 
 
 @given(st.integers(1, 3).flatmap(
@@ -612,7 +747,8 @@ def brute_vertex_enum(A, b, check_bounded=True):
                     return []
     seen = set()
     for rows in combinations(range(len(A)), n):
-        x = solve_square([A[i] for i in rows], [b[i] for i in rows])
+        m = QMat.from_rows([A[i] for i in rows])
+        x = m.solve([b[i] for i in rows]) if m.rank() == n else None
         if x is not None and all(dot(a, x) <= bi for a, bi in zip(A, b)):
             seen.add(x)
     return sorted(seen)
@@ -824,6 +960,13 @@ def test_volume_2d_shoelace(pts):
         for i in range(len(ring))
     )
     assert vol == abs(area2) / 2
+
+
+def facet_contents(A, b, vertices):
+    """The boundary content of {x : A x <= b}, whose vertices are given, from its hull record."""
+    ints, den = _integer_matrix([tuple(F(x) for x in v) for v in vertices])
+    rows = [_integer_row(tuple(F(x) for x in r), F(bi)) for r, bi in zip(A, b)]
+    return em._facet_contents(em._facet_sets(rows, den, ints))
 
 
 def test_facet_contents_squares():
@@ -1201,8 +1344,7 @@ def square_int_matrices(draw):
 @given(square_int_matrices())
 @settings(max_examples=200)
 def test_int_det_matches_fraction_det(rows):
-    ref = QMat.from_rows(rows).det() if rows else 1
-    assert em._int_det(rows) == ref
+    assert em._int_det(rows) == ref_det(rows)
 
 
 def test_int_det_needs_a_row_exchange():
@@ -1217,7 +1359,7 @@ def fraction_volume_centroid(vertices, facets):
     total = Fraction(0)
     moment = [Fraction(0)] * n
     for s in set_pulling_simplices(frozenset(vertices), facets, n):
-        d = abs(QMat.from_rows([vsub(p, s[0]) for p in s[1:]]).det())
+        d = abs(ref_det([vsub(p, s[0]) for p in s[1:]]))
         total += d
         for i in range(n):
             moment[i] += d * sum(p[i] for p in s)
@@ -1225,7 +1367,7 @@ def fraction_volume_centroid(vertices, facets):
 
 
 def _fraction_minor(rows, k):
-    return QMat.from_rows([r[:k] + r[k + 1 :] for r in rows]).det()
+    return ref_det([r[:k] + r[k + 1 :] for r in rows])
 
 
 def fraction_facet_contents(vertices, facets, max_width):
@@ -1248,12 +1390,12 @@ def fraction_cone_rays(rows):
     """Reference: the starting cone from a Fraction elimination and the inverse of its rows."""
     g = [em._primitive(row) for row in rows]
     d = len(g[0])
-    basis, _ = em._eliminate([[Fraction(r[j]) for r in g] for j in range(d)], len(g))
+    basis, _ = ref_eliminate([[Fraction(r[j]) for r in g] for j in range(d)], len(g))
     if len(basis) < d:
         raise RankDeficientError("the rows do not span their space")
-    inv = QMat.from_rows([g[i] for i in basis]).inverse()
+    inv = ref_inverse([g[i] for i in basis])
     full = sum(1 << i for i in basis)
-    rays = [(em._primitive(inv.col(j)), full & ~(1 << i)) for j, i in enumerate(basis)]
+    rays = [(em._primitive([r[j] for r in inv]), full & ~(1 << i)) for j, i in enumerate(basis)]
     for i in sorted(set(range(len(g))) - set(basis)):
         gi, bit = g[i], 1 << i
         pos, neg, kept = [], [], []
@@ -1378,8 +1520,9 @@ def test_hulls_and_volumes_make_no_fraction_elimination(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("a Fraction elimination was run")
 
-    monkeypatch.setattr(em, "_eliminate", no_elimination)
-    monkeypatch.setattr(QMat, "inverse", no_elimination)
+    for name in ("det", "rank", "solve", "inverse", "ldl"):
+        monkeypatch.setattr(QMat, name, no_elimination)
+    monkeypatch.setattr(em, "_bareiss_solve", no_elimination)
     h = hpoly([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1]],
               [2, 1, F(3, 2), 1, 1, 1, F(5, 2)])
     v = vpoly(h.vertices())

@@ -398,6 +398,33 @@ def test_lll_matches_rational_lll(rows, delta):
     assert_lll_reduced(got.vectors(), delta)
 
 
+@given(rational_bases())
+@settings(max_examples=200, deadline=None)
+def test_dual_matches_the_gram_inverse(rows):
+    # the reference is the formula that the integer dual replaced, through the public constructor
+    lat = Lattice(QMat.from_rows(rows))
+    ref = Lattice(lat.gram().inverse() @ lat.basis)
+    dual = lat.dual()
+    assert dual == ref and dual.basis == ref.basis
+    assert dual.dual().same_lattice(lat)
+    if lat.is_full_rank():
+        assert lat.det() * dual.det() == 1
+
+
+@given(rational_bases(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_coefficients_solve_the_rational_basis(rows, data):
+    # a point of the span comes back as its coefficients; any other x as None
+    lat = Lattice(QMat.from_rows(rows))
+    c = tuple(data.draw(st.lists(small_rational, min_size=lat.rank, max_size=lat.rank)))
+    assert lat.coefficients(lat.point(c)) == c
+    x = tuple(data.draw(st.lists(small_rational, min_size=lat.dim, max_size=lat.dim)))
+    got = lat.coefficients(x)
+    assert got == lat.basis.transpose().solve(x)
+    assert (got is not None) == (QMat.from_rows(rows + [list(x)]).rank() == lat.rank)
+    assert got is None or lat.point(got) == x
+
+
 @given(st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
         lambda c: st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c),

@@ -33,6 +33,7 @@ from gon.exactmath import (
     quad_or_rat,
     rat,
     sqrt_interval,
+    _integer_matrix,
     _integer_row,
 )
 from gon import minima
@@ -578,6 +579,24 @@ def test_unimodular_invariance_in_dimensions_2_to_4(data):
     assert lat1.same_lattice(lat2)
     assert successive_minima(k, lat1).values == successive_minima(k, lat2).values
     assert count_points(k, lat1) == count_points(k, lat2)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_ellipsoid_chart_form_matches_the_fraction_product(data):
+    # the reference is the Fraction product B Q B^T that the chart's integer form replaced,
+    # on full-rank and embedded lattices with a denominator
+    n = data.draw(st.integers(2, 4))
+    t = data.draw(st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6))
+    k = ellipsoid([[t * x for x in r] for r in data.draw(gram_forms(n)).to_rows()])
+    b, u = data.draw(lattices_and_unimodular(n))
+    s = data.draw(st.sampled_from([F(1), F(1, 2), F(2, 3)]))
+    m = data.draw(st.integers(1, n))
+    lat = make_lattice([[s * x for x in r] for r in (u @ b).to_rows()[:m]])
+    chart = minima._Chart(k, lat)
+    ref = (lat.basis @ k.data) @ lat.basis.transpose()
+    assert chart.q == ref
+    assert (chart.qint, chart.qden) == _integer_matrix(ref.to_rows())
 
 
 @given(st.data(), st.integers(1, 3), st.integers(1, 3))
