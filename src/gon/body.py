@@ -39,6 +39,7 @@ from .exactmath import (
     _VERTEX_ENUM_MAX_DIM,
     _Hull,
     _centered_hrep,
+    _definite_pivots,
     _dilated,
     _facet_contents,
     _facet_sets,
@@ -542,7 +543,7 @@ def ellipsoid(q_rows: Sequence[Sequence]) -> Body:
         raise ValueError("Q must be square")
     if q != q.transpose():
         raise ValueError("Q must be symmetric")
-    q.ldl()  # raises unless Q is positive definite
+    _definite_pivots(_integer_matrix(q.to_rows())[0])  # raises unless Q is positive definite
     return Body(ELLIPSOID, q)
 
 

@@ -573,21 +573,15 @@ class QMat:
     def ldl(self) -> tuple["QMat", tuple[Fraction, ...]]:
         """(L, d) with self = L diag(d) L^T and L unit lower triangular.
 
-        For a symmetric matrix.  The elimination must use every diagonal entry
-        as its pivot and find it positive, which by Sylvester's criterion holds
-        exactly when the matrix is positive definite; ValueError otherwise.
-        The Bareiss pivots P_k of M = den * self are its leading principal
-        minors, so d_k = P_k / (P_{k-1} den) and L_jk = a_kj / P_k.
+        For a symmetric matrix; ValueError unless it is positive definite.  The
+        pivots P_k of M = den * self are its leading principal minors, so
+        d_k = P_k / (P_{k-1} den) and L_jk = a_kj / P_k.
         """
         if self.rows != self.cols:
             raise ValueError("LDL decomposition of a non-square matrix")
         n = self.rows
         a, den = _integer_matrix(self.to_rows())
-        echelon = []
-        for row, swaps in _bareiss(a):
-            if row is None or swaps or row[0] <= 0:
-                raise ValueError("matrix is not positive definite")
-            echelon.append(row)
+        echelon = _definite_pivots(a)
         p = [row[0] for row in echelon]
         d = tuple(Fraction(pk, prev * den) for pk, prev in zip(p, [1] + p))
         zero = Fraction(0)
@@ -630,6 +624,20 @@ def _bareiss(rows):
         piv, *top = row
         a = [[(piv * x - r[0] * y) // prev for x, y in zip(r[1:], top)] for r in a[1:]]
         prev = piv
+
+
+def _definite_pivots(rows) -> list:
+    """The pivot rows of :func:`_bareiss` on a symmetric positive definite integer matrix.
+
+    By Sylvester's criterion the matrix is positive definite exactly when every
+    diagonal entry serves as a positive pivot; ValueError otherwise.
+    """
+    out = []
+    for row, swaps in _bareiss(rows):
+        if row is None or swaps or row[0] <= 0:
+            raise ValueError("matrix is not positive definite")
+        out.append(row)
+    return out
 
 
 def _int_det(rows) -> int:
@@ -1337,11 +1345,11 @@ def _facet_contents(hull, max_width: Fraction | None = None) -> Interval:
     interval width is split evenly over the facets: one square root per facet.
 
     A facet simplex whose edge matrix has (n-1)-minors a has content |a| / (n-1)!
-    (Cauchy-Binet), and the simplices of one facet have parallel a.  So with a
-    from the first and a_k != 0, the facet's content is |a| / |a_k| times the
-    sum of its simplices' volumes with coordinate k dropped.  The minors are
-    taken over the integer vertices, which are den times the rational ones, so
-    each is den^(n-1) times the rational minor.
+    (Cauchy-Binet), and a is parallel to the facet's row u.  So with u_k != 0,
+    the facet's content is |u| / |u_k| times the sum of its simplices' volumes
+    with coordinate k dropped, and each simplex needs one minor.  The minors
+    are taken over the integer vertices, which are den times the rational
+    ones, so each is den^(n-1) times the rational minor.
     """
     if max_width is None:
         max_width = SURFACE_WIDTH
@@ -1354,13 +1362,12 @@ def _facet_contents(hull, max_width: Fraction | None = None) -> Interval:
     scale = (math.factorial(n - 1) * den ** (n - 1)) ** 2
     per_facet = max_width / len(facets)
     total = Interval.point(0)
-    for f in facets:
-        edges = [_edges([ints[j] for j in s]) for s in _pulling_simplices(f, facets, n - 1)]
-        a = [_int_minor(edges[0], j) for j in range(n)] if edges else [0] * n
-        if not any(a):
+    for (u, _), f in zip(hull.rows, facets):
+        k = next(j for j, x in enumerate(u) if x)
+        v_k = sum(abs(_int_minor(_edges([ints[j] for j in s]), k))
+                  for s in _pulling_simplices(f, facets, n - 1))
+        if not v_k:
             raise RankDeficientError("a facet is not (n-1)-dimensional")
-        k = next(j for j, x in enumerate(a) if x)
-        v_k = abs(a[k]) + sum(abs(_int_minor(e, k)) for e in edges[1:])
-        square = Fraction(v_k * v_k * sum(x * x for x in a), a[k] * a[k] * scale)
+        square = Fraction(v_k * v_k * sum(x * x for x in u), u[k] * u[k] * scale)
         total = total + sqrt_interval(square, per_facet)
     return total

@@ -14,13 +14,13 @@ its denominator. Fourier-Motzkin elimination projects the walk's rows once
 onto every prefix of the coordinates, so each node of the walk reads its
 interval by integer floor and ceiling division. Only when a projection would
 grow past a fixed row budget are the leading coordinates it leaves out
-bounded by exact LPs instead. Ellipsoids are walked
-Fincke-Pohst style, bounding each coordinate by exact integer square roots.
-Both walks also run in a counting mode that adds up the lengths of the last
-coordinate's intervals and builds no point list; an interior count is the
-closed count of the integer region whose bounds are moved in by one. For a
-symmetric body both walks also run on a canonical half, one point of each
-pair +-c and not the origin (Fincke & Pohst 1985; Schnorr & Euchner 1994).
+bounded by exact LPs instead. An ellipsoid's integer form, eliminated
+fraction-free from c_{m-1} down, gives each prefix an integer value and each
+coordinate an integer square root bound. Both kinds share one walk, which
+also counts without a point list, adding up the last coordinate's interval
+lengths; an interior count moves the integer bounds in by one. For a
+symmetric body it walks a canonical half, one point of each pair +-c and not
+the origin (Fincke & Pohst 1985; Schnorr & Euchner 1994).
 
 Successive minima rank their candidates by the integer keys, c^T Q c for an
 ellipsoid's form scaled to integers, and build a gauge value only for a
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
@@ -48,6 +49,7 @@ from .exactmath import (
     rat,
     vec,
     _coprime,
+    _definite_pivots,
     _integer_matrix,
     _integer_row,
 )
@@ -164,12 +166,13 @@ def _lp_interval(rows: list, prefix: list) -> Optional[tuple]:
     return ceil(bot.optimum), floor(top.optimum)
 
 
-def _interval(level: Optional[tuple], rows: list, prefix: list) -> Optional[tuple]:
-    """Integer [lo, hi] of the next coordinate given `prefix`, read off its projection `level`.
+def _interval(levels: list, rows: list, prefix: list) -> Optional[tuple]:
+    """Integer [lo, hi] of the next coordinate given `prefix`, read off its projection.
 
     A level that the projection did not reach (None) is bounded by two exact
     LPs over `rows` instead, and then None means no real point extends `prefix`.
     """
+    level = levels[len(prefix)]
     if level is None:
         return _lp_interval(rows, prefix)
     upper, lower = level
@@ -180,10 +183,35 @@ def _interval(level: Optional[tuple], rows: list, prefix: list) -> Optional[tupl
     return lo, hi
 
 
+def _quadratic_interval(levels: list, key: int, carry: list, prefix: list) -> Optional[tuple]:
+    """Integer [lo, hi] of c_i over {c : c^T q c <= key} given the prefix c_0..c_{i-1}, or None.
+
+    levels[i] = (a, D, r) comes from _quadratic_walk. The prefix's least value
+    over real extensions is v / a with v integral, and with c_i = z it is
+    ((a z + b)^2 + D v) / (a D) for b = r . prefix: z is walked when
+    |a z + b| <= isqrt(D (a key - v)). carry[i - 1] holds the parent level's
+    (a, b, D v), which the depth-first walk keeps for the prefix it extends.
+    """
+    i = len(prefix)
+    if i:
+        ap, bp, dv = carry[i - 1]
+        v = ((ap * prefix[-1] + bp) ** 2 + dv) // ap
+    else:
+        v = 0
+    a, d, row = levels[i]
+    delta = d * (a * key - v)
+    if delta < 0:
+        return None
+    b = sum(map(mul, row, prefix))
+    carry[i] = a, b, d * v
+    s = isqrt(delta)
+    return -((s + b) // a), (s - b) // a
+
+
 # the most nodes one walk may visit above its last level, whose points are
 # counted in closed form: on a shared 2-core machine, about 3 s of polytope walk
-# (3 us a node) or 33 s of ellipsoid walk (33 us a node); the largest walks of
-# the tests and the benchmark visit under 6000
+# (2-5 us a node) or 1.5 s of ellipsoid walk (1.2-1.3 us a node); the largest
+# walks of the tests and the benchmark visit under 6000
 _WALK_MAX_NODES = 10**6
 
 
@@ -194,19 +222,20 @@ def _spend(budget: list, lo: int, hi: int) -> None:
         raise DimensionGuardError(f"the walk would visit more than {_WALK_MAX_NODES} nodes")
 
 
-def _walk(levels: list, rows: list, prefix: list, out: Optional[list], half: bool, budget: list) -> int:
-    """Number of integer points of the region extending `prefix`, appended to `out` unless None.
+def _walk(interval, m: int, prefix: list, out: Optional[list], half: bool, budget: list) -> int:
+    """Number of integer points of an m-dimensional region extending `prefix`, appended to `out`.
 
-    With `half`, the prefix is all zeros and only the points whose first
-    nonzero coordinate is positive are walked: the level starts at 0, and at 1
-    when it is the last.  The nodes of every level above the last are charged
-    to `budget`.
+    interval(prefix) is the integer [lo, hi] of the next coordinate, or None
+    when no point extends `prefix`. `out` may be None. With `half`, the prefix
+    is all zeros and only the points whose first nonzero coordinate is
+    positive are walked: the level starts at 0, and at 1 when it is the last.
+    The nodes of every level above the last are charged to `budget`.
     """
-    bounds = _interval(levels[len(prefix)], rows, prefix)
+    bounds = interval(prefix)
     if bounds is None:
         return 0
     lo, hi = bounds
-    last = len(prefix) + 1 == len(levels)
+    last = len(prefix) + 1 == m
     if half:
         lo = max(lo, 1 if last else 0)
     if last:
@@ -217,7 +246,7 @@ def _walk(levels: list, rows: list, prefix: list, out: Optional[list], half: boo
     n = 0
     for z in range(lo, hi + 1):
         prefix.append(z)
-        n += _walk(levels, rows, prefix, out, half and not z, budget)
+        n += _walk(interval, m, prefix, out, half and not z, budget)
         prefix.pop()
     return n
 
@@ -266,70 +295,35 @@ def _polytope_walk(rows: list, out: Optional[list], half: bool = False) -> int:
         return 1
     ints = list(ints)
     levels = _prefix_projections(ints, m)
-    return 0 if levels is None else _walk(levels, ints, [], out, half, [_WALK_MAX_NODES])
+    return 0 if levels is None else _walk(partial(_interval, levels, ints), m, [], out, half,
+                                          [_WALK_MAX_NODES])
 
 
-def _floor_center_plus_sqrt(c: Fraction, q: Fraction) -> int:
-    # largest integer z with z <= c + sqrt(q), exact
-    if q < 0:
-        raise ValueError("negative radicand")
-    root = Fraction(isqrt(q.numerator * q.denominator), q.denominator)
-    z = floor(c + root)
-    while _le_center_plus_sqrt(z + 1, c, q):
-        z += 1
-    while not _le_center_plus_sqrt(z, c, q):
-        z -= 1
-    return z
+def _quadratic_walk(q: list, key: int, out: Optional[list], half: bool = False) -> int:
+    """Number of integer c with c^T q c <= key, for q symmetric positive definite over the integers.
 
-
-def _le_center_plus_sqrt(z: int, c: Fraction, q: Fraction) -> bool:
-    d = z - c
-    return d <= 0 or d * d <= q
-
-
-def _quadratic_walk(q: QMat, bound: Fraction, out: Optional[list], half: bool = False) -> int:
-    """Number of integer c with c^T Q c <= bound (>= 0), appended to `out` unless it is None.
-
-    The walk fixes c_{m-1} first. With `half` it walks only the points whose
-    last nonzero coordinate is positive: one of each pair +-c, and not the origin.
+    This is the walk of quadratic_integer_points; unless `out` is None it also
+    appends the points to `out`, in lexicographic order, and `half` walks the
+    same canonical half as _polytope_walk. ValueError unless q is positive definite.
     """
-    # Q = L D L^T, so c^T Q c = sum_i d_i (c_i + sum_{j>i} L_ji c_j)^2
-    low, d = q.ldl()
-    return _quadratic_level([low.col(i) for i in range(q.rows)], d, [], bound, out, half,
-                            [_WALK_MAX_NODES])
-
-
-def _quadratic_level(u: list, d: tuple, suffix: list, rem: Fraction, out: Optional[list],
-                     half: bool, budget: list) -> int:
-    # suffix holds coordinates i+1..m-1; rem = bound - sum of settled terms;
-    # half: the suffix is all zeros, so c_i starts at 0, or at 1 when it is c_0
-    m = len(d)
-    i = m - 1 - len(suffix)
-    center = -sum(u[i][j] * suffix[j - i - 1] for j in range(i + 1, m))
-    radic = rem / d[i]
-    hi = _floor_center_plus_sqrt(center, radic)
-    lo = -_floor_center_plus_sqrt(-center, radic)
-    if half:
-        lo = max(lo, 1 if i == 0 else 0)
-    if i == 0:
-        if out is not None:
-            out.extend((z, *suffix) for z in range(lo, hi + 1))
-        return max(0, hi - lo + 1)
-    _spend(budget, lo, hi)
-    # the bounds are exact, so every z in them leaves rem - d_i (z - center)^2 >= 0
-    return sum(_quadratic_level(u, d, [z] + suffix, rem - d[i] * (z - center) ** 2, out,
-                                half and not z, budget)
-               for z in range(lo, hi + 1))
+    # eliminated from c_{m-1} down, the pivot row of c_i is [a, *reversed(r)]: row i
+    # of D S_i from column i down, where S_i minimizes c^T q c over c_{i+1}.. and
+    # D = det q[i+1:, i+1:] is the next pivot (Fincke & Pohst 1985)
+    rows = _definite_pivots([r[::-1] for r in reversed(q)])[::-1]
+    m = len(rows)
+    levels = [(row[0], nxt[0], row[:0:-1]) for row, nxt in zip(rows, rows[1:] + [[1]])]
+    return _walk(partial(_quadratic_interval, levels, key, [None] * m), m, [], out, half,
+                 [_WALK_MAX_NODES])
 
 
 def quadratic_integer_points(q: QMat, bound: Fraction) -> list:
-    """All integer c with c^T Q c <= bound, sorted lexicographically."""
-    bound = rat(bound)
-    if bound < 0:
-        return []
+    """All integer c with c^T Q c <= bound, in lexicographic order, for Q positive definite."""
+    if q != q.transpose():
+        raise ValueError("Q must be square and symmetric")
+    qint, qden = _integer_matrix(q.to_rows())
     out = []
-    _quadratic_walk(q, bound, out)
-    return sorted(out)
+    _quadratic_walk(qint, floor(rat(bound) * qden), out)
+    return out
 
 
 # -- charts ---------------------------------------------------------------------
@@ -342,7 +336,7 @@ class _Chart:
     denominator once. A polytope chart holds its constraints as primitive
     integer rows (rows[j] . c <= rhs[j]), the products of the body's primitive
     integer H-representation with the lattice's integer rows. An ellipsoid
-    chart holds its form q and, for gauges, q scaled to integers as qint / qden.
+    chart holds its form scaled to integers as qint / qden.
 
     Gauges are ranked by integer keys, and a value is built only from a key.
     When the origin is interior, a polytope chart also holds its rows scaled
@@ -367,7 +361,6 @@ class _Chart:
             den = lat._den**2 * qd
             g = gcd(den, *(x for r in form for x in r))
             self.qint, self.qden = [[x // g for x in r] for r in form], den // g
-            self.q = QMat(self.m, self.m, [Fraction(x, self.qden) for r in self.qint for x in r])
             return
         self.kind = "hpoly"
         rows = []
@@ -424,9 +417,7 @@ class _Chart:
         """
         out = []
         if self.kind == "quad":
-            _quadratic_walk(self.q, Fraction(key, self.qden), out, half)
-            if half:  # the ellipsoid walk's half has its last nonzero coefficient positive
-                out = [c if next(filter(None, c)) > 0 else tuple(-x for x in c) for c in out]
+            _quadratic_walk(self.qint, key, out, half)
         else:
             _polytope_walk([_coprime(g, key) for g in self.keyrows], out, half)
         return out
@@ -448,7 +439,7 @@ class _Chart:
             return 0
         shift = 1 if interior else 0
         if self.kind == "quad":
-            return _quadratic_walk(self.q, Fraction(self.qden - shift, self.qden), None)
+            return _quadratic_walk(self.qint, self.qden - shift, None)
         return _polytope_walk([_coprime(a, w - shift) for a, w in zip(self.rows, self.rhs)], None)
 
 

@@ -117,7 +117,8 @@ def listed_count(k, lat, interior=False):
     if chart.span_empty:
         return 0
     if chart.kind == "quad":
-        pts = quadratic_integer_points(chart.q, F(1))
+        q = QMat(chart.m, chart.m, [F(x, chart.qden) for r in chart.qint for x in r])
+        pts = quadratic_integer_points(q, F(1))
     else:
         pts = polytope_integer_points(chart.rows, chart.rhs)
     if not interior:
@@ -125,7 +126,7 @@ def listed_count(k, lat, interior=False):
     if chart.span_boundary:
         return 0
     if chart.kind == "quad":
-        return sum(1 for c in pts if dot(c, chart.q.mul_vec(c)) < 1)
+        return sum(1 for c in pts if dot(c, q.mul_vec(c)) < 1)
     return sum(1 for c in pts if all(dot(row, c) < bj for row, bj in zip(chart.rows, chart.rhs)))
 
 

@@ -328,7 +328,25 @@ def test_quadratic_integer_points_circle():
     pts = quadratic_integer_points(q, F(2))
     assert len(pts) == 9
     pts = quadratic_integer_points(q, F(1))
-    assert len(pts) == 5
+    assert pts == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+    assert quadratic_integer_points(q, F(-1)) == []
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [0, 1, 0]],  # not square
+    [[1, 2], [3, 4]],  # not symmetric
+    [[1, 0], [0, -1]],  # indefinite
+    [[1, 2], [2, 1]],  # indefinite, with a positive diagonal
+    [[1, 1], [1, 1]],  # semidefinite
+    [[0, 0], [0, 1]],  # semidefinite, with a zero diagonal entry
+    [[1, 1], [1, 0]],  # indefinite, with a zero pivot that a row exchange would pass
+    [[F(1, 2), F(1, 3)], [F(1, 3), F(2, 9)]],  # semidefinite over a denominator
+], ids=["nonsquare", "asymmetric", "indefinite", "indefinite-diagonal", "semidefinite",
+        "zero-diagonal", "swap", "semidefinite-rational"])
+@pytest.mark.parametrize("bound", [F(-1), F(0), F(3, 2)])
+def test_quadratic_integer_points_rejects_forms_that_are_not_positive_definite(rows, bound):
+    with pytest.raises(ValueError):
+        quadratic_integer_points(QMat.from_rows(rows), bound)
 
 
 def test_walks_leave_no_reference_cycle():
@@ -387,7 +405,8 @@ def walk_region(kind, data, out, half):
     if kind == "poly":
         return minima._polytope_walk(data, out, half)
     q, bound = data
-    return minima._quadratic_walk(q, bound, out, half)
+    qint, qden = _integer_matrix(q.to_rows())
+    return minima._quadratic_walk(qint, floor(bound * qden), out, half)
 
 
 @given(symmetric_regions(), st.sampled_from([minima._PROJECTION_MAX_ROWS, 0, 2, 8]))
@@ -403,12 +422,127 @@ def test_half_walk_is_one_of_each_pair_and_no_origin(region, budget):
     mirrored = [tuple(-x for x in c) for c in half]
     assert sorted(half + mirrored + [(0,) * m]) == sorted(full)
     assert count == len(half) == (len(full) - 1) // 2
-    # the polytope walk fixes c_0 first and keeps its order; the ellipsoid walk fixes c_{m-1} first
-    if kind == "poly":
-        assert half == sorted(half)
-        assert all(next(filter(None, c)) > 0 for c in half)
+    # both walks fix c_0 first, so both lists are in lexicographic order
+    assert full == sorted(full)
+    assert half == sorted(half)
+    assert all(next(filter(None, c)) > 0 for c in half)
+
+
+# -- the Fraction Fincke-Pohst walk that the integer walk replaced ------------------
+
+
+def ref_floor_center_plus_sqrt(c, q):
+    """Largest integer z with z <= c + sqrt(q), exact."""
+    if q < 0:
+        raise ValueError("negative radicand")
+    root = F(isqrt(q.numerator * q.denominator), q.denominator)
+    z = floor(c + root)
+    while ref_le_center_plus_sqrt(z + 1, c, q):
+        z += 1
+    while not ref_le_center_plus_sqrt(z, c, q):
+        z -= 1
+    return z
+
+
+def ref_le_center_plus_sqrt(z, c, q):
+    d = z - c
+    return d <= 0 or d * d <= q
+
+
+def ref_quadratic_walk(q, bound, out, half=False):
+    """Number of integer c with c^T Q c <= bound (>= 0), appended to `out` unless it is None.
+
+    Q = L D L^T over Fractions, so c^T Q c = sum_i d_i (c_i + sum_{j>i} L_ji c_j)^2,
+    and the walk fixes c_{m-1} first. With `half` it walks only the points whose
+    last nonzero coordinate is positive: one of each pair +-c, and not the origin.
+    """
+    low, d = q.ldl()
+    return ref_quadratic_level([low.col(i) for i in range(q.rows)], d, [], bound, out, half)
+
+
+def ref_quadratic_level(u, d, suffix, rem, out, half):
+    # suffix holds coordinates i+1..m-1; rem = bound - sum of settled terms;
+    # half: the suffix is all zeros, so c_i starts at 0, or at 1 when it is c_0
+    m = len(d)
+    i = m - 1 - len(suffix)
+    center = -sum(u[i][j] * suffix[j - i - 1] for j in range(i + 1, m))
+    radic = rem / d[i]
+    hi = ref_floor_center_plus_sqrt(center, radic)
+    lo = -ref_floor_center_plus_sqrt(-center, radic)
+    if half:
+        lo = max(lo, 1 if i == 0 else 0)
+    if i == 0:
+        if out is not None:
+            out.extend((z, *suffix) for z in range(lo, hi + 1))
+        return max(0, hi - lo + 1)
+    return sum(ref_quadratic_level(u, d, [z] + suffix, rem - d[i] * (z - center) ** 2, out,
+                                   half and not z)
+               for z in range(lo, hi + 1))
+
+
+def chart_form(chart):
+    """An ellipsoid chart's form as a rational matrix, qint / qden."""
+    return QMat(chart.m, chart.m, [F(x, chart.qden) for r in chart.qint for x in r])
+
+
+def form_value(qint, c):
+    return sum(ci * sum(map(mul, r, c)) for ci, r in zip(c, qint))
+
+
+@st.composite
+def quadratic_walk_cases(draw):
+    """(qint, key, p): a positive definite integer form, a key for c^T qint c <= key, a point p.
+
+    The form is either a Gram form G times a scale up to 10^12, with up to
+    one more scale added to each diagonal entry, so its entries and minors are
+    large while the body keeps G's shape; or the integer form of an ellipsoid
+    chart on the reduced basis of a sheared lattice, full-rank or embedded,
+    with a denominator. The key is 0, the value of a small integer point p
+    (which puts p on the boundary), or that value with an offset. For a chart,
+    p is its shortest basis vector, which keeps the walk small.
+    """
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 4))
+        scale = draw(st.sampled_from([1, 7, 10**6, 10**12]))
+        qint = [[scale * x for x in r] for r in _integer_matrix(draw(gram_forms(m)).to_rows())[0]]
+        for i in range(m):
+            qint[i][i] += draw(st.integers(0, scale))
+        p = tuple(draw(st.lists(st.integers(-1, 1), min_size=m, max_size=m)))
     else:
-        assert all(next(filter(None, reversed(c))) > 0 for c in half)
+        n = draw(st.integers(2, 4))
+        t = draw(st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6))
+        k = ellipsoid([[t * x for x in r] for r in draw(gram_forms(n)).to_rows()])
+        b, u = draw(lattices_and_unimodular(n))
+        s = draw(st.sampled_from([F(1), F(1, 2), F(2, 3)]))
+        lat = make_lattice([[s * x for x in r] for r in (u @ b).to_rows()[:draw(st.integers(1, n))]])
+        qint = minima._Chart(k, lll_reduce(lat)).qint
+        m = len(qint)
+        i = min(range(m), key=lambda j: qint[j][j])
+        p = tuple(int(j == i) for j in range(m))
+    value = form_value(qint, p)
+    key = draw(st.sampled_from([0, value, value + 1, max(0, value - 1), 2 * value]))
+    return qint, key, p
+
+
+@given(quadratic_walk_cases())
+@settings(max_examples=200, deadline=None)
+def test_quadratic_walk_matches_the_fraction_walk(case):
+    qint, key, p = case
+    q, bound = QMat.from_rows(qint), F(key)
+    ref_full, ref_half = [], []
+    assert ref_quadratic_walk(q, bound, ref_full) == len(ref_full)
+    assert ref_quadratic_walk(q, bound, ref_half, True) == len(ref_half)
+    full, half = [], []
+    assert minima._quadratic_walk(qint, key, full) == len(full)
+    assert minima._quadratic_walk(qint, key, half, True) == len(half)
+    assert full == sorted(ref_full)
+    assert half == sorted(c if ref_canonical_sign(c) else tuple(-x for x in c) for c in ref_half)
+    assert minima._quadratic_walk(qint, key, None) == len(full)
+    assert minima._quadratic_walk(qint, key, None, True) == len(half) == (len(full) - 1) // 2
+    assert quadratic_integer_points(q, bound) == full
+    # every point lies within, and p is walked exactly when it does, on the boundary too
+    assert all(form_value(qint, c) <= key for c in full)
+    assert (p in full) == (form_value(qint, p) <= key)
 
 
 # -- successive minima -------------------------------------------------------------
@@ -595,7 +729,7 @@ def test_ellipsoid_chart_form_matches_the_fraction_product(data):
     lat = make_lattice([[s * x for x in r] for r in (u @ b).to_rows()[:m]])
     chart = minima._Chart(k, lat)
     ref = (lat.basis @ k.data) @ lat.basis.transpose()
-    assert chart.q == ref
+    assert chart_form(chart) == ref
     assert (chart.qint, chart.qden) == _integer_matrix(ref.to_rows())
 
 
@@ -691,7 +825,7 @@ def ref_points_within(chart, radius):
     """(coefficient, gauge) pairs for every lattice point with gauge <= radius."""
     if chart.kind == "quad":
         bound = radius.square if isinstance(radius, QuadVal) else rat(radius) ** 2
-        pts = quadratic_integer_points(chart.q, bound)
+        pts = quadratic_integer_points(chart_form(chart), bound)
     else:
         # gauge <= p/q is q (a . c) <= p w on every row
         r = rat(radius)
