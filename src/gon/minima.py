@@ -27,6 +27,12 @@ ellipsoid's form scaled to integers, and build a gauge value only for a
 minimum they return. Gauges stay rational for polytopes and are square-root
 values for ellipsoids; both are compared in integer arithmetic and nothing is
 rounded anywhere.
+
+The constant scan, which needs only the values, reads the keys of a symmetric
+chart of rank 1 or 2 off a reduced basis and walks no point: in rank 2 the
+generalized Gauss reduction on the chart's keys ends at the two minima of any
+norm (Kaib & Schnorr 1996). Witnesses that follow the (key, lexicographic
+coefficient) tie-break, and every larger rank, still come from the walk.
 """
 
 from __future__ import annotations
@@ -497,6 +503,40 @@ def _minima_core(chart: _Chart, count: int, half: bool) -> tuple:
             if len(picked) == count:
                 return keys, coeffs
     raise RuntimeError("enumeration cap failed to reach enough independent points")
+
+
+def _reduced_keys(chart: _Chart) -> list:
+    """The integer keys of both minima of a symmetric chart of rank 2, or of its one minimum.
+
+    No point is walked. In rank 2 the basis (b1, b2) starts at the unit
+    vectors and is reduced on the chart's keys until k1 <= k2 <= key(b2 - mu b1)
+    for every integer mu; then k1 and k2 are the keys of the two minima, for
+    any norm (Kaib & Schnorr, "The generalized Gauss reduction algorithm",
+    J. Algorithms 21, 1996). key(b2 - mu b1) is a maximum of linear functions
+    of mu, or a convex quadratic, so the descent from mu = 0 stops at its
+    least value; on an LLL-reduced chart it takes few steps.
+    """
+    key = chart.key
+    if chart.m == 1:
+        return [key((1,))]
+    b1, b2 = (1, 0), (0, 1)
+    k1, k2 = key(b1), key(b2)
+    while True:
+        if k2 < k1:  # each swap lowers k1, a positive integer, so the loop ends
+            b1, b2, k1, k2 = b2, b1, k2, k1
+        # mu walks up from 0 while the key falls, or else down
+        for step in (1, -1):
+            moved = False
+            while True:
+                c = (b2[0] - step * b1[0], b2[1] - step * b1[1])
+                kc = key(c)
+                if kc >= k2:
+                    break
+                b2, k2, moved = c, kc, True
+            if moved:
+                break
+        if k2 >= k1:
+            return [k1, k2]
 
 
 def successive_minima(

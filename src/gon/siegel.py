@@ -36,8 +36,8 @@ from .exactmath import (
 from .lattice import (Lattice, _gram_det, _integer_rows, _kernel_lattice, kernel_lattice,
                       lll_reduce, make_lattice, minors_gcd)
 from .body import HPOLY, Body, _hexagon_coefficients, cube, generalized_hexagon
-from .minima import (MinimaResult, _minima_core, _require_gauge_body, first_minimum,
-                     successive_minima)
+from .minima import (MinimaResult, _minima_core, _reduced_keys, _require_gauge_body,
+                     first_minimum, successive_minima)
 
 __all__ = [
     "SiegelSolution",
@@ -335,14 +335,19 @@ def _scan_minima(vectors: list) -> list:
     """Successive minima of the unit cube on the kernel lattice of each row, one cube for all.
 
     The cube's chart keys a point by its sup-norm times the chart's lcm, so
-    each minimum is read off its key by exact division.
+    each minimum is read off its key by exact division. A kernel of rank 1 or
+    2 (n = 2 or 3) reads its keys off the reduced basis, with no walk; a
+    larger one walks its candidates in _minima_core.
     """
     k = cube(len(vectors[0]))
     out = []
     for a in vectors:
         red = lll_reduce(_kernel_lattice([a]))
         chart = _require_gauge_body(k, red, False)
-        keys, _ = _minima_core(chart, red.rank, True)
+        if red.rank <= 2:
+            keys = _reduced_keys(chart)
+        else:
+            keys, _ = _minima_core(chart, red.rank, True)
         if any(key % chart.lcm for key in keys):
             raise RuntimeError("a kernel minimum of the cube is not an integer")
         out.append(tuple(key // chart.lcm for key in keys))

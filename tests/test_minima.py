@@ -650,11 +650,16 @@ def test_unimodular_invariance(u01, u10, d1, d2):
 
 
 @st.composite
-def symmetric_bodies(draw):
-    """A box, cross-polytope or symmetric H-polytope (a box cut by slabs) in dimension 2-4."""
-    n = draw(st.integers(2, 4))
-    kind = draw(st.sampled_from(["box", "cross", "hpoly"]))
+def symmetric_bodies(draw, n=None, kinds=("box", "cross", "hpoly")):
+    """A box, cross-polytope or symmetric H-polytope (a box cut by slabs) in dimension 2-4,
+    or dimension n; "ellipsoid" among `kinds` adds ellipsoids of forms drawn by gram_forms."""
+    if n is None:
+        n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(kinds))
     half = st.fractions(min_value=F(1, 3), max_value=3)
+    if kind == "ellipsoid":
+        t = draw(half)
+        return ellipsoid([[t * x for x in r] for r in draw(gram_forms(n)).to_rows()])
     if kind == "box":
         return box(sorted(draw(st.lists(half, min_size=n, max_size=n)), reverse=True))
     if kind == "cross":
@@ -1076,6 +1081,38 @@ def test_minima_core_returns_keys_and_coefficients():
     assert [F(key, chart.lcm) for key in keys] == list(res.values) == [2, 2]
     assert [red.point(c) for c in coeffs] == list(res.witnesses)
     assert all(next(filter(None, c)) > 0 for c in coeffs)
+
+
+@st.composite
+def rank_two_charts(draw):
+    """A chart of rank 1 or 2: a symmetric box, cross-polytope, H-polytope or ellipsoid on
+    the kernel lattice of a 1x2, 1x3 or 2x4 integer matrix (entries up to 10^3 in size,
+    mixed signs and zeros), LLL-reduced, or on a rational rank-2 lattice in dimension 2 or
+    3 whose second row is sheared by up to 20 times the first, reduced or not."""
+    if draw(st.booleans()):
+        m, n = draw(st.sampled_from([(1, 2), (1, 3), (2, 4)]))
+        entry = st.integers(-3, 3) | st.integers(-1000, 1000)
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)
+                    .filter(lambda r: QMat.from_rows(r).rank() == m))
+        lat = lll_reduce(kernel_lattice(rows))
+    else:
+        n = draw(st.integers(2, 3))
+        entry = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+        b1, b2 = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=2, max_size=2)
+                      .filter(lambda r: QMat.from_rows(r).rank() == 2))
+        s = draw(st.integers(-20, 20))
+        lat = make_lattice([b1, [y + s * x for x, y in zip(b1, b2)]])
+        if draw(st.booleans()):
+            lat = lll_reduce(lat)
+    k = draw(symmetric_bodies(n, ("box", "cross", "hpoly", "ellipsoid")))
+    return minima._require_gauge_body(k, lat, False)
+
+
+@given(rank_two_charts())
+@settings(max_examples=200, deadline=None)
+def test_reduced_keys_match_the_walk(chart):
+    # Gauss reduction on the keys finds the minima that the walk ranks
+    assert minima._reduced_keys(chart) == minima._minima_core(chart, chart.m, True)[0]
 
 
 # -- width and covering bracket --------------------------------------------------

@@ -518,3 +518,29 @@ def test_scan_minima_refuse_a_fractional_key(monkeypatch):
     monkeypatch.setattr(siegel, "cube", lambda n: cube(n, 2))
     with pytest.raises(RuntimeError, match="not an integer"):
         _scan_minima([(1, 2, 3)])
+
+
+def test_scan_minima_of_rank_one_are_the_closed_form():
+    # the kernel of (a1, a2) is spanned by (a2, -a1) / g, whose sup-norm is a2 / g
+    for r in scan_constants(2, 200, dedupe=False).records:
+        a1, a2 = r.a
+        assert r.minima == (a2 // math.gcd(a1, a2),)
+
+
+def test_scan_minima_of_rank_two_match_brute_force_past_the_sweep():
+    # a fixed sample of n = 3 rows of height 13-60, where no sweep test reaches
+    rows = [a for a in sweep_rows(3, 60, True) if a[-1] >= 13]
+    sample = random.Random(3).sample(rows, 30)
+    for a, lams in zip(sample, _scan_minima(sample)):
+        assert list(lams) == brute_kernel_minima([list(a)], max(lams) + 1)
+
+
+def test_scan_minima_refuse_a_fractional_key_on_every_route(monkeypatch):
+    # with the cube of half-side 2 the minima are sup-norms over 2: the kernel of (1, 2)
+    # has minimum 2 / 2 = 1, and those of (1, 3), (1, 2, 3) and (1, 2, 3, 4), of rank 1,
+    # 2 and 3, reach 3 / 2, 1 / 2 and 1 / 2 off the integers
+    monkeypatch.setattr(siegel, "cube", lambda n: cube(n, 2))
+    assert _scan_minima([(1, 2)]) == [(1,)]
+    for a in [(1, 3), (1, 2, 3), (1, 2, 3, 4)]:
+        with pytest.raises(RuntimeError, match="not an integer"):
+            _scan_minima([a])
