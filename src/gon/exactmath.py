@@ -14,11 +14,12 @@ one are the vertices.  ``vertex_enum``, ``extreme_points`` and
 by one LP above dimension 6, where a hull can have exponentially many facets.
 ``lp_exact`` is an exact two-phase simplex.
 
-Linear algebra has one elimination: fraction-free Gaussian elimination of
-integer rows (Bareiss 1968), with a fraction-free back-substitution for
-solutions.  ``QMat`` scales its rows to integers over one denominator, runs
-it, and builds ``Fraction``s only for its results: determinant, rank,
-solutions, inverse and LDL^T.
+Linear algebra runs one elimination per question.  Fraction-free Gaussian
+elimination of integer rows (Bareiss 1968) gives every determinant, rank,
+pivot column (``_pivots``), solution, inverse and LDL^T; ``QMat`` scales its
+rows to integers over one denominator and builds ``Fraction``s only for its
+results.  Integer Hermite reduction (``_hnf``) runs only where a Hermite form
+or a unimodular transform is the result: in ``hnf`` and in ``lattice``.
 
 Volumes, centroids and surface areas come from one triangulation that needs
 only the vertex-facet incidences: which vertices lie on which facet.  A hull
@@ -544,7 +545,7 @@ class QMat:
         return Fraction(_int_det(a), den**self.rows)
 
     def rank(self) -> int:
-        return sum(row is not None for row, _ in _bareiss(_integer_matrix(self.to_rows())[0]))
+        return len(_pivots(_integer_matrix(self.to_rows())[0]))
 
     def solve(self, rhs: Sequence) -> tuple[Fraction, ...] | None:
         """One exact solution of self @ x = rhs, or None if inconsistent.
@@ -624,6 +625,11 @@ def _bareiss(rows):
         piv, *top = row
         a = [[(piv * x - r[0] * y) // prev for x, y in zip(r[1:], top)] for r in a[1:]]
         prev = piv
+
+
+def _pivots(rows) -> list[int]:
+    """The pivot columns of :func:`_bareiss` on integer rows: each column where the rank grows."""
+    return [c for c, (row, _) in enumerate(_bareiss(rows)) if row is not None]
 
 
 def _definite_pivots(rows) -> list:
@@ -870,21 +876,12 @@ def lp_exact(A, b, c, sense: str = "max") -> LPResult:
         assert status == "optimal"
         if zval != 0:
             return LPResult("infeasible", None, None)
-        # pivot remaining artificials out of the basis, or drop their rows
-        drop = []
+        # pivot remaining artificials out; the slack block keeps every row nonzero outside them
         for i in range(m):
             if basis[i] >= nbase:
-                col = next((j for j in range(nbase) if T[i][j] != 0), -1)
-                if col < 0:
-                    drop.append(i)
-                    continue
+                col = next(j for j in range(nbase) if T[i][j] != 0)
                 _pivot(T, rhs, i, col)
                 basis[i] = col
-        if drop:
-            T = [row for i, row in enumerate(T) if i not in drop]
-            rhs = [x for i, x in enumerate(rhs) if i not in drop]
-            basis = [x for i, x in enumerate(basis) if i not in drop]
-            m = len(T)
         T = [row[:nbase] for row in T]
         ncols = nbase
 
@@ -949,7 +946,7 @@ def _cone_rays(rows) -> list[tuple[tuple[int, ...], int]]:
     g = [_primitive(row) for row in rows]
     d = len(g[0])
     # the pivot columns of the matrix with the rows as columns pick the first independent rows
-    basis = _hnf([[r[j] for r in g] for j in range(d)], len(g))
+    basis = _pivots([[r[j] for r in g] for j in range(d)])
     if len(basis) < d:
         raise RankDeficientError("the rows do not span their space")
     full = sum(1 << i for i in basis)
@@ -1241,11 +1238,11 @@ def extreme_points(points):
 
 
 def _affine_pivots(pts) -> list[int]:
-    """Pivot columns of the differences p - pts[0], at least two points; an integer HNF finds them."""
+    """Pivot columns of the differences p - pts[0], at least two points."""
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise ValueError("ragged rows")
-    return _hnf(_integer_matrix([vsub(p, pts[0]) for p in pts[1:]])[0], n)
+    return _pivots(_integer_matrix([vsub(p, pts[0]) for p in pts[1:]])[0])
 
 
 def affine_rank(points) -> int:
@@ -1329,8 +1326,6 @@ def volume_centroid(points):
         raise ValueError("zero-dimensional ambient space")
     if any(len(p) != n for p in pts):
         raise ValueError("ragged rows")
-    if n > _VERTEX_ENUM_MAX_DIM and affine_rank(pts) < n:
-        raise RankDeficientError("hull is not full-dimensional")
     try:
         hull = _vertex_hull(*_integer_matrix(pts))[1]
     except RankDeficientError:

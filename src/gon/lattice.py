@@ -27,6 +27,7 @@ from .exactmath import (
     _hnf,
     _int_det,
     _integer_matrix,
+    _pivots,
     _solve_rows,
 )
 
@@ -41,7 +42,7 @@ class Lattice:
     def __init__(self, basis: QMat):
         rows, den = _integer_matrix(basis.to_rows())
         vars(self).update(_rows=tuple(map(tuple, rows)), _den=den, basis=basis)
-        if len(_hnf(rows, basis.cols)) < basis.rows:
+        if len(_pivots(rows)) < basis.rows:
             raise RankDeficientError("basis rows are dependent")
 
     @classmethod
@@ -234,26 +235,29 @@ def minors_gcd(a_rows) -> int:
 
 
 def kernel_lattice(a_rows) -> Lattice:
-    """The saturated lattice {x in Z^n : A x = 0} for an integer matrix A.
+    """The saturated lattice {x in Z^n : A x = 0} for an integer matrix A, in Hermite normal form.
 
     Requires full row rank and m < n so the kernel is a nontrivial
-    primitive sublattice.  The Hermite normal form of [A^T | I] is [H | U]
-    with U A^T = H; the rows of U beside the zero rows of H span the kernel.
+    primitive sublattice.  The basis is the Hermite form of
+    :func:`_kernel_lattice`'s, which the lattice alone determines.
     """
     a = _integer_rows(a_rows, "kernel lattice")
     if len(a) >= len(a[0]):
         raise ValueError("kernel lattice needs fewer rows than columns")
-    return _kernel_lattice(a)
+    return _kernel_lattice(a).hermite_basis()
 
 
 def _kernel_lattice(a) -> Lattice:
-    """kernel_lattice of rows already known to be ints and fewer than their columns."""
+    """A basis of kernel_lattice(a), in no normal form, for int rows fewer than their columns.
+
+    Hermite reduction of [A^T | I] over A^T's m columns only gives [H | U], U A^T = H
+    with U unimodular; the rows of U below H's m pivot rows span the kernel.
+    """
     m, n = len(a), len(a[0])
     aug = [[r[j] for r in a] + [int(i == j) for i in range(n)] for j in range(n)]
-    pivots = _hnf(aug, m + n)
-    if sum(c < m for c in pivots) < m:
+    if len(_hnf(aug, m)) < m:
         raise RankDeficientError("matrix does not have full row rank")
-    return Lattice._of_rows([r[m:] for r in aug if not any(r[:m])])
+    return Lattice._of_rows([r[m:] for r in aug[m:]])
 
 
 # ---------------------------------------------------------------------------

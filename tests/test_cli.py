@@ -229,6 +229,23 @@ def test_pretty_goes_to_stderr(files, capsys):
     assert doc["command"] == "minima"
 
 
+@pytest.mark.parametrize("argv, head", [
+    (["verify", "--body", "cube2", "--lattice", "z2"], "check kind status margin note"),
+    (["corpus", "--instances", "2"], "fixed instance holds equality skipped violated"),
+    (["scan", "--n", "2", "--max", "8"], "n: 2"),
+    (["siegel", "--matrix", "mat"], "i x_i sup norm"),
+    (["count", "--body", "cube2", "--lattice", "z2"], "n: 2"),  # the generic key listing
+])
+def test_pretty_keeps_stdout_and_heads_its_table(files, capsys, argv, head):
+    argv = [files.get(a, a) for a in argv]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--pretty"]) == 0
+    pretty = capsys.readouterr()
+    assert pretty.out == plain.out and plain.err == ""
+    assert " ".join(pretty.err.splitlines()[0].split()) == head
+
+
 # -- errors ----------------------------------------------------------------
 
 

@@ -463,6 +463,39 @@ def test_bareiss_det_and_rank_match_the_fraction_reference(rows):
     assert m.rank() == ref_rank(rows)
 
 
+def hnf_pivots(rows):
+    """Reference: the pivot columns of the integer Hermite form, the former reading of ranks."""
+    a = [list(r) for r in rows]
+    return em._hnf(a, len(a[0]))
+
+
+@st.composite
+def integer_shapes(draw):
+    """Integer r x c matrices, tall, wide or square up to 8 x 8, with mixed signs and small or
+    large entries; some with zero columns, some with a row made a combination of two others."""
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.integers(-3, 3) | st.integers(-10**6, 10**6)
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=c)):
+        for row in rows:
+            row[j] = 0
+    if r >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(r)))[:3]
+        s, t = draw(small_int), draw(small_int)
+        rows[i] = [s * x + t * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@given(integer_shapes())
+@settings(max_examples=300)
+def test_pivots_match_the_hermite_pivots(rows):
+    # the pivot columns of an echelon form depend on the row space alone
+    before = [list(r) for r in rows]
+    assert em._pivots(rows) == hnf_pivots(rows)
+    assert rows == before
+    assert QMat.from_rows(rows).rank() == len(hnf_pivots(rows))
+
+
 @given(rational_matrices(), st.data())
 @settings(max_examples=300)
 def test_bareiss_solve_matches_the_fraction_reference(rows, data):
@@ -920,6 +953,14 @@ def test_volume_translation_invariance():
 def test_volume_rejects_flat_hull():
     with pytest.raises(RankDeficientError):
         volume_centroid([(0, 0), (1, 1), (2, 2)])
+
+
+def test_volume_rejects_a_flat_hull_above_the_vertex_guard():
+    # a 6-cube in a hyperplane of R^7: the starting rows of the double description are
+    # already dependent, so no double description runs
+    pts = [(*p, sum(p)) for p in product([0, 1], repeat=6)]
+    with pytest.raises(RankDeficientError, match="^hull is not full-dimensional$"):
+        volume_centroid(pts)
 
 
 def test_volume_ignores_interior_points():

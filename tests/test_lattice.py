@@ -5,10 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gon.exactmath import QMat, QuadVal, RankDeficientError, dot, hnf, quad_or_rat, rat, vec
+from gon.exactmath import (QMat, QuadVal, RankDeficientError, dot, hnf, quad_or_rat, rat, vec,
+                           _hnf)
 from gon.lattice import (
     Lattice,
     _gram_det,
+    _integer_rows,
+    _kernel_lattice,
     kernel_lattice,
     lll_reduce,
     make_lattice,
@@ -452,6 +455,42 @@ def _outcome(f, *args):
 @settings(max_examples=200, deadline=None)
 def test_kernel_lattice_matches_reference(rows):
     assert _outcome(kernel_lattice, rows) == _outcome(ref_kernel_lattice, rows)
+
+
+def augmented_hnf_kernel_lattice(a_rows) -> Lattice:
+    """Reference: the rows of the full Hermite form of [A^T | I] whose A^T part is zero, the
+    route kernel_lattice took before it reduced A^T's columns and the kernel rows apart."""
+    a = _integer_rows(a_rows, "kernel lattice")
+    m, n = len(a), len(a[0])
+    if m >= n:
+        raise ValueError("kernel lattice needs fewer rows than columns")
+    aug = [[r[j] for r in a] + [int(i == j) for i in range(n)] for j in range(n)]
+    if sum(c < m for c in _hnf(aug, m + n)) < m:
+        raise RankDeficientError("matrix does not have full row rank")
+    return Lattice._of_rows([r[m:] for r in aug if not any(r[:m])])
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Integer m x n matrices with m < n <= 6, mixed signs, zeros and entries up to 10^6 in
+    size; some rank deficient, with a row made a multiple of another or zeroed."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, min(3, n - 1)))
+    entry = st.integers(-3, 3) | st.integers(-10**6, 10**6)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m >= 2 and draw(st.booleans()):
+        rows[1] = [draw(st.integers(-3, 3)) * x for x in rows[0]]
+    return rows
+
+
+@given(kernel_matrices())
+@settings(max_examples=300, deadline=None)
+def test_kernel_lattice_matches_the_augmented_hermite_form(rows):
+    got = _outcome(kernel_lattice, rows)
+    assert got == _outcome(augmented_hnf_kernel_lattice, rows)
+    if isinstance(got, Lattice):
+        # the unreduced kernel basis spans the same lattice
+        assert _kernel_lattice(rows).same_lattice(got)
 
 
 @pytest.mark.parametrize("rows", [

@@ -8,7 +8,7 @@ from operator import mul
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, reject, settings, strategies as st
 
 from gon.body import (
     box,
@@ -25,6 +25,7 @@ from gon.body import (
 )
 from gon.counting import count_points
 from gon.exactmath import (
+    DimensionGuardError,
     Interval,
     QMat,
     QuadVal,
@@ -1111,8 +1112,24 @@ def rank_two_charts(draw):
 @given(rank_two_charts())
 @settings(max_examples=200, deadline=None)
 def test_reduced_keys_match_the_walk(chart):
-    # Gauss reduction on the keys finds the minima that the walk ranks
-    assert minima._reduced_keys(chart) == minima._minima_core(chart, chart.m, True)[0]
+    # Gauss reduction on the keys finds the minima that the walk ranks, on every draw that
+    # the walk can serve; a draw with a minimum far beyond the other exceeds its node budget
+    try:
+        walked = minima._minima_core(chart, chart.m, True)[0]
+    except DimensionGuardError:
+        event("the walk's node budget refuses the draw")
+        reject()
+    assert minima._reduced_keys(chart) == walked
+
+
+def test_reduced_keys_reach_past_the_walks_guard():
+    # minima 1 and 2 * 10^6: the reduction reads both off the basis, while the walk would
+    # visit the candidates up to the second and runs out of its node budget
+    lat = make_lattice([[1, 0], [0, 2_000_000]])
+    chart = minima._require_gauge_body(cube(2), lat, False)
+    assert chart.lcm == 1 and minima._reduced_keys(chart) == [1, 2_000_000]
+    with pytest.raises(DimensionGuardError, match="nodes"):
+        successive_minima(cube(2), lat)
 
 
 # -- width and covering bracket --------------------------------------------------

@@ -17,9 +17,11 @@ from gon.body import (
     polar_body,
     standard_simplex,
     symmetrize,
+    unit_ball,
     vpoly,
 )
 from gon.cli import _fixed_instances
+from gon.counting import count_ratio_bounds
 from gon.exactmath import DEFAULT_WIDTH, DimensionGuardError, Interval, QuadVal, working_width
 from gon.lattice import Lattice, kernel_lattice, make_lattice, standard_lattice
 from gon.verify import (
@@ -584,3 +586,39 @@ def test_origin_interior_keeps_the_vertex_guard():
         k.contains([0] * 7, strict=True)
     with pytest.raises(DimensionGuardError):
         _Instance(k, standard_lattice(7)).origin_interior
+
+
+# -- ellipsoids, which random_instance never draws ----------------------------
+
+@pytest.mark.parametrize("k, lat, minima", [
+    (unit_ball(2), Z2, [1, 1]),
+    (unit_ball(3), Z3, [1, 1, 1]),
+    # Q(x) = 2 x_1^2 + 3 x_2^2 on Z^2: e_1 and e_2; QuadVal(s) is the square root of s
+    (ellipsoid([[2, 0], [0, 3]]), Z2, [QuadVal(2), QuadVal(3)]),
+    # on rows b1 = (1, 1/2) and b2 = (0, 3/2): Q(b2 - b1) = Q(-1, 1) = 3, Q(b1) = 15/4
+    (ellipsoid([[2, 1], [1, 3]]), make_lattice([[1, F(1, 2)], [0, F(3, 2)]]),
+     [QuadVal(3), QuadVal(F(15, 4))]),
+])
+def test_run_checks_on_ellipsoids(k, lat, minima):
+    reports = {r.check_id: r for r in run_checks(k, lat)}
+    assert not [cid for cid, r in reports.items() if r.kind == "theorem" and r.status == "violated"]
+    assert list(_Instance(k, lat).lam_s.values) == minima
+    assert reports["transference"].status == "equality"
+    # vol(E) vol(E polar) is omega_n^2 exactly, the upper bound itself, so no width separates them
+    mahler = reports["mahler_bounds"]
+    assert mahler.status == "undecided"
+    assert mahler.witnesses["upper_status"] == "undecided"
+    json.dumps(mahler.to_json())
+
+
+def test_count_ratio_bounds_enclose_the_ball_ratios():
+    import mpmath
+
+    rows = count_ratio_bounds(unit_ball(2), Z2, [1, 2])
+    # 5 points of Z^2 in the unit disc, 13 in the disc of radius 2
+    with mpmath.workdps(50):
+        for (rho, iv), want in zip(rows, [5 / mpmath.pi, 13 / (4 * mpmath.pi)]):
+            assert isinstance(iv, Interval)
+            assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= want
+            assert want <= mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+    assert [rho for rho, _ in rows] == [1, 2]
