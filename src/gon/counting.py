@@ -2,7 +2,8 @@
 
 Counts include boundary points, and an interior-only variant excludes them.
 No count materialises the points it counts: the integer walk adds up the
-lengths of its last coordinate's intervals. A chart's data are integers, so a
+lengths of its last coordinate's intervals, and on a polytope it sums the last
+two coordinates in closed form, by floor sums. A chart's data are integers, so a
 strict bound is the closed one moved by one, and an interior count is the
 closed count of that shifted region. Ehrhart coefficients come from
 interpolation through the dilate counts k = 0..n, with the closed-form anchors
@@ -25,8 +26,10 @@ from .minima import _Chart
 def count_points(k: Body, lat: Lattice, interior: bool = False) -> int:
     """#(K cap L), boundary included; interior=True counts int(K) cap L instead.
 
-    The walk adds up interval lengths and never lists the points. An interior
-    count walks the closed integer region whose bounds are moved in by one.
+    The walk adds up interval lengths and never lists the points; a polytope's
+    walk stops one coordinate earlier still, summing each node's last two
+    coordinates as floor sums. An interior count walks the closed integer
+    region whose bounds are moved in by one.
     """
     return _Chart(k, lat).count(interior)
 

@@ -18,7 +18,9 @@ bounded by exact LPs instead. An ellipsoid's integer form, eliminated
 fraction-free from c_{m-1} down, gives each prefix an integer value and each
 coordinate an integer square root bound. Both kinds share one walk, which
 also counts without a point list, adding up the last coordinate's interval
-lengths; an interior count moves the integer bounds in by one. For a
+lengths; a polytope count sums its last two coordinates in closed form, one
+floor sum per piece on which a single row bounds the last coordinate from each
+side. An interior count moves the integer bounds in by one. For a
 symmetric body it walks a canonical half, one point of each pair +-c and not
 the origin (Fincke & Pohst 1985; Schnorr & Euchner 1994).
 
@@ -214,10 +216,12 @@ def _quadratic_interval(levels: list, key: int, carry: list, prefix: list) -> Op
     return -((s + b) // a), (s - b) // a
 
 
-# the most nodes one walk may visit above its last level, whose points are
+# the most nodes one walk may charge above its last level, whose points are
 # counted in closed form: on a shared 2-core machine, about 3 s of polytope walk
 # (2-5 us a node) or 1.5 s of ellipsoid walk (1.2-1.3 us a node); the largest
-# walks of the tests and the benchmark visit under 6000
+# walks of the tests and the benchmark visit under 6000. A polytope count that
+# sums its last two levels by floor sums still charges the nodes of the level
+# above the last, so the guard raises on the same inputs as a walk that visits them
 _WALK_MAX_NODES = 10**6
 
 
@@ -228,14 +232,17 @@ def _spend(budget: list, lo: int, hi: int) -> None:
         raise DimensionGuardError(f"the walk would visit more than {_WALK_MAX_NODES} nodes")
 
 
-def _walk(interval, m: int, prefix: list, out: Optional[list], half: bool, budget: list) -> int:
+def _walk(interval, m: int, prefix: list, out: Optional[list], half: bool, budget: list,
+          pair=None) -> int:
     """Number of integer points of an m-dimensional region extending `prefix`, appended to `out`.
 
     interval(prefix) is the integer [lo, hi] of the next coordinate, or None
     when no point extends `prefix`. `out` may be None. With `half`, the prefix
     is all zeros and only the points whose first nonzero coordinate is
     positive are walked: the level starts at 0, and at 1 when it is the last.
-    The nodes of every level above the last are charged to `budget`.
+    The nodes of every level above the last are charged to `budget`. With
+    `pair`, a node at depth m - 2 returns pair(prefix, lo, hi), the count of
+    its last two levels, in place of walking its children.
     """
     bounds = interval(prefix)
     if bounds is None:
@@ -249,12 +256,78 @@ def _walk(interval, m: int, prefix: list, out: Optional[list], half: bool, budge
             out.extend((*prefix, z) for z in range(lo, hi + 1))
         return max(0, hi - lo + 1)
     _spend(budget, lo, hi)
+    if pair is not None and len(prefix) + 2 == m:
+        return pair(prefix, lo, hi)
     n = 0
     for z in range(lo, hi + 1):
         prefix.append(z)
-        n += _walk(interval, m, prefix, out, half and not z, budget)
+        n += _walk(interval, m, prefix, out, half and not z, budget, pair)
         prefix.pop()
     return n
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a i + b) / m) over 0 <= i < n, for m > 0, in O(log m) steps.
+
+    Each step takes the whole parts of a / m and b / m out in closed form and
+    swaps the roles of a and m, as Euclid's algorithm does (Graham, Knuth &
+    Patashnik, Concrete Mathematics, section 3.5; floor_sum of the AtCoder Library).
+    """
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * n * (n - 1) // 2 + qb * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _min_floor_sum(lines: list, z0: int, z1: int) -> int:
+    """Sum over z0 <= z <= z1 of min_j floor((p_j - s_j z) / d_j), for lines (p, s, d) with d > 0.
+
+    The least of the lines is concave in z, so [z0, z1] splits into pieces on
+    each of which one line is least, and each piece is one floor sum. Lines
+    are compared by integer cross-products.
+    """
+    total = 0
+    while z0 <= z1:
+        # the least line at z0, and of those tied the one that falls fastest
+        p, s, d = lines[0]
+        for q, t, e in lines:
+            c = (q - t * z0) * d - (p - s * z0) * e
+            if c < 0 or c == 0 and t * d > s * e:
+                p, s, d = q, t, e
+        # it stays least up to the last z at which no line falling faster is below it
+        end = z1
+        for q, t, e in lines:
+            r = t * d - s * e
+            if r > 0:
+                end = min(end, (q * d - p * e) // r)
+        total += _floor_sum(end - z0 + 1, d, -s, p - s * z0)
+        z0 = end + 1
+    return total
+
+
+def _pair_count(level: tuple, prefix: list, z0: int, z1: int) -> int:
+    """Integer points (z, y) with c_{m-2} = z in [z0, z1] and c_{m-1} = y in its interval.
+
+    `level` is the (upper, lower) of c_{m-1}. Given `prefix`, an upper row bounds
+    y <= floor((p - s z) / d) and a lower row bounds -y <= floor((p - s z) / d),
+    with p = w - a[:m-2] . prefix, s = a[m-2] and d the row's coefficient of y.
+    [z0, z1] is read off the exact projection onto c_0..c_{m-2}, so every z in
+    it has a nonempty real interval of y, whose integer count is never negative.
+    """
+    if z0 > z1:
+        return 0
+    upper, lower = level
+    if not upper or not lower:
+        raise UnboundedError("unbounded enumeration region")
+    return z1 - z0 + 1 + sum(
+        _min_floor_sum([(w - sum(map(mul, a, prefix)), a[-1], d) for a, d, w in rows], z0, z1)
+        for rows in level)
 
 
 def polytope_integer_points(rows: Sequence[Sequence], rhs: Sequence) -> list:
@@ -284,7 +357,8 @@ def _polytope_walk(rows: list, out: Optional[list], half: bool = False) -> int:
     This is the walk of polytope_integer_points; unless `out` is None it also
     appends the points to `out`, in lexicographic order. With `half` it walks
     only the points whose first nonzero coordinate is positive: of a symmetric
-    region, one of each pair +-c and not the origin.
+    region, one of each pair +-c and not the origin. A count (`out` None, not
+    `half`) sums the last two coordinates at each node of c_{m-2} by _pair_count.
     """
     m = len(rows[0][0])
     ints = {}
@@ -301,8 +375,11 @@ def _polytope_walk(rows: list, out: Optional[list], half: bool = False) -> int:
         return 1
     ints = list(ints)
     levels = _prefix_projections(ints, m)
-    return 0 if levels is None else _walk(partial(_interval, levels, ints), m, [], out, half,
-                                          [_WALK_MAX_NODES])
+    if levels is None:
+        return 0
+    # levels[m - 1] is always projected: elimination starts at c_{m-1}
+    pair = partial(_pair_count, levels[m - 1]) if out is None and not half and m >= 2 else None
+    return _walk(partial(_interval, levels, ints), m, [], out, half, [_WALK_MAX_NODES], pair)
 
 
 def _quadratic_walk(q: list, key: int, out: Optional[list], half: bool = False) -> int:

@@ -38,6 +38,7 @@ from typing import Callable, Optional, Union
 
 from .body import (
     BOX,
+    ELLIPSOID,
     Body,
     box,
     centered_simplex,
@@ -566,7 +567,12 @@ def _c_mahler_bounds(inst: _Instance):
     upper = unit_ball_volume_interval(n).pow_int(2)
     cmp = _Comparisons()
     _, s_lo = cmp.le(lower, product)
-    _, s_hi = cmp.le(product, upper)
+    if inst.k.kind == ELLIPSOID:
+        # vol(E) vol(E polar) = omega_n^2 / sqrt(det Q det Q_polar), so the upper bound
+        # reads 1 <= det Q det Q_polar, which is exact; no enclosure could settle it
+        _, s_hi = cmp.le(Fraction(1), inst.k.data.det() * inst.ks_polar.data.det())
+    else:
+        _, s_hi = cmp.le(product, upper)
     wit = {"volume_product": product, "lower_status": s_lo, "upper_status": s_hi}
     return cmp.report(lower, upper, wit)
 

@@ -19,7 +19,7 @@ from gon.body import (
     vpoly,
 )
 from gon.counting import EhrhartPoly, count_points, count_ratio_bounds, ehrhart
-from gon.exactmath import DimensionGuardError, QMat, dot
+from gon.exactmath import DimensionGuardError, QMat, UnboundedError, _coprime, dot
 from gon.lattice import kernel_lattice, make_lattice, standard_lattice
 from gon.minima import polytope_integer_points, quadratic_integer_points
 
@@ -266,6 +266,102 @@ def test_walks_charge_the_levels_above_the_last_to_one_budget(monkeypatch, body,
     monkeypatch.setattr(minima, "_WALK_MAX_NODES", nodes - 1)
     with pytest.raises(DimensionGuardError):
         count_points(body, standard_lattice(3))
+
+
+# -- the last two coordinates in closed form --------------------------------------
+
+
+@given(st.integers(0, 30), st.integers(1, 40), st.integers(-200, 200), st.integers(-200, 200))
+@settings(max_examples=300)
+def test_floor_sum_matches_the_brute_force_sum(n, m, a, b):
+    assert minima._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+line_lists = st.lists(st.tuples(st.integers(-20, 20), st.integers(-5, 5), st.integers(1, 5)),
+                      min_size=1, max_size=5)
+
+
+@given(line_lists, st.integers(-6, 6), st.integers(-3, 10))
+@settings(max_examples=300)
+def test_min_floor_sum_matches_the_min_of_floors(lines, z0, length):
+    # small entries make lines tie at integers and leave some least only between two
+    z1 = z0 + length - 1  # a length below 1 crosses [z0, z1]
+    want = sum(min((p - s * z) // d for p, s, d in lines) for z in range(z0, z1 + 1))
+    assert minima._min_floor_sum(lines, z0, z1) == want
+
+
+@pytest.mark.parametrize("lines, z0, z1, want", [
+    # y <= -z and y <= z tie at 0, where the rising line must hand over to the falling one
+    ([(0, -1, 1), (0, 1, 1)], -3, 3, -12),
+    # 3 - 2z is least for z >= 2 only: the flat line's piece is [0, 1], the other's [2, 2]
+    ([(1, 0, 1), (3, 2, 1)], 0, 2, 1 + 1 - 1),
+    # (1 - 2z) / 2 is least only on (1/2, 7/8), which holds no integer
+    ([(0, 0, 1), (1, 2, 2), (4, 5, 1)], 0, 1, 0 - 1),
+    ([(0, 0, 1)], 1, 0, 0),
+])
+def test_min_floor_sum_pieces(lines, z0, z1, want):
+    assert minima._min_floor_sum(lines, z0, z1) == want
+
+
+@st.composite
+def cut_regions(draw):
+    """Primitive integer rows (a, w) of a box in dimension 1-4 cut by up to four rows.
+
+    Negative half-sides make some regions empty and crossed on a level; rows
+    dropped at random leave some unbounded.
+    """
+    n = draw(st.integers(1, 4))
+    rows = []
+    for i in range(n):
+        e = [int(i == j) for j in range(n)]
+        rows += [(e, draw(st.integers(-1, 5))), ([-x for x in e], draw(st.integers(-1, 5)))]
+    for _ in range(draw(st.integers(0, 4))):
+        rows.append((draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n).filter(any)),
+                     draw(st.integers(-3, 12))))
+    drop = min(draw(st.sampled_from([0, 0, 0, 1, 2])), len(rows) - 1)
+    rows = draw(st.permutations(rows))[drop:]
+    return [_coprime(a, w) for a, w in rows]
+
+
+@given(cut_regions(), st.sampled_from([0, 2, minima._PROJECTION_MAX_ROWS]))
+@settings(max_examples=300)
+def test_counts_in_closed_form_match_the_walk(rows, budget):
+    # the walk that lists points visits every node and sums nothing in closed form;
+    # a small projection budget leaves the level above the last to two LPs a node
+    with mock.patch.object(minima, "_PROJECTION_MAX_ROWS", budget):
+        try:
+            want = minima._polytope_walk(rows, [])
+        except UnboundedError:
+            with pytest.raises(UnboundedError):
+                minima._polytope_walk(rows, None)
+        else:
+            assert minima._polytope_walk(rows, None) == want
+
+
+@st.composite
+def rational_instances(draw):
+    """(K, L): a box, cross-polytope or cut box on a sheared lattice with entries over 2 or 3."""
+    n = draw(st.integers(2, 3))
+    den = draw(st.integers(2, 3))
+    basis = [[F(draw(st.integers(1, 3)) if i == j else draw(st.integers(-2, 2)) if j > i else 0,
+                den) for j in range(n)] for i in range(n)]
+    scale = draw(st.integers(1, 5).map(lambda h: F(h, 2)))
+    kind = draw(st.sampled_from(["box", "cross", "cut"]))
+    if kind == "box":
+        return box([scale] * n), make_lattice(basis)
+    if kind == "cross":
+        return cross_polytope(n, scale), make_lattice(basis)
+    rows = [[int(i == j) * s for j in range(n)] for i in range(n) for s in (1, -1)]
+    cut = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+    return hpoly(rows + [cut], [scale] * (2 * n) + [scale / 2]), make_lattice(basis)
+
+
+@given(rational_instances())
+@settings(max_examples=60, deadline=None)
+def test_counts_on_rational_lattices_match_point_lists(inst):
+    k, lat = inst
+    for interior in (False, True):
+        assert count_points(k, lat, interior=interior) == listed_count(k, lat, interior)
 
 
 # -- Ehrhart ------------------------------------------------------------------

@@ -28,6 +28,7 @@ from gon.verify import (
     _REFINE_WIDTH,
     CheckReport,
     _Instance,
+    _c_survol,
     _refine_width,
     candidate_json,
     counterexample_candidates,
@@ -557,6 +558,31 @@ def test_refine_is_finer_than_the_working_width():
         assert _refine_width() == _REFINE_WIDTH
 
 
+def test_an_undecided_comparison_is_retried_with_the_sharper_side():
+    # survol certifies lambda_n vol < surface; a surface enclosure as wide as the sides
+    # overlaps lambda_n vol, and the retry compares against surface_refined instead
+    inst = _Instance(cross_polytope(2), Z2)
+    lhs = inst.lam_s.values[-1] * inst.vol
+    inst.surface = Interval(lhs - 1, lhs + 8)  # an instance attribute overrides the cached one
+    _, rhs, status, _, _, reason = _c_survol(inst)
+    assert (status, reason) == ("holds", None)
+    assert rhs.width <= _REFINE_WIDTH and inst.surface.lo < lhs < inst.surface.hi
+    inst.surface_refined = lambda: Interval(lhs - 1, lhs + 1)
+    _, _, status, _, _, reason = _c_survol(inst)
+    assert (status, reason) == ("undecided", "interval overlap; refine the working precision")
+
+
+def test_ehrhart_conjecture_is_undecided_while_the_volume_straddles_its_threshold():
+    # vol = pi / sqrt(1/2) = 4.44..., below the threshold 9/2 of n = 2 on Z^2
+    k = ellipsoid([[1, 0], [0, F(1, 2)]])
+    r = one(k, Z2, "ehrhart_conj_instance")
+    assert (r.status, r.reason) == ("skipped", "volume below the threshold")
+    with working_width(F(1, 8)):  # sqrt(2) enclosed in [11/8, 12/8]
+        r = one(k, Z2, "ehrhart_conj_instance")
+    assert (r.status, r.reason) == ("undecided", "volume enclosure straddles the threshold")
+    assert r.lhs == F(9, 2) and r.rhs.lo < F(9, 2) < r.rhs.hi
+
+
 def _origin_interior_bodies():
     """The named corpus bodies, random_instance draws 0-159, their symmetrals and polars."""
     bodies = [k for _, k, _ in _fixed_instances()]
@@ -604,10 +630,12 @@ def test_run_checks_on_ellipsoids(k, lat, minima):
     assert not [cid for cid, r in reports.items() if r.kind == "theorem" and r.status == "violated"]
     assert list(_Instance(k, lat).lam_s.values) == minima
     assert reports["transference"].status == "equality"
-    # vol(E) vol(E polar) is omega_n^2 exactly, the upper bound itself, so no width separates them
+    # vol(E) vol(E polar) is omega_n^2 exactly, the upper bound itself: no width separates
+    # them, and the determinants of Q and of the polar's form decide it exactly
     mahler = reports["mahler_bounds"]
-    assert mahler.status == "undecided"
-    assert mahler.witnesses["upper_status"] == "undecided"
+    assert (mahler.status, mahler.reason, mahler.margin) == ("equality", None, 0)
+    assert mahler.witnesses["lower_status"] == "holds"
+    assert mahler.witnesses["upper_status"] == "equality"
     json.dumps(mahler.to_json())
 
 
