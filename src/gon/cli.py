@@ -195,6 +195,8 @@ def _cmd_siegel(args):
 
 
 def _cmd_scan(args):
+    if args.jobs < 1:
+        raise CliError("usage", "--jobs must be at least 1")
     rep = scan_constants(args.n, args.max, dedupe=not args.no_dedupe, jobs=args.jobs)
     records = None
     if not args.no_records:
@@ -330,11 +332,13 @@ def _corpus_task(task):
 def _cmd_corpus(args):
     if args.instances < 0:
         raise CliError("usage", "--instances must be nonnegative")
+    if args.jobs < 1:
+        raise CliError("usage", "--jobs must be at least 1")
     sel = _selection(args.checks)
     tasks = [(args.seed, i, tuple(sel) if sel else None) for i in range(args.instances)]
     if args.jobs > 1 and tasks:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(args.jobs) as pool:
+        with ctx.Pool(min(args.jobs, len(tasks))) as pool:
             summaries = pool.map(_corpus_task, tasks, chunksize=1)
     else:
         summaries = [_corpus_task(t) for t in tasks]

@@ -19,7 +19,8 @@ elimination of integer rows (Bareiss 1968) gives every determinant, rank,
 pivot column (``_pivots``), solution, inverse and LDL^T; ``QMat`` scales its
 rows to integers over one denominator and builds ``Fraction``s only for its
 results.  Integer Hermite reduction (``_hnf``) runs only where a Hermite form
-or a unimodular transform is the result: in ``hnf`` and in ``lattice``.
+or a unimodular transform is the result: in ``hnf``, and in ``lattice``'s
+Hermite basis, lattice equality and minors gcd.
 
 Volumes, centroids and surface areas come from one triangulation that needs
 only the vertex-facet incidences: which vertices lie on which facet.  A hull

@@ -239,7 +239,8 @@ def kernel_lattice(a_rows) -> Lattice:
 
     Requires full row rank and m < n so the kernel is a nontrivial
     primitive sublattice.  The basis is the Hermite form of
-    :func:`_kernel_lattice`'s, which the lattice alone determines.
+    :func:`_kernel_lattice`'s extended-gcd basis, which the lattice alone
+    determines.
     """
     a = _integer_rows(a_rows, "kernel lattice")
     if len(a) >= len(a[0]):
@@ -250,14 +251,49 @@ def kernel_lattice(a_rows) -> Lattice:
 def _kernel_lattice(a) -> Lattice:
     """A basis of kernel_lattice(a), in no normal form, for int rows fewer than their columns.
 
-    Hermite reduction of [A^T | I] over A^T's m columns only gives [H | U], U A^T = H
-    with U unimodular; the rows of U below H's m pivot rows span the kernel.
+    Each row after the first is read in the coefficients of the current basis, and the
+    kernel of that image (_row_kernel), mapped back through the basis, is the next one,
+    still saturated; an image of zero is a row in the span of the rows before it.
     """
-    m, n = len(a), len(a[0])
-    aug = [[r[j] for r in a] + [int(i == j) for i in range(n)] for j in range(n)]
-    if len(_hnf(aug, m)) < m:
-        raise RankDeficientError("matrix does not have full row rank")
-    return Lattice._of_rows([r[m:] for r in aug[m:]])
+    basis = None
+    for r in a:
+        sub = _row_kernel(r if basis is None else [sum(map(mul, r, b)) for b in basis])
+        if sub is None:
+            raise RankDeficientError("matrix does not have full row rank")
+        basis = sub if basis is None else [[sum(map(mul, c, col)) for col in zip(*basis)]
+                                           for c in sub]
+    return Lattice._of_rows(basis)
+
+
+def _row_kernel(a) -> list | None:
+    """Rows spanning {x in Z^k : a . x = 0} for an integer row a of length k; None if a is zero.
+
+    A chain of extended gcds (Bradley, Math. Comp. 25, 1971): with a . v = g, a gcd of
+    the entries before a_i = b, and h = gcd(g, b) = s g + t b, the unimodular step takes
+    (v, e_i) to the kernel row (b/h) v - (g/h) e_i and the new v = s v + t e_i; a zero b
+    gives the kernel row e_i. The kernel rows and the last v form a basis of Z^k.
+    """
+    k = len(a)
+    out = []
+    v, g = None, 0
+    for i, b in enumerate(a):
+        if not b:
+            out.append([0] * k)
+            out[-1][i] = 1
+            continue
+        if not g:
+            v, g = [0] * k, b
+            v[i] = 1
+            continue
+        h = gcd(g, b)
+        s = pow(g // h, -1, abs(b) // h)  # s g = h modulo b
+        row = [b // h * x for x in v]
+        row[i] = -(g // h)
+        out.append(row)
+        v = [s * x for x in v]
+        v[i] = (h - s * g) // b
+        g = h
+    return out if g else None
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,13 @@ minimum they return. Gauges stay rational for polytopes and are square-root
 values for ellipsoids; both are compared in integer arithmetic and nothing is
 rounded anywhere.
 
-The constant scan, which needs only the values, reads the keys of a symmetric
-chart of rank 1 or 2 off a reduced basis and walks no point: in rank 2 the
-generalized Gauss reduction on the chart's keys ends at the two minima of any
-norm (Kaib & Schnorr 1996). Witnesses that follow the (key, lexicographic
-coefficient) tie-break, and every larger rank, still come from the walk.
+The constant scan, which needs only the values, reads the minima of a lattice
+of rank 1 or 2 off its reduced integer rows and walks no point: in rank 2 the
+generalized Gauss reduction ends at the two minima of any norm (Kaib & Schnorr
+1996). It only compares keys, so the scan runs it on ambient vectors under one
+chart of the cube on Z^n, and builds no chart per row. Witnesses that follow
+the (key, lexicographic coefficient) tie-break, and every larger rank, still
+come from the walk.
 """
 
 from __future__ import annotations
@@ -582,21 +584,22 @@ def _minima_core(chart: _Chart, count: int, half: bool) -> tuple:
     raise RuntimeError("enumeration cap failed to reach enough independent points")
 
 
-def _reduced_keys(chart: _Chart) -> list:
-    """The integer keys of both minima of a symmetric chart of rank 2, or of its one minimum.
+def _reduced_keys(key, basis) -> list:
+    """The keys of both minima of the lattice of two integer rows, or of the one minimum of one.
 
-    No point is walked. In rank 2 the basis (b1, b2) starts at the unit
-    vectors and is reduced on the chart's keys until k1 <= k2 <= key(b2 - mu b1)
-    for every integer mu; then k1 and k2 are the keys of the two minima, for
-    any norm (Kaib & Schnorr, "The generalized Gauss reduction algorithm",
-    J. Algorithms 21, 1996). key(b2 - mu b1) is a maximum of linear functions
-    of mu, or a convex quadratic, so the descent from mu = 0 stops at its
-    least value; on an LLL-reduced chart it takes few steps.
+    `key` is a symmetric integer key in whatever space the rows live in: a
+    chart's key on its unit rows, or the key of a chart on Z^n on a sublattice's
+    integer rows. No point is walked. In rank 2 the basis (b1, b2) is reduced on
+    the keys until k1 <= k2 <= key(b2 - mu b1) for every integer mu; then k1 and
+    k2 are the keys of the two minima, for any norm (Kaib & Schnorr, "The
+    generalized Gauss reduction algorithm", J. Algorithms 21, 1996).
+    key(b2 - mu b1) is a maximum of linear functions of mu, or a convex
+    quadratic, so the descent from mu = 0 stops at its least value; on an
+    LLL-reduced basis it takes few steps.
     """
-    key = chart.key
-    if chart.m == 1:
-        return [key((1,))]
-    b1, b2 = (1, 0), (0, 1)
+    if len(basis) == 1:
+        return [key(basis[0])]
+    b1, b2 = basis
     k1, k2 = key(b1), key(b2)
     while True:
         if k2 < k1:  # each swap lowers k1, a positive integer, so the loop ends
@@ -605,7 +608,7 @@ def _reduced_keys(chart: _Chart) -> list:
         for step in (1, -1):
             moved = False
             while True:
-                c = (b2[0] - step * b1[0], b2[1] - step * b1[1])
+                c = [y - step * x for x, y in zip(b1, b2)]
                 kc = key(c)
                 if kc >= k2:
                     break

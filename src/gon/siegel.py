@@ -34,7 +34,7 @@ from .exactmath import (
     root_interval,
 )
 from .lattice import (Lattice, _gram_det, _integer_rows, _kernel_lattice, kernel_lattice,
-                      lll_reduce, make_lattice, minors_gcd)
+                      lll_reduce, make_lattice, minors_gcd, standard_lattice)
 from .body import HPOLY, Body, _hexagon_coefficients, cube, generalized_hexagon
 from .minima import (MinimaResult, _minima_core, _reduced_keys, _require_gauge_body,
                      first_minimum, successive_minima)
@@ -332,21 +332,24 @@ _SCAN_GUARD = 200_000
 
 
 def _scan_minima(vectors: list) -> list:
-    """Successive minima of the unit cube on the kernel lattice of each row, one cube for all.
+    """Successive minima of the unit cube on the kernel lattice of each row, one chart for all.
 
-    The cube's chart keys a point by its sup-norm times the chart's lcm, so
-    each minimum is read off its key by exact division. A kernel of rank 1 or
-    2 (n = 2 or 3) reads its keys off the reduced basis, with no walk; a
-    larger one walks its candidates in _minima_core.
+    One chart of the cube on Z^n keys an integer point by its sup-norm times
+    the chart's lcm, so each minimum is read off its key by exact division. A
+    kernel of rank 1 or 2 (n = 2 or 3) has integer rows, and its keys are read
+    off its reduced rows under that chart's key, with no walk; a larger one
+    gets a chart of its own and walks its candidates in _minima_core.
     """
-    k = cube(len(vectors[0]))
+    n = len(vectors[0])
+    k = cube(n)
+    ambient = _require_gauge_body(k, standard_lattice(n), False)
     out = []
     for a in vectors:
         red = lll_reduce(_kernel_lattice([a]))
-        chart = _require_gauge_body(k, red, False)
         if red.rank <= 2:
-            keys = _reduced_keys(chart)
+            chart, keys = ambient, _reduced_keys(ambient.key, red._rows)
         else:
+            chart = _require_gauge_body(k, red, False)
             keys, _ = _minima_core(chart, red.rank, True)
         if any(key % chart.lcm for key in keys):
             raise RuntimeError("a kernel minimum of the cube is not an integer")
@@ -387,6 +390,8 @@ def scan_constants(n: int, a_max: int, dedupe: bool = True, jobs: int = 1) -> Sc
         raise ValueError("need n >= 2")
     if a_max < 1:
         raise ValueError("need a_max >= 1")
+    if jobs < 1:
+        raise ValueError("need jobs >= 1")
     if comb(a_max + n - 1, n) > _SCAN_GUARD:
         raise DimensionGuardError("scan domain exceeds the resource guard")
     vectors = [
@@ -398,9 +403,9 @@ def scan_constants(n: int, a_max: int, dedupe: bool = True, jobs: int = 1) -> Sc
         # a Body does not pickle, so each chunk of rows is one task that builds its own cube
         ctx = multiprocessing.get_context("fork")
         chunk = max(1, len(vectors) // (8 * jobs))
-        with ctx.Pool(jobs) as pool:
-            parts = pool.map(_scan_minima, [vectors[i:i + chunk]
-                                            for i in range(0, len(vectors), chunk)])
+        tasks = [vectors[i:i + chunk] for i in range(0, len(vectors), chunk)]
+        with ctx.Pool(min(jobs, len(tasks))) as pool:
+            parts = pool.map(_scan_minima, tasks)
         minima_lists = [lams for part in parts for lams in part]
     else:
         minima_lists = _scan_minima(vectors)

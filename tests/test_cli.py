@@ -214,6 +214,26 @@ def test_corpus_jobs_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_jobs_size_the_pool_to_the_tasks(capsys, inline_pool):
+    # three corpus instances under --jobs 500 open three workers, one per instance
+    rc = main(["corpus", "--instances", "3", "--seed", "9", "--jobs", "500"])
+    pooled = capsys.readouterr().out
+    assert rc == 0 and inline_pool == [3]
+    assert main(["corpus", "--instances", "3", "--seed", "9", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == pooled and inline_pool == [3]
+    # the 4 primitive rows of n = 2 up to height 3 are 4 chunks of one row
+    rc, doc, _ = run(capsys, "scan", "--n", "2", "--max", "3", "--jobs", "500")
+    assert rc == 0 and doc["record_count"] == 4 and inline_pool == [3, 4]
+
+
+@pytest.mark.parametrize("command", [["scan", "--n", "2", "--max", "3"],
+                                     ["corpus", "--instances", "1"]])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_are_a_usage_error(capsys, inline_pool, command, jobs):
+    doc = expect_error(capsys, "usage", *command, "--jobs", jobs)
+    assert doc["error"]["message"] == "--jobs must be at least 1" and inline_pool == []
+
+
 def test_corpus_check_selection(files, capsys):
     rc, doc, _ = run(capsys, "corpus", "--instances", "1", "--seed", "0",
                      "--checks", "bhw_upper,bhw_conj")

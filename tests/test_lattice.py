@@ -473,13 +473,20 @@ def augmented_hnf_kernel_lattice(a_rows) -> Lattice:
 @st.composite
 def kernel_matrices(draw):
     """Integer m x n matrices with m < n <= 6, mixed signs, zeros and entries up to 10^6 in
-    size; some rank deficient, with a row made a multiple of another or zeroed."""
+    size; some rank deficient, with a row made a multiple of another or zeroed. Some rows
+    start with a run of zeros, and some single rows share a common factor: the extended-gcd
+    chain meets a zero entry and a zero running gcd apart."""
     n = draw(st.integers(2, 6))
     m = draw(st.integers(1, min(3, n - 1)))
     entry = st.integers(-3, 3) | st.integers(-10**6, 10**6)
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
     if m >= 2 and draw(st.booleans()):
         rows[1] = [draw(st.integers(-3, 3)) * x for x in rows[0]]
+    for r in rows:
+        z = draw(st.integers(0, n - 1))
+        r[:z] = [0] * z
+    if m == 1:
+        rows[0] = [draw(st.sampled_from([1, 2, 6, -10**4])) * x for x in rows[0]]
     return rows
 
 

@@ -1106,20 +1106,31 @@ def rank_two_charts(draw):
         if draw(st.booleans()):
             lat = lll_reduce(lat)
     k = draw(symmetric_bodies(n, ("box", "cross", "hpoly", "ellipsoid")))
-    return minima._require_gauge_body(k, lat, False)
+    return k, lat, minima._require_gauge_body(k, lat, False)
+
+
+def unit_rows(m):
+    return [tuple(int(i == j) for j in range(m)) for i in range(m)]
 
 
 @given(rank_two_charts())
 @settings(max_examples=200, deadline=None)
-def test_reduced_keys_match_the_walk(chart):
+def test_reduced_keys_match_the_walk(drawn):
     # Gauss reduction on the keys finds the minima that the walk ranks, on every draw that
     # the walk can serve; a draw with a minimum far beyond the other exceeds its node budget
+    k, lat, chart = drawn
     try:
         walked = minima._minima_core(chart, chart.m, True)[0]
     except DimensionGuardError:
         event("the walk's node budget refuses the draw")
         reject()
-    assert minima._reduced_keys(chart) == walked
+    assert minima._reduced_keys(chart.key, unit_rows(chart.m)) == walked
+    if lat.is_integer():
+        # the ambient route: the body's chart on Z^n keys the lattice's integer rows, and
+        # its keys read the same gauges as the walk's on the lattice's own chart
+        ambient = minima._require_gauge_body(k, standard_lattice(lat.dim), False)
+        keys = minima._reduced_keys(ambient.key, lat._rows)
+        assert list(map(ambient.value, keys)) == list(map(chart.value, walked))
 
 
 def test_reduced_keys_reach_past_the_walks_guard():
@@ -1127,7 +1138,7 @@ def test_reduced_keys_reach_past_the_walks_guard():
     # visit the candidates up to the second and runs out of its node budget
     lat = make_lattice([[1, 0], [0, 2_000_000]])
     chart = minima._require_gauge_body(cube(2), lat, False)
-    assert chart.lcm == 1 and minima._reduced_keys(chart) == [1, 2_000_000]
+    assert chart.lcm == 1 and minima._reduced_keys(chart.key, unit_rows(2)) == [1, 2_000_000]
     with pytest.raises(DimensionGuardError, match="nodes"):
         successive_minima(cube(2), lat)
 

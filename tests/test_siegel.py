@@ -11,7 +11,7 @@ from gon.body import cube
 from gon.exactmath import Interval, QMat, QuadVal, RankDeficientError
 from gon.lattice import kernel_lattice
 from gon.minima import successive_minima
-from gon import siegel
+from gon import exactmath, lattice, minima, siegel
 from gon.siegel import (
     CubeSection,
     GeneralizedHexagon,
@@ -430,6 +430,18 @@ def test_scan_jobs_merge_is_deterministic():
     assert scan_constants(3, 5, jobs=2) == scan_constants(3, 5)
 
 
+def test_scan_jobs_size_the_pool_to_the_chunks(inline_pool):
+    # under 500 jobs the 42 rows are 42 chunks of one row, so the pool opens 42 workers;
+    # under 2 jobs they are 21 chunks of two rows, and it opens 2
+    rep = scan_constants(3, 6, jobs=500)
+    assert len(rep.records) == 42 and inline_pool == [42]
+    assert scan_constants(3, 6, jobs=2) == rep == scan_constants(3, 6)
+    assert inline_pool == [42, 2]
+    with pytest.raises(ValueError, match="need jobs >= 1"):
+        scan_constants(3, 6, jobs=0)
+    assert inline_pool == [42, 2]
+
+
 def test_scan_guards():
     with pytest.raises(ValueError):
         scan_constants(1, 5)
@@ -510,6 +522,28 @@ def test_scan_minima_and_records_match_the_fraction_routines(n, a_max, dedupe):
         for fake in [(lams[-1] + 1,) + lams[1:], tuple(x * a[-1] for x in lams)]:
             assert (record_or_error(_scan_record, a, fake)
                     == record_or_error(fraction_scan_record, a, fake))
+
+
+def test_scan_minima_build_one_chart_and_no_hermite_form(monkeypatch):
+    # every kernel of rank 2 is read off its reduced rows under one chart of the cube on
+    # Z^3, and every kernel basis comes from extended gcds
+    calls = {"chart": 0, "hnf": 0}
+    init, hnf = minima._Chart.__init__, exactmath._hnf
+
+    def counted_init(self, *args):
+        calls["chart"] += 1
+        init(self, *args)
+
+    def counted_hnf(*args):
+        calls["hnf"] += 1
+        return hnf(*args)
+
+    monkeypatch.setattr(minima._Chart, "__init__", counted_init)
+    for module in (exactmath, lattice):
+        monkeypatch.setattr(module, "_hnf", counted_hnf)
+    rows = sweep_rows(3, 12, True)
+    assert len(_scan_minima(rows)) == len(rows) == 287
+    assert calls == {"chart": 1, "hnf": 0}
 
 
 def test_scan_minima_refuse_a_fractional_key(monkeypatch):
