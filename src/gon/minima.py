@@ -34,16 +34,19 @@ The constant scan, which needs only the values, reads the minima of a lattice
 of rank 1 or 2 off its reduced integer rows and walks no point: in rank 2 the
 generalized Gauss reduction ends at the two minima of any norm (Kaib & Schnorr
 1996). It only compares keys, so the scan runs it on ambient vectors under one
-chart of the cube on Z^n, and builds no chart per row. Witnesses that follow
-the (key, lexicographic coefficient) tie-break, and every larger rank, still
-come from the walk.
+chart of the cube on Z^n, and builds no chart per row. A kernel of larger rank
+is keyed under the same chart too: every point whose key is at most the
+largest basis key lies in a Euclidean ball, which the ellipsoid walk visits on
+the Gram form of the reduced rows, carrying the key rows' partial sums down
+its levels. Witnesses that follow the (key, lexicographic coefficient)
+tie-break still come from a chart's walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import ceil, floor, gcd, isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence, Union
@@ -221,7 +224,9 @@ def _quadratic_interval(levels: list, key: int, carry: list, prefix: list) -> Op
 # the most nodes one walk may charge above its last level, whose points are
 # counted in closed form: on a shared 2-core machine, about 3 s of polytope walk
 # (2-5 us a node) or 1.5 s of ellipsoid walk (1.2-1.3 us a node); the largest
-# walks of the tests and the benchmark visit under 6000. A polytope count that
+# walks of the benchmark visit under 6000, and hypothesis draws of the tests have
+# reached about 175 000. Near the guard, a scan row's ball walk (_ball_keys) keeps
+# about 1.2 * 10^6 candidates and takes about 8 s. A polytope count that
 # sums its last two levels by floor sums still charges the nodes of the level
 # above the last, so the guard raises on the same inputs as a walk that visits them
 _WALK_MAX_NODES = 10**6
@@ -391,14 +396,19 @@ def _quadratic_walk(q: list, key: int, out: Optional[list], half: bool = False) 
     appends the points to `out`, in lexicographic order, and `half` walks the
     same canonical half as _polytope_walk. ValueError unless q is positive definite.
     """
+    levels = _quadratic_levels(q)
+    m = len(levels)
+    return _walk(partial(_quadratic_interval, levels, key, [None] * m), m, [], out, half,
+                 [_WALK_MAX_NODES])
+
+
+def _quadratic_levels(q: list) -> list:
+    """The levels (a, D, r) of _quadratic_interval for a positive definite integer form q."""
     # eliminated from c_{m-1} down, the pivot row of c_i is [a, *reversed(r)]: row i
     # of D S_i from column i down, where S_i minimizes c^T q c over c_{i+1}.. and
     # D = det q[i+1:, i+1:] is the next pivot (Fincke & Pohst 1985)
     rows = _definite_pivots([r[::-1] for r in reversed(q)])[::-1]
-    m = len(rows)
-    levels = [(row[0], nxt[0], row[:0:-1]) for row, nxt in zip(rows, rows[1:] + [[1]])]
-    return _walk(partial(_quadratic_interval, levels, key, [None] * m), m, [], out, half,
-                 [_WALK_MAX_NODES])
+    return [(row[0], nxt[0], row[:0:-1]) for row, nxt in zip(rows, rows[1:] + [[1]])]
 
 
 def quadratic_integer_points(q: QMat, bound: Fraction) -> list:
@@ -426,9 +436,10 @@ class _Chart:
     Gauges are ranked by integer keys, and a value is built only from a key.
     When the origin is interior, a polytope chart also holds its rows scaled
     to one right-hand side L = lcm(rhs), as `keyrows`: the key of c is
-    max(0, max_j keyrows[j] . c) and its gauge is key / L. An ellipsoid's key
-    is c^T qint c and its gauge is sqrt(key / qden). The lattice maps
-    coefficients back to points.
+    max(0, max_j keyrows[j] . c) and its gauge is key / L; when the key rows
+    come in pairs +-g, as a symmetric body's do, it reads max |g . c| over
+    one row of each pair. An ellipsoid's key is c^T qint c and its gauge is
+    sqrt(key / qden). The lattice maps coefficients back to points.
     """
 
     def __init__(self, body: Body, lat: Lattice):
@@ -476,10 +487,28 @@ class _Chart:
             return True
         return all(x > 0 for x in self.rhs)
 
+    @cached_property
+    def halfrows(self) -> Optional[list]:
+        """One key row of each pair +-g, when every key row's negative is a key row too; else None.
+
+        Built on the first key, so a chart that only counts never builds it.
+        """
+        rows = dict.fromkeys(self.keyrows)
+        half = [g for g in rows if g > tuple(-x for x in g)]
+        return half if 2 * len(half) == len(rows) and all(
+            tuple(-x for x in g) in rows for g in half) else None
+
     def key(self, c: Sequence[int]) -> int:
-        """Integer key of the gauge of c: keys order points as their gauges do."""
+        """Integer key of the gauge of c: keys order points as their gauges do.
+
+        With key rows in pairs +-g, the maximum over a pair is |g . c|, so one
+        row of each pair is read.
+        """
         if self.kind == "quad":
             return sum(ci * sum(map(mul, r, c)) for ci, r in zip(c, self.qint))
+        half = self.halfrows
+        if half is not None:
+            return max([abs(sum(map(mul, g, c))) for g in half])
         return max(0, *[sum(map(mul, g, c)) for g in self.keyrows])
 
     def value(self, key: int) -> Scalar:
@@ -565,11 +594,19 @@ def _minima_core(chart: _Chart, count: int, half: bool) -> tuple:
     """
     cap = sorted(chart.basis_keys())[count - 1]
     # an asymmetric body's walk keeps the origin, which reduces to zero and is never picked
-    cands = sorted((chart.key(c), c) for c in chart.points(cap, half))
+    return _pick([(chart.key(c), c) for c in chart.points(cap, half)], count)
+
+
+def _pick(cands: list, count: int) -> tuple:
+    """(keys, coeffs) of the first `count` independent candidates (key, c) in (key, c) order.
+
+    Each candidate is reduced exactly against the picked ones, kept in
+    echelon form; it is independent when something is left.
+    """
     picked = []  # (row, pivot): the witnesses' coefficients in echelon form
     keys = []
     coeffs = []
-    for key, c in cands:
+    for key, c in sorted(cands):
         r = list(c)  # reduced to zero exactly when it depends on the picked rows
         for e, p in picked:
             if r[p]:
@@ -617,6 +654,59 @@ def _reduced_keys(key, basis) -> list:
                 break
         if k2 >= k1:
             return [k1, k2]
+
+
+def _ball_keys(chart: _Chart, basis) -> list:
+    """The keys of the minima of the lattice of independent integer rows, under a box's chart on Z^n.
+
+    The chart's key rows are the pairs +-d_i e_i, so a point x whose key is at
+    most cap has |x_i| <= cap / d_i and lies in the ball |x|^2 <= cap^2 sum
+    1 / d_i^2. With cap the largest key of a basis row, the minima are among
+    those points. _walk visits the canonical half of the ball on the rows'
+    Gram form, in the intervals of _quadratic_interval and under the same node
+    budget, and the partial sums P_j of the half rows read on the basis are
+    carried down its levels: on the last level the key is max_j |P_j + z s_j|,
+    with no dot product per point, and the z whose key is at most cap are an
+    interval. Those points are picked as _minima_core picks its candidates.
+    No chart is built for the lattice and nothing is projected.
+    """
+    halfrows = chart.halfrows
+    m = len(basis)
+    cols = [[sum(map(mul, g, r)) for g in halfrows] for r in basis]  # s_j of each coefficient
+    cap = max(max(map(abs, col)) for col in cols)
+    den = lcm(*(max(g) for g in halfrows))  # the d_i
+    bound = cap * cap * sum((den // max(g)) ** 2 for g in halfrows) // (den * den)
+    levels = _quadratic_levels([[sum(map(mul, r, s)) for s in basis] for r in basis])
+    carry = [None] * m
+    sums = [[0] * len(halfrows)] + [None] * (m - 1)  # sums[i]: the P_j of c_0..c_{i-1}
+    cands = []
+
+    def interval(prefix):
+        i = len(prefix)
+        if i:
+            sums[i] = [p + prefix[-1] * t for p, t in zip(sums[i - 1], cols[i - 1])]
+        bounds = _quadratic_interval(levels, bound, carry, prefix)
+        if bounds is None or i + 1 < m:
+            return bounds
+        # the last level is read here, and the walk is left nothing to extend: past
+        # z = 0 on a zero prefix (the canonical half), the z with |P_j + z s_j| <= cap
+        lo, hi = bounds
+        if not any(prefix):
+            lo = max(lo, 1)
+        pairs = list(zip(sums[i], cols[i]))
+        for p, t in pairs:
+            if t < 0:
+                p, t = -p, -t
+            if t:
+                lo, hi = max(lo, -((cap + p) // t)), min(hi, (cap - p) // t)
+            elif abs(p) > cap:
+                return None
+        cands.extend((max([abs(p + z * t) for p, t in pairs]), (*prefix, z))
+                     for z in range(lo, hi + 1))
+        return None
+
+    _walk(interval, m, [], None, True, [_WALK_MAX_NODES])
+    return _pick(cands, m)[0]
 
 
 def successive_minima(

@@ -36,7 +36,7 @@ from .exactmath import (
 from .lattice import (Lattice, _gram_det, _integer_rows, _kernel_lattice, kernel_lattice,
                       lll_reduce, make_lattice, minors_gcd, standard_lattice)
 from .body import HPOLY, Body, _hexagon_coefficients, cube, generalized_hexagon
-from .minima import (MinimaResult, _minima_core, _reduced_keys, _require_gauge_body,
+from .minima import (MinimaResult, _ball_keys, _reduced_keys, _require_gauge_body,
                      first_minimum, successive_minima)
 
 __all__ = [
@@ -335,22 +335,18 @@ def _scan_minima(vectors: list) -> list:
     """Successive minima of the unit cube on the kernel lattice of each row, one chart for all.
 
     One chart of the cube on Z^n keys an integer point by its sup-norm times
-    the chart's lcm, so each minimum is read off its key by exact division. A
-    kernel of rank 1 or 2 (n = 2 or 3) has integer rows, and its keys are read
-    off its reduced rows under that chart's key, with no walk; a larger one
-    gets a chart of its own and walks its candidates in _minima_core.
+    the chart's lcm, so each minimum is read off its key by exact division.
+    Every kernel has integer rows, which are keyed under that chart at every
+    rank: a kernel of rank 1 or 2 (n = 2 or 3) by Gauss reduction of its
+    reduced rows, with no walk, and a larger one by a walk of the Euclidean
+    ball that holds every point of key up to its largest basis key.
     """
     n = len(vectors[0])
-    k = cube(n)
-    ambient = _require_gauge_body(k, standard_lattice(n), False)
+    chart = _require_gauge_body(cube(n), standard_lattice(n), False)
     out = []
     for a in vectors:
-        red = lll_reduce(_kernel_lattice([a]))
-        if red.rank <= 2:
-            chart, keys = ambient, _reduced_keys(ambient.key, red._rows)
-        else:
-            chart = _require_gauge_body(k, red, False)
-            keys, _ = _minima_core(chart, red.rank, True)
+        rows = lll_reduce(_kernel_lattice([a]))._rows
+        keys = _reduced_keys(chart.key, rows) if len(rows) <= 2 else _ball_keys(chart, rows)
         if any(key % chart.lcm for key in keys):
             raise RuntimeError("a kernel minimum of the cube is not an integer")
         out.append(tuple(key // chart.lcm for key in keys))

@@ -1143,6 +1143,52 @@ def test_reduced_keys_reach_past_the_walks_guard():
         successive_minima(cube(2), lat)
 
 
+def full_row_key(chart, c):
+    """A polytope chart's key read on every key row, as it was before the half rows."""
+    return max(0, *[sum(map(mul, g, c)) for g in chart.keyrows])
+
+
+@given(core_instances(), st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_half_row_key_matches_the_full_row_key(instance, coeffs):
+    # symmetric charts key on one row of each +- pair, asymmetric ones on every row
+    k, lat = instance
+    if not k.is_polytope:
+        reject()
+    try:
+        chart = minima._require_gauge_body(k, lat, True)
+    except ValueError:
+        reject()
+    assert (chart.halfrows is not None) >= k.is_symmetric()
+    if chart.halfrows is not None:
+        assert sorted(chart.halfrows + [tuple(-x for x in g) for g in chart.halfrows]) \
+            == sorted(set(chart.keyrows))
+    for c in [coeffs[:lat.rank], *unit_rows(lat.rank)]:
+        assert chart.key(c) == full_row_key(chart, c)
+
+
+def test_half_row_key_on_parallel_facets():
+    # x <= 1 and -x <= 2 are parallel facets on different sides: their key rows (2, 0) and
+    # (-1, 0) are no pair, so the chart keys on every row; a redundant parallel row
+    # 2x <= 3 leaves its key row (2, 0) unpaired too, while a repeated facet pairs up
+    z2 = standard_lattice(2)
+    square = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    charts = [minima._require_gauge_body(hpoly(square + extra, [1, 1, 1, 1] + rhs), z2, True)
+              for extra, rhs in [([], []), ([[2, 0]], [3]), ([[1, 0]], [1])]]
+    lop = minima._require_gauge_body(hpoly(square, [1, 2, 1, 1]), z2, True)
+    assert [c.halfrows for c in charts + [lop]] == [[(1, 0), (0, 1)], None, [(1, 0), (0, 1)], None]
+    for chart in charts + [lop]:
+        for c in product(range(-3, 4), repeat=2):
+            assert chart.key(c) == full_row_key(chart, c)
+    assert [lop.key(c) for c in [(1, 0), (-1, 0), (0, -1), (-2, 1)]] == [2, 1, 2, 2]
+
+
+def test_a_counting_chart_builds_no_half_rows():
+    chart = minima._Chart(cube(3), standard_lattice(3))
+    assert chart.count() == 27 and "halfrows" not in vars(chart)
+    assert chart.key((1, -2, 0)) == 2 and chart.halfrows == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
 # -- width and covering bracket --------------------------------------------------
 
 

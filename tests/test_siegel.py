@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gon.body import cube
-from gon.exactmath import Interval, QMat, QuadVal, RankDeficientError
-from gon.lattice import kernel_lattice
+from gon.cli import main
+from gon.exactmath import DimensionGuardError, Interval, QMat, QuadVal, RankDeficientError
+from gon.lattice import kernel_lattice, lll_reduce, standard_lattice
 from gon.minima import successive_minima
 from gon import exactmath, lattice, minima, siegel
 from gon.siegel import (
@@ -527,8 +529,8 @@ def test_scan_minima_and_records_match_the_fraction_routines(n, a_max, dedupe):
 def test_scan_minima_build_one_chart_and_no_hermite_form(monkeypatch):
     # every kernel of rank 2 is read off its reduced rows under one chart of the cube on
     # Z^3, and every kernel basis comes from extended gcds
-    calls = {"chart": 0, "hnf": 0}
-    init, hnf = minima._Chart.__init__, exactmath._hnf
+    calls = {"chart": 0, "hnf": 0, "core": 0}
+    init, hnf, core = minima._Chart.__init__, exactmath._hnf, minima._minima_core
 
     def counted_init(self, *args):
         calls["chart"] += 1
@@ -538,12 +540,22 @@ def test_scan_minima_build_one_chart_and_no_hermite_form(monkeypatch):
         calls["hnf"] += 1
         return hnf(*args)
 
+    def counted_core(*args):
+        calls["core"] += 1
+        return core(*args)
+
     monkeypatch.setattr(minima._Chart, "__init__", counted_init)
+    monkeypatch.setattr(minima, "_minima_core", counted_core)
     for module in (exactmath, lattice):
         monkeypatch.setattr(module, "_hnf", counted_hnf)
     rows = sweep_rows(3, 12, True)
     assert len(_scan_minima(rows)) == len(rows) == 287
-    assert calls == {"chart": 1, "hnf": 0}
+    assert calls == {"chart": 1, "hnf": 0, "core": 0}
+    # kernels of rank 3 walk a Euclidean ball under the same chart
+    calls.update(chart=0)
+    rows = sweep_rows(4, 5, True)
+    assert len(_scan_minima(rows)) == len(rows) == 63
+    assert calls == {"chart": 1, "hnf": 0, "core": 0}
 
 
 def test_scan_minima_refuse_a_fractional_key(monkeypatch):
@@ -578,3 +590,53 @@ def test_scan_minima_refuse_a_fractional_key_on_every_route(monkeypatch):
     for a in [(1, 3), (1, 2, 3), (1, 2, 3, 4)]:
         with pytest.raises(RuntimeError, match="not an integer"):
             _scan_minima([a])
+
+
+def reference_scan_values(k, a):
+    """The scan's minima of a kernel of rank 3 or more as they were read: the row's own chart
+    of the cube on its reduced kernel lattice and the walk of _minima_core."""
+    red = lll_reduce(kernel_lattice([list(a)]))
+    chart = minima._require_gauge_body(k, red, False)
+    keys, _ = minima._minima_core(chart, red.rank, True)
+    return [chart.value(key) for key in keys]
+
+
+def ball_values(k, a):
+    ambient = minima._require_gauge_body(k, standard_lattice(len(a)), False)
+    keys = minima._ball_keys(ambient, lll_reduce(kernel_lattice([list(a)]))._rows)
+    return [ambient.value(key) for key in keys]
+
+
+# a row (1, h, ..., h) walks about 3.6 h^2 nodes at n = 4 and 12 h^3 at n = 5: these heights
+# keep each draw under about 21 000
+ascending_rows = st.sampled_from([(4, 30), (5, 12)]).flatmap(
+    lambda nh: st.lists(st.integers(1, nh[1]), min_size=nh[0], max_size=nh[0]).map(sorted))
+
+
+@given(ascending_rows, st.sampled_from([1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_ball_keys_match_the_rows_own_chart(a, side):
+    k = cube(len(a), side)
+    assert ball_values(k, a) == reference_scan_values(k, a)
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_ball_keys_match_the_rows_own_chart_at_n6(side):
+    # a fixed sample of n = 6 rows, kernels of rank 5
+    k = cube(6, side)
+    for a in random.Random(6).sample(sweep_rows(6, 5, False), 12):
+        assert ball_values(k, a) == reference_scan_values(k, a)
+
+
+def test_ball_walk_past_its_node_budget_is_a_guard(monkeypatch, capsys):
+    # the kernel of (1, 3, 4, 5) has rank 3, and its ball walk visits 14 nodes above its
+    # last level; the rank-2 rows of n = 3 walk nothing
+    monkeypatch.setattr(minima, "_WALK_MAX_NODES", 10)
+    assert _scan_minima([(1, 2, 3)]) == [(1, 2)]
+    with pytest.raises(DimensionGuardError, match="more than 10 nodes"):
+        _scan_minima([(1, 3, 4, 5)])
+    for jobs in ["1", "2"]:
+        rc = main(["scan", "--n", "4", "--max", "5", "--jobs", jobs])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 1 and doc["error"]["code"] == "guard", doc
+        assert "more than 10 nodes" in doc["error"]["message"]
