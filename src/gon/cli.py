@@ -64,7 +64,7 @@ def _validated(kind: str, path: str):
     doc = _load_json(path)
     try:
         validate_input(kind, doc)
-    except schemas.ValidationError as e:  # looked up, and jsonschema imported, only on a raise
+    except schemas.ValidationError as e:
         raise CliError("schema", f"{path}: {e.message}")
     return doc
 

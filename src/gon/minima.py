@@ -33,13 +33,13 @@ rounded anywhere.
 The constant scan, which needs only the values, reads the minima of a lattice
 of rank 1 or 2 off its reduced integer rows and walks no point: in rank 2 the
 generalized Gauss reduction ends at the two minima of any norm (Kaib & Schnorr
-1996). It only compares keys, so the scan runs it on ambient vectors under one
-chart of the cube on Z^n, and builds no chart per row. A kernel of larger rank
-is keyed under the same chart too: every point whose key is at most the
-largest basis key lies in a Euclidean ball, which the ellipsoid walk visits on
-the Gram form of the reduced rows, carrying the key rows' partial sums down
-its levels. Witnesses that follow the (key, lexicographic coefficient)
-tie-break still come from a chart's walk.
+1996). It only compares keys, so the scan runs it on the rows themselves with
+the sup-norm as the key, the unit cube's gauge on Z^n, and builds no chart. A
+kernel of larger rank is keyed by the sup-norm too: every point whose
+sup-norm is at most the largest of the basis rows lies in a Euclidean ball,
+which the ellipsoid walk visits on the Gram form of the reduced rows,
+carrying the point's coordinates down its levels. Witnesses that follow the
+(key, lexicographic coefficient) tie-break still come from a chart's walk.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .exactmath import (
     _integer_matrix,
     _integer_row,
 )
-from .lattice import Lattice, lll_reduce, polar_lattice
+from .lattice import Lattice, _gram, lll_reduce, polar_lattice
 
 Scalar = Union[Fraction, QuadVal]
 
@@ -625,8 +625,8 @@ def _reduced_keys(key, basis) -> list:
     """The keys of both minima of the lattice of two integer rows, or of the one minimum of one.
 
     `key` is a symmetric integer key in whatever space the rows live in: a
-    chart's key on its unit rows, or the key of a chart on Z^n on a sublattice's
-    integer rows. No point is walked. In rank 2 the basis (b1, b2) is reduced on
+    chart's key on its unit rows, or the sup-norm on a sublattice's integer
+    rows. No point is walked. In rank 2 the basis (b1, b2) is reduced on
     the keys until k1 <= k2 <= key(b2 - mu b1) for every integer mu; then k1 and
     k2 are the keys of the two minima, for any norm (Kaib & Schnorr, "The
     generalized Gauss reduction algorithm", J. Algorithms 21, 1996).
@@ -656,44 +656,40 @@ def _reduced_keys(key, basis) -> list:
             return [k1, k2]
 
 
-def _ball_keys(chart: _Chart, basis) -> list:
-    """The keys of the minima of the lattice of independent integer rows, under a box's chart on Z^n.
+def _ball_keys(basis) -> list:
+    """The sup-norms of the minima of the lattice of independent integer rows b_0..b_{m-1}.
 
-    The chart's key rows are the pairs +-d_i e_i, so a point x whose key is at
-    most cap has |x_i| <= cap / d_i and lies in the ball |x|^2 <= cap^2 sum
-    1 / d_i^2. With cap the largest key of a basis row, the minima are among
-    those points. _walk visits the canonical half of the ball on the rows'
-    Gram form, in the intervals of _quadratic_interval and under the same node
-    budget, and the partial sums P_j of the half rows read on the basis are
-    carried down its levels: on the last level the key is max_j |P_j + z s_j|,
-    with no dot product per point, and the z whose key is at most cap are an
-    interval. Those points are picked as _minima_core picks its candidates.
-    No chart is built for the lattice and nothing is projected.
+    A point of sup-norm at most cap lies in the Euclidean ball |x|^2 <= n cap^2,
+    and with cap the largest |entry| of a basis row, the minima are among those
+    points. _walk visits the canonical half of the ball on the rows' Gram form,
+    in the intervals of _quadratic_interval and under the same node budget, and
+    carries the point's coordinates P = c_0 b_0 + ... + c_{i-1} b_{i-1} down its
+    levels: on the last level the sup-norm is max_j |P_j + z b_{m-1,j}|, with no
+    dot product per point, and the z whose sup-norm is at most cap are an
+    interval. Those points are picked as _minima_core picks its candidates. No
+    chart is built and nothing is projected.
     """
-    halfrows = chart.halfrows
-    m = len(basis)
-    cols = [[sum(map(mul, g, r)) for g in halfrows] for r in basis]  # s_j of each coefficient
-    cap = max(max(map(abs, col)) for col in cols)
-    den = lcm(*(max(g) for g in halfrows))  # the d_i
-    bound = cap * cap * sum((den // max(g)) ** 2 for g in halfrows) // (den * den)
-    levels = _quadratic_levels([[sum(map(mul, r, s)) for s in basis] for r in basis])
+    m, n = len(basis), len(basis[0])
+    cap = max(max(map(abs, r)) for r in basis)
+    bound = cap * cap * n
+    levels = _quadratic_levels(_gram(basis))
     carry = [None] * m
-    sums = [[0] * len(halfrows)] + [None] * (m - 1)  # sums[i]: the P_j of c_0..c_{i-1}
+    sums = [[0] * n] + [None] * (m - 1)  # sums[i]: the P_j of c_0..c_{i-1}
     cands = []
 
     def interval(prefix):
         i = len(prefix)
         if i:
-            sums[i] = [p + prefix[-1] * t for p, t in zip(sums[i - 1], cols[i - 1])]
+            sums[i] = [p + prefix[-1] * t for p, t in zip(sums[i - 1], basis[i - 1])]
         bounds = _quadratic_interval(levels, bound, carry, prefix)
         if bounds is None or i + 1 < m:
             return bounds
         # the last level is read here, and the walk is left nothing to extend: past
-        # z = 0 on a zero prefix (the canonical half), the z with |P_j + z s_j| <= cap
+        # z = 0 on a zero prefix (the canonical half), the z with |P_j + z b_ij| <= cap
         lo, hi = bounds
         if not any(prefix):
             lo = max(lo, 1)
-        pairs = list(zip(sums[i], cols[i]))
+        pairs = list(zip(sums[i], basis[i]))
         for p, t in pairs:
             if t < 0:
                 p, t = -p, -t

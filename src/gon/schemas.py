@@ -8,15 +8,15 @@ An "integer" is a JSON integer: a number such as 1.0 is not one.  A body is
 checked against the variant its "type" names, and against all of them only
 when that names none.
 
-The schemas are plain JSON Schema (2020-12) dicts.  A document is accepted by
-one walk over them (``_accepts``), which reads the few keywords they use;
-jsonschema is imported only when that walk rejects a document, to raise its
-ValidationError with the message it has always given.
+The schemas are plain JSON Schema (2020-12) dicts.  One walk over them
+(``_error``), which reads the few keywords they use, decides a document and
+words its rejection as the first error jsonschema's validator would report, in
+this module's ValidationError; no schema library is needed at run time.
 """
 
 import re
-from functools import cache
 from numbers import Number
+from typing import Optional
 
 SCHEMA_TAG = "gon/1"
 
@@ -289,78 +289,83 @@ def _has_type(doc, name: str) -> bool:
     return type(doc) is int if name == "integer" else isinstance(doc, _PY_TYPES[name])
 
 
-def _accepts(schema: dict, doc) -> bool:
-    """Whether doc is valid under schema, read straight off the dicts above.
-
-    Reads only the keywords those dicts use, each with its JSON Schema meaning:
-    a keyword binds only the JSON type it is about, so "pattern" passes a
-    non-string and "required" a non-object.  "const" and "enum" values are
-    strings, for which == is JSON Schema's equality.
-    """
+def _typed(schema: dict, doc) -> bool:
+    """Whether doc has a type that the schema's "type" admits."""
     t = schema.get("type")
-    if t is not None and not (_has_type(doc, t) if type(t) is str
-                              else any(_has_type(doc, x) for x in t)):
-        return False
+    return t is None or (_has_type(doc, t) if type(t) is str else any(_has_type(doc, x) for x in t))
+
+
+class ValidationError(Exception):
+    """A document that its schema rejects; .message words the first error found."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.message = message
+
+
+def _error(schema: dict, doc) -> Optional[str]:
+    """None if doc is valid under schema, else the message of its first error.
+
+    Reads only the keywords the dicts above use, each with its JSON Schema
+    meaning: a keyword binds only the JSON type it is about, so "pattern"
+    passes a non-string and "required" a non-object.  "const" and "enum"
+    values are strings, for which == is JSON Schema's equality.  Keywords are
+    checked in the order the dicts list them, as jsonschema's iter_errors
+    checks them, and each error is worded as jsonschema 4.26 words it.
+    """
+    if not _typed(schema, doc):
+        t = schema["type"]
+        return f"{doc!r} is not of type {', '.join(map(repr, [t] if type(t) is str else t))}"
     if "const" in schema and doc != schema["const"]:
-        return False
+        return f"{schema['const']!r} was expected"
     if "enum" in schema and doc not in schema["enum"]:
-        return False
-    if "oneOf" in schema and sum(_accepts(s, doc) for s in schema["oneOf"]) != 1:
-        return False
+        return f"{doc!r} is not one of {schema['enum']!r}"
+    if "oneOf" in schema:
+        # a variant of another type is rejected before any message is worded
+        valid = [s for s in schema["oneOf"] if _typed(s, doc) and _error(s, doc) is None]
+        if not valid:
+            return f"{doc!r} is not valid under any of the given schemas"
+        if len(valid) > 1:  # listed as jsonschema lists them: the first valid one last
+            return f"{doc!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
     if isinstance(doc, dict):
         props = schema.get("properties", {})
-        closed = schema.get("additionalProperties") is False
-        for key, value in doc.items():
-            sub = props.get(key)
-            if sub is None:
-                if closed:
-                    return False
-            elif not _accepts(sub, value):
-                return False
-        return all(key in doc for key in schema.get("required", ()))
+        for key, sub in props.items():
+            if key in doc and (message := _error(sub, doc[key])) is not None:
+                return message
+        for key in schema.get("required", ()):
+            if key not in doc:
+                return f"{key!r} is a required property"
+        if schema.get("additionalProperties") is False and not doc.keys() <= props.keys():
+            extras = sorted(doc.keys() - props.keys(), key=str)
+            listed = ", ".join(map(repr, extras))
+            verb = "was" if len(extras) == 1 else "were"
+            return f"Additional properties are not allowed ({listed} {verb} unexpected)"
+        return None
     if isinstance(doc, list):
-        items = schema.get("items")
-        return len(doc) >= schema.get("minItems", 0) and (
-            items is None or all(_accepts(items, x) for x in doc))
+        if not doc and "minItems" in schema:  # every minItems above is 1
+            return f"{doc!r} should be non-empty"
+        if "items" in schema:
+            for x in doc:
+                if (message := _error(schema["items"], x)) is not None:
+                    return message
+        return None
     if isinstance(doc, str):
-        return "pattern" not in schema or re.search(schema["pattern"], doc) is not None
-    if "minimum" in schema and isinstance(doc, Number) and not isinstance(doc, bool):
-        return doc >= schema["minimum"]
-    return True
-
-
-@cache
-def _validator_class():
-    # jsonschema's 2020-12 validator under the "integer" above; imported only
-    # to word a rejection, since _accepts decides every accepted document
-    from jsonschema import Draft202012Validator, validators
-
-    return validators.extend(
-        Draft202012Validator,
-        type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
-            "integer", lambda _, x: _has_type(x, "integer")),
-    )
-
-
-def __getattr__(name: str):
-    # jsonschema's ValidationError, the error validate_input and validate_output
-    # raise, without importing jsonschema before a caller asks for it
-    if name == "ValidationError":
-        from jsonschema import ValidationError
-
-        return ValidationError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        if "pattern" in schema and re.search(schema["pattern"], doc) is None:
+            return f"{doc!r} does not match {schema['pattern']!r}"
+    elif ("minimum" in schema and isinstance(doc, Number) and not isinstance(doc, bool)
+          and doc < schema["minimum"]):
+        return f"{doc!r} is less than the minimum of {schema['minimum']!r}"
+    return None
 
 
 def _check(schema: dict, doc) -> None:
-    if _accepts(schema, doc):
-        return
-    _validator_class()(schema).validate(doc)
-    raise RuntimeError("schema check rejected a document that jsonschema accepts")
+    message = _error(schema, doc)
+    if message is not None:
+        raise ValidationError(message)
 
 
 def validate_input(kind: str, doc) -> None:
-    """Raise jsonschema.ValidationError if doc is not a valid input document."""
+    """Raise ValidationError if doc is not a valid input document."""
     if kind == "body" and isinstance(doc, dict):
         variant = doc.get("type")
         if isinstance(variant, str) and variant in _BODY_VARIANTS:
@@ -370,5 +375,5 @@ def validate_input(kind: str, doc) -> None:
 
 
 def validate_output(command: str, doc) -> None:
-    """Raise jsonschema.ValidationError if doc is not a valid output document."""
+    """Raise ValidationError if doc is not a valid output document."""
     _check(OUTPUT_SCHEMAS[command], doc)

@@ -34,10 +34,9 @@ from .exactmath import (
     root_interval,
 )
 from .lattice import (Lattice, _gram_det, _integer_rows, _kernel_lattice, kernel_lattice,
-                      lll_reduce, make_lattice, minors_gcd, standard_lattice)
+                      lll_reduce, make_lattice, minors_gcd)
 from .body import HPOLY, Body, _hexagon_coefficients, cube, generalized_hexagon
-from .minima import (MinimaResult, _ball_keys, _reduced_keys, _require_gauge_body,
-                     first_minimum, successive_minima)
+from .minima import MinimaResult, _ball_keys, _reduced_keys, first_minimum, successive_minima
 
 __all__ = [
     "SiegelSolution",
@@ -332,24 +331,18 @@ _SCAN_GUARD = 200_000
 
 
 def _scan_minima(vectors: list) -> list:
-    """Successive minima of the unit cube on the kernel lattice of each row, one chart for all.
+    """Successive minima of the unit cube on the kernel lattice of each row, with no chart.
 
-    One chart of the cube on Z^n keys an integer point by its sup-norm times
-    the chart's lcm, so each minimum is read off its key by exact division.
-    Every kernel has integer rows, which are keyed under that chart at every
-    rank: a kernel of rank 1 or 2 (n = 2 or 3) by Gauss reduction of its
-    reduced rows, with no walk, and a larger one by a walk of the Euclidean
-    ball that holds every point of key up to its largest basis key.
+    The unit cube's gauge is the sup-norm, so each minimum is the sup-norm of a
+    point, read off the kernel's reduced integer rows: in rank 1 or 2 (n = 2 or
+    3) by Gauss reduction, with no walk, and in larger rank by a walk of the
+    Euclidean ball that holds every point of sup-norm up to that of the basis.
     """
-    n = len(vectors[0])
-    chart = _require_gauge_body(cube(n), standard_lattice(n), False)
     out = []
     for a in vectors:
         rows = lll_reduce(_kernel_lattice([a]))._rows
-        keys = _reduced_keys(chart.key, rows) if len(rows) <= 2 else _ball_keys(chart, rows)
-        if any(key % chart.lcm for key in keys):
-            raise RuntimeError("a kernel minimum of the cube is not an integer")
-        out.append(tuple(key // chart.lcm for key in keys))
+        out.append(tuple(_ball_keys(rows) if len(rows) > 2
+                         else _reduced_keys(lambda c: max(map(abs, c)), rows)))
     return out
 
 
@@ -396,7 +389,7 @@ def scan_constants(n: int, a_max: int, dedupe: bool = True, jobs: int = 1) -> Sc
         if not (dedupe and gcd(*a) > 1)
     ]
     if jobs > 1:
-        # a Body does not pickle, so each chunk of rows is one task that builds its own cube
+        # each chunk of rows is one task
         ctx = multiprocessing.get_context("fork")
         chunk = max(1, len(vectors) // (8 * jobs))
         tasks = [vectors[i:i + chunk] for i in range(0, len(vectors), chunk)]

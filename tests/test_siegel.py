@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from gon.body import cube
 from gon.cli import main
 from gon.exactmath import DimensionGuardError, Interval, QMat, QuadVal, RankDeficientError
-from gon.lattice import kernel_lattice, lll_reduce, standard_lattice
+from gon.lattice import kernel_lattice, lll_reduce
 from gon.minima import successive_minima
-from gon import exactmath, lattice, minima, siegel
+from gon import exactmath, lattice, minima
 from gon.siegel import (
     CubeSection,
     GeneralizedHexagon,
@@ -527,8 +527,8 @@ def test_scan_minima_and_records_match_the_fraction_routines(n, a_max, dedupe):
 
 
 def test_scan_minima_build_one_chart_and_no_hermite_form(monkeypatch):
-    # every kernel of rank 2 is read off its reduced rows under one chart of the cube on
-    # Z^3, and every kernel basis comes from extended gcds
+    # every kernel of rank 2 is read off its reduced rows by their sup-norms, with no
+    # chart, and every kernel basis comes from extended gcds
     calls = {"chart": 0, "hnf": 0, "core": 0}
     init, hnf, core = minima._Chart.__init__, exactmath._hnf, minima._minima_core
 
@@ -550,20 +550,11 @@ def test_scan_minima_build_one_chart_and_no_hermite_form(monkeypatch):
         monkeypatch.setattr(module, "_hnf", counted_hnf)
     rows = sweep_rows(3, 12, True)
     assert len(_scan_minima(rows)) == len(rows) == 287
-    assert calls == {"chart": 1, "hnf": 0, "core": 0}
-    # kernels of rank 3 walk a Euclidean ball under the same chart
-    calls.update(chart=0)
+    assert calls == {"chart": 0, "hnf": 0, "core": 0}
+    # kernels of rank 3 walk a Euclidean ball, with no chart either
     rows = sweep_rows(4, 5, True)
     assert len(_scan_minima(rows)) == len(rows) == 63
-    assert calls == {"chart": 1, "hnf": 0, "core": 0}
-
-
-def test_scan_minima_refuse_a_fractional_key(monkeypatch):
-    # the unit cube's keys are integer sup-norms; the cube of half-side 2 keys a point of
-    # sup-norm 1 at 1 over an lcm of 2, a minimum of 1/2 that the scan must not floor to 0
-    monkeypatch.setattr(siegel, "cube", lambda n: cube(n, 2))
-    with pytest.raises(RuntimeError, match="not an integer"):
-        _scan_minima([(1, 2, 3)])
+    assert calls == {"chart": 0, "hnf": 0, "core": 0}
 
 
 def test_scan_minima_of_rank_one_are_the_closed_form():
@@ -581,30 +572,17 @@ def test_scan_minima_of_rank_two_match_brute_force_past_the_sweep():
         assert list(lams) == brute_kernel_minima([list(a)], max(lams) + 1)
 
 
-def test_scan_minima_refuse_a_fractional_key_on_every_route(monkeypatch):
-    # with the cube of half-side 2 the minima are sup-norms over 2: the kernel of (1, 2)
-    # has minimum 2 / 2 = 1, and those of (1, 3), (1, 2, 3) and (1, 2, 3, 4), of rank 1,
-    # 2 and 3, reach 3 / 2, 1 / 2 and 1 / 2 off the integers
-    monkeypatch.setattr(siegel, "cube", lambda n: cube(n, 2))
-    assert _scan_minima([(1, 2)]) == [(1,)]
-    for a in [(1, 3), (1, 2, 3), (1, 2, 3, 4)]:
-        with pytest.raises(RuntimeError, match="not an integer"):
-            _scan_minima([a])
-
-
-def reference_scan_values(k, a):
+def reference_scan_values(a):
     """The scan's minima of a kernel of rank 3 or more as they were read: the row's own chart
-    of the cube on its reduced kernel lattice and the walk of _minima_core."""
+    of the unit cube on its reduced kernel lattice and the walk of _minima_core."""
     red = lll_reduce(kernel_lattice([list(a)]))
-    chart = minima._require_gauge_body(k, red, False)
+    chart = minima._require_gauge_body(cube(len(a)), red, False)
     keys, _ = minima._minima_core(chart, red.rank, True)
     return [chart.value(key) for key in keys]
 
 
-def ball_values(k, a):
-    ambient = minima._require_gauge_body(k, standard_lattice(len(a)), False)
-    keys = minima._ball_keys(ambient, lll_reduce(kernel_lattice([list(a)]))._rows)
-    return [ambient.value(key) for key in keys]
+def ball_values(a):
+    return minima._ball_keys(lll_reduce(kernel_lattice([list(a)]))._rows)
 
 
 # a row (1, h, ..., h) walks about 3.6 h^2 nodes at n = 4 and 12 h^3 at n = 5: these heights
@@ -613,19 +591,16 @@ ascending_rows = st.sampled_from([(4, 30), (5, 12)]).flatmap(
     lambda nh: st.lists(st.integers(1, nh[1]), min_size=nh[0], max_size=nh[0]).map(sorted))
 
 
-@given(ascending_rows, st.sampled_from([1, 2]))
+@given(ascending_rows)
 @settings(max_examples=150, deadline=None)
-def test_ball_keys_match_the_rows_own_chart(a, side):
-    k = cube(len(a), side)
-    assert ball_values(k, a) == reference_scan_values(k, a)
+def test_ball_keys_match_the_rows_own_chart(a):
+    assert ball_values(a) == reference_scan_values(a)
 
 
-@pytest.mark.parametrize("side", [1, 2])
-def test_ball_keys_match_the_rows_own_chart_at_n6(side):
+def test_ball_keys_match_the_rows_own_chart_at_n6():
     # a fixed sample of n = 6 rows, kernels of rank 5
-    k = cube(6, side)
     for a in random.Random(6).sample(sweep_rows(6, 5, False), 12):
-        assert ball_values(k, a) == reference_scan_values(k, a)
+        assert ball_values(a) == reference_scan_values(a)
 
 
 def test_ball_walk_past_its_node_budget_is_a_guard(monkeypatch, capsys):
